@@ -550,3 +550,17 @@ def test_maintain_feed_export_is_atomic(tmp_path):
     # refuses to clobber a published feed
     with pytest.raises(SystemExit, match="already contains"):
         _atomic_feed_export(out, good_emit)
+
+
+def test_maintain_feed_export_refuses_leftover_stamp(tmp_path):
+    """An out dir holding only a torn export's _feed.json is refused up
+    front, before any build, instead of failing the final rmdir."""
+    from ton_etl_ray.cdc.run_maintain import _atomic_feed_export
+
+    out = tmp_path / "snap"
+    out.mkdir()
+    (out / "_feed.json").write_text("{}")
+    built = []
+    with pytest.raises(SystemExit, match="export into a fresh directory"):
+        _atomic_feed_export(str(out), built.append)
+    assert built == [] and os.listdir(out) == ["_feed.json"]

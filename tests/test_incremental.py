@@ -227,3 +227,18 @@ def test_latest_pointer_repairs_after_partial_publish(tmp_path):
     replay(files[:2], lake2, num_partitions=4)
     os.remove(os.path.join(lake2, "_LATEST"))
     assert S.latest_epoch(lake2) == 0
+
+
+def test_route_empty_batch_routes_nothing():
+    """An empty change batch routes zero rows instead of indexing into
+    an empty partition column."""
+    import pyarrow as pa
+
+    from ton_etl_ray.cdc.incremental import _router
+    from ton_etl_ray.cdc.replay import Normalize
+
+    schema = pa.schema([("lsn", pa.int64()), ("op", pa.string()),
+                        ("doc_id", pa.string()), ("n_tok", pa.int32())])
+    route = _router(Normalize(schema, 4, frozenset(), 0, frozenset(), None),
+                    actors=[], owner={})
+    assert route(schema.empty_table()).to_pydict() == {"routed": [0]}

@@ -351,3 +351,110 @@ def test_reshard_breaks_alignment(two_epoch_lake, tmp_path):
         json.dump(c, f)
     ordered, _ = _lsn_ordered_span(lake, 0, 1)
     assert not ordered
+
+
+def _write_log(path, rows, n_tok_type=pa.int32()):
+    """One change shard from (lsn, op, doc_id, tokens, n_tok, source)."""
+    lsn, op, doc, toks, n_tok, src = zip(*rows)
+    pq.write_table(pa.table({
+        "lsn": pa.array(lsn, pa.int64()),
+        "op": pa.array(op, pa.string()),
+        "doc_id": pa.array(doc, pa.string()),
+        "tokens": pa.array(toks, pa.list_(pa.int32())),
+        "n_tok": pa.array(n_tok, n_tok_type),
+        "source": pa.array(src, pa.string()),
+    }), path)
+
+
+def _two_epoch(tmp_path, rows0, rows1, num_partitions, **kw):
+    from ton_etl_ray.cdc.replay import replay
+
+    e0, e1, lake = (str(tmp_path / n) for n in ("e0", "e1", "lake"))
+    os.makedirs(e0), os.makedirs(e1)
+    _write_log(os.path.join(e0, "s0.parquet"), rows0, **kw)
+    _write_log(os.path.join(e1, "s1.parquet"), rows1, **kw)
+    replay(e0, lake, num_partitions=num_partitions, hot_share_threshold=1.0)
+    replay(e1, lake)
+    return lake
+
+
+def test_incremental_exact_past_2_53(tmp_path, ray_session):
+    """The driver fold sums in int64: a source whose token total passes
+    2^53 (where a float64 detour drops low bits) stays exact."""
+    from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
+
+    big = 1 << 52
+    lake = _two_epoch(tmp_path, [
+        (1, "c", "a", [1], big + 1, "huge"),
+        (2, "c", "b", [2], big + 3, "huge"),
+        (3, "c", "c", [3], 5, "small"),
+    ], [
+        (10, "u", "a", [4], big + 7, "huge"),
+        (11, "c", "d", [5], 9, "huge"),
+    ], num_partitions=4, n_tok_type=pa.int64())
+
+    got = incremental_source_budget(lake, source_budget_at(lake, 0), 0, 1)
+    want = source_budget_at(lake, 1)
+    assert got.to_pydict() == want.to_pydict()
+    m = {r["source"]: r["total_tokens"] for r in got.to_pylist()}
+    assert m == {"huge": 2 * big + 19, "small": 5}
+    assert m["huge"] > 1 << 53 and m["huge"] % 2 == 1
+
+
+def test_incremental_partition_born_and_emptied(tmp_path, ray_session):
+    """Spans where one partition gains its first row and another loses
+    its last. Replay keeps a 0-row file for the emptied partition;
+    compaction drops it, so the span to the compacted epoch feeds the
+    fold from both one-sided pair kinds (b-only and a-only)."""
+    from ton_etl_ray.cdc import sink
+    from ton_etl_ray.cdc.compact import compact_lake
+    from ton_etl_ray.core.partition import assign_partitions
+    from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
+
+    nparts = 8
+    keys = [f"k{i}" for i in range(200)]
+    by_part: dict[int, str] = {}
+    for k, p in zip(keys, assign_partitions(pa.array(keys), nparts).tolist()):
+        by_part.setdefault(p, k)
+    emptied, born, kept = sorted(by_part)[:3]
+    lake = _two_epoch(tmp_path, [
+        (1, "c", by_part[emptied], [1, 2], 2, "web"),
+        (2, "c", by_part[kept], [3], 1, "web"),
+    ], [
+        (10, "d", by_part[emptied], None, None, None),
+        (11, "c", by_part[born], [4, 5, 6], 3, "books"),
+    ], num_partitions=nparts)
+    compact_lake(lake)
+    c0, c2 = (sink.read_commit(lake, e)["partitions"] for e in (0, 2))
+    assert c0[str(born)]["path"] == "" and c2[str(born)]["path"]
+    assert c0[str(emptied)]["path"] and c2[str(emptied)]["path"] == ""
+
+    base = source_budget_at(lake, 0)
+    for eb in (1, 2):
+        got = incremental_source_budget(lake, base, 0, eb, delta_source="aligned")
+        assert got.to_pydict() == source_budget_at(lake, eb).to_pydict(), eb
+        assert _as_map(got) == {"web": (1, 1, 1.0), "books": (1, 3, 3.0)}
+
+
+def test_aligned_pair_stage_sized_by_bytes(two_epoch_lake):
+    """The pair stage packs partition pairs into byte-sized blocks: on
+    a small lake it runs at most min(pairs, 2 × cpus) tasks, not one
+    task per pair."""
+    import re
+
+    import ray
+
+    from ton_etl_ray.cdc import sink
+    from ton_etl_ray.ops.tokens import (
+        _DELTA_SCHEMA, _aligned_delta_stream, _budget_partials)
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    c0, c1 = (sink.read_commit(two_epoch_lake, e)["partitions"] for e in (0, 1))
+    pairs = sum(c0.get(p, {}).get("path") != c1.get(p, {}).get("path")
+                for p in c0.keys() | c1.keys())
+    stream = _aligned_delta_stream(two_epoch_lake, 0, 1, ["source", "n_tok"],
+                                   _budget_partials, _DELTA_SCHEMA).materialize()
+    tasks = int(re.search(r"MapBatches\(pair_partials\): (\d+) tasks executed",
+                          stream.stats()).group(1))
+    assert pairs > 2 * cpus  # the bound is below one task per pair
+    assert tasks <= min(pairs, max(2 * cpus, 1))

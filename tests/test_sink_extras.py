@@ -263,3 +263,26 @@ def test_atomic_writers_use_unique_tmp(tmp_path):
     size = atomic_write_table(p, t)
     assert size == os.path.getsize(p)
     assert not glob.glob(p + ".tmp*")          # no leftovers
+
+
+def test_latest_epoch_on_read_only_lake(tmp_path, monkeypatch):
+    """A lagging _LATEST on a read-only mount: the repair write fails
+    with EROFS, and latest_epoch still returns the scanned-forward head
+    without raising."""
+    import errno
+
+    lake = str(tmp_path / "lake")
+    for e in (0, 1, 2):
+        os.makedirs(sink.epoch_dir(lake, e))
+        with open(os.path.join(sink.epoch_dir(lake, e), sink.COMMIT_NAME), "w") as f:
+            f.write("{}")
+    with open(os.path.join(lake, sink.LATEST_NAME), "w") as f:
+        f.write("0")
+
+    def read_only(path, data):
+        raise OSError(errno.EROFS, "Read-only file system", path)
+
+    monkeypatch.setattr(sink, "atomic_write_bytes", read_only)
+    assert sink.latest_epoch(lake) == 2
+    with open(os.path.join(lake, sink.LATEST_NAME)) as f:
+        assert f.read() == "0"  # nothing written

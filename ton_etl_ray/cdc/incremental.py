@@ -45,6 +45,39 @@ from . import sink
 from .replay import Normalize
 
 
+def _router(norm: Normalize, actors: list, owner: dict[int, int]):
+    """The Router stage: normalize one change batch, split it by owning
+    actor and push each actor its per-partition sub-tables. Returns the
+    map_batches fn; its output is one ``routed`` row-count row."""
+
+    def route(batch: pa.Table) -> pa.Table:
+        import numpy as np
+
+        if not batch.num_rows:
+            return pa.table({"routed": pa.array([0], pa.int64())})
+        t = norm(batch)
+        part_col = t["part"].to_numpy(zero_copy_only=False)
+        # ONE argsort + run-boundary split: the previous form boxed
+        # every row to a Python int and re-scanned the full batch
+        # with a filter per distinct partition (O(P × rows))
+        order = np.argsort(part_col, kind="stable")
+        sorted_parts = part_col[order]
+        bounds = np.flatnonzero(
+            np.concatenate(([True], sorted_parts[1:] != sorted_parts[:-1])))
+        idx = pa.array(order, pa.int64())
+        by_actor: dict[int, dict[int, pa.Table]] = {}
+        for i, s0 in enumerate(bounds.tolist()):
+            e0 = bounds[i + 1] if i + 1 < len(bounds) else len(sorted_parts)
+            p = int(sorted_parts[s0])
+            sub = t.take(idx.slice(s0, int(e0) - s0)).drop_columns(["part"])
+            by_actor.setdefault(owner[p], {})[p] = sub
+        pending = [actors[a].submit.remote(sub) for a, sub in by_actor.items()]
+        n = sum(ray.get(pending)) if pending else 0
+        return pa.table({"routed": pa.array([n], pa.int64())})
+
+    return route
+
+
 @ray.remote
 class PartitionApplier:
     """Owns a fixed subset of partitions; state resident between epochs."""
@@ -217,30 +250,7 @@ class IncrementalIngestor:
         # unit of work is an actor owning many partitions, so hot keys are
         # already amortized — route purely by hash
         norm = Normalize(unified, self.P, frozenset(), 0, frozenset(), None)
-        actors, owner, P = self.actors, self.owner, self.P
-
-        def route(batch: pa.Table) -> pa.Table:
-            import numpy as np
-
-            t = norm(batch)
-            part_col = t["part"].to_numpy(zero_copy_only=False)
-            # ONE argsort + run-boundary split: the previous form boxed
-            # every row to a Python int and re-scanned the full batch
-            # with a filter per distinct partition (O(P × rows))
-            order = np.argsort(part_col, kind="stable")
-            sorted_parts = part_col[order]
-            bounds = np.flatnonzero(
-                np.concatenate(([True], sorted_parts[1:] != sorted_parts[:-1])))
-            idx = pa.array(order, pa.int64())
-            by_actor: dict[int, dict[int, pa.Table]] = {}
-            for i, s0 in enumerate(bounds.tolist()):
-                e0 = bounds[i + 1] if i + 1 < len(bounds) else len(sorted_parts)
-                p = int(sorted_parts[s0])
-                sub = t.take(idx.slice(s0, int(e0) - s0)).drop_columns(["part"])
-                by_actor.setdefault(owner[p], {})[p] = sub
-            pending = [actors[a].submit.remote(sub) for a, sub in by_actor.items()]
-            n = sum(ray.get(pending)) if pending else 0
-            return pa.table({"routed": pa.array([n], pa.int64())})
+        route = _router(norm, self.actors, self.owner)
 
         ds = rd.read_parquet(files)
         total_routed = sum(r["routed"] for r in ds.map_batches(route, batch_format="pyarrow").take_all())

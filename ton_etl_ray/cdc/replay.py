@@ -52,6 +52,7 @@ import ray.data as rd
 from ..core import merge as M
 from ..core import partition as P
 from ..core.schema_evolution import conform, unify_schemas
+from ..ops._util import read_blocks
 from ..schemas import ENVELOPE_COLS, VALID_OPS
 from . import sink
 
@@ -489,16 +490,9 @@ def _replay_locked(
 
     prev_state = sink.state_path_map(lake_dir, prev_epoch)
 
-    # Block sizing: Ray's default minimum parallelism (~200 blocks) makes
-    # the sort shuffle quadratic in tiny objects (B_map × B_reduce). Use
-    # ~2 blocks per core, floored by a ~64 MiB on-disk target so blocks
-    # stay bounded at scale (measured: 4.7x faster at sf0.1/32 cpus).
     total_bytes = sum(os.path.getsize(f) for f in files)
     if override_num_blocks is None:
-        import ray as _ray
-
-        cpus = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
-        override_num_blocks = max(2 * cpus, total_bytes // (64 << 20), 1)
+        override_num_blocks = read_blocks(total_bytes)
 
     groups = []
     total_read_blocks = 0

@@ -46,6 +46,7 @@ import ray.data as rd
 from ..core import merge as M
 from ..core import partition as P
 from ..core.schema_evolution import conform, unify_schemas
+from ..ops._util import read_blocks
 from ..schemas import VALID_OPS
 from . import sink
 from .replay import ReplayResult, _discover
@@ -137,9 +138,7 @@ def _replay_late_locked(
     unified = unify_schemas(schemas)
 
     if override_num_blocks is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        total_bytes = sum(os.path.getsize(f) for f in files)
-        override_num_blocks = max(2 * cpus, total_bytes // (64 << 20), 1)
+        override_num_blocks = read_blocks(sum(os.path.getsize(f) for f in files))
 
     prev_state = sink.state_path_map(lake_dir, prev_epoch)
 

@@ -34,13 +34,13 @@ def _atomic_feed_export(out_dir: str, emit) -> None:
     feed directory as complete the instant it exists — so a crash
     mid-export must never leave a stamped partial feed at the published
     path. Same discipline as ``DirectoryWatcher._publish_feed``."""
-    import glob as _glob
     import shutil
 
     out_dir = out_dir.rstrip("/")
-    if _glob.glob(os.path.join(out_dir, "*.parquet")):
-        # fail before building, matching emit_*'s own fresh-dir guard
-        raise SystemExit(f"feed out dir {out_dir!r} already contains shards; "
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        # fail before building: any leftover (shards, or a torn export's
+        # lone _feed.json) would make the final rmdir fail after the build
+        raise SystemExit(f"feed out dir {out_dir!r} already contains files; "
                          "export into a fresh directory")
     build = out_dir + f".build.{os.getpid()}"
     shutil.rmtree(build, ignore_errors=True)

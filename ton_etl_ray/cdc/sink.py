@@ -156,7 +156,9 @@ def latest_epoch(lake_dir: str) -> int | None:
     and every pin-under-lock retry loop (replay / ingest / compact)
     would then pin that epoch, find it committed, re-pin to the same
     stale value and livelock. Scan forward from the pointer and repair
-    it (best-effort; racing repairers write the same value)."""
+    it (best-effort; racing repairers write the same value, and a
+    repair that cannot be written — a read-only replica — still returns
+    the scanned-forward head)."""
     p = os.path.join(lake_dir, LATEST_NAME)
     if not os.path.exists(p):
         # a crash before the FIRST flip: epoch 0 may be committed with
@@ -172,7 +174,10 @@ def latest_epoch(lake_dir: str) -> int | None:
     while is_committed(lake_dir, repaired + 1):
         repaired += 1
     if repaired != latest:
-        atomic_write_bytes(p, str(repaired).encode())
+        try:
+            atomic_write_bytes(p, str(repaired).encode())
+        except OSError:
+            pass  # read-only mount: the scan-forward answer stands
     return repaired
 
 

@@ -14,6 +14,7 @@ import os
 
 import pyarrow.parquet as pq
 
+from ..ops._util import read_blocks
 from .replay import ReplayResult, _discover, replay
 from .replay_late import replay_late
 
@@ -76,10 +77,8 @@ def replay_auto(
             object_store_bytes = int(ray.cluster_resources().get("object_store_memory", 2 << 30))
         else:
             object_store_bytes = 2 << 30
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    blocks = override_num_blocks or max(
-        2 * cpus, sum(os.path.getsize(f) for f in files) // (64 << 20), 1
-    )
+    blocks = override_num_blocks or read_blocks(
+        sum(os.path.getsize(f) for f in files))
     est = estimate_shuffle_bytes(files, blocks)
     if est > object_store_bytes // 2:
         return replay_late(

@@ -23,12 +23,14 @@ independent derivations that cannot cancel out).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .._pickle import ensure_portable
-from ._util import worker_cache
+from ._util import read_blocks, worker_cache
 
 def _lake(sf_dir: str):
     # cached committed flagship lake: one replay serves every
@@ -132,21 +134,21 @@ def _budget_partials(t: pa.Table, sign: int = 1) -> pa.Table:
     )
 
 
-def _grouped_delta(ds) -> pa.Table:
-    """Reduce a stream of signed partials to one tiny per-source table."""
-    from ray.data.aggregate import Sum
-
-    out = ds.groupby("source").aggregate(
-        Sum("docs", alias_name="docs"), Sum("toks", alias_name="toks")
-    ).to_pandas()
-    if "docs" not in out.columns:
-        return _DELTA_SCHEMA.empty_table()
-    return pa.table(
-        {"source": pa.array(out["source"], pa.string()),
-         "docs": pa.array(out["docs"].astype("int64")),
-         "toks": pa.array(out["toks"].astype("int64"))},
-        schema=_DELTA_SCHEMA,
-    )
+def _fold_budget(ds, acc: pa.Table | None = None) -> pa.Table:
+    """Fold a Dataset of signed (source, docs, toks) partials into one
+    per-source table on the driver, starting from ``acc``. Each partial
+    already holds at most one row per source per pair or block, so a
+    running int64 ``group_by`` keeps driver memory O(sources) and the
+    sums exact — no shuffle stage to start for a result that lands on
+    the driver anyway."""
+    acc = _DELTA_SCHEMA.empty_table() if acc is None else acc
+    for part in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+        if part.num_rows:
+            g = (pa.concat_tables([acc, part.cast(_DELTA_SCHEMA)])
+                 .group_by("source").aggregate([("docs", "sum"), ("toks", "sum")]))
+            acc = pa.table([g["source"], g["docs_sum"], g["toks_sum"]],
+                           schema=_DELTA_SCHEMA)
+    return acc
 
 
 def source_budget_at(lake_dir: str, epoch: int | None = None) -> pa.Table:
@@ -163,8 +165,8 @@ def source_budget_at(lake_dir: str, epoch: int | None = None) -> pa.Table:
     if not files:
         return _finish_budget(_DELTA_SCHEMA.empty_table())
     ds = rd.read_parquet(files, columns=["source", "n_tok"])
-    delta = _grouped_delta(ds.map_batches(_budget_partials, batch_format="pyarrow"))
-    return _finish_budget(delta)
+    return _finish_budget(_fold_budget(
+        ds.map_batches(_budget_partials, batch_format="pyarrow")))
 
 
 def _finish_budget(delta: pa.Table) -> pa.Table:
@@ -293,8 +295,9 @@ def _aligned_delta_stream(
 
     - an INHERITED partition (same file path in both commits) changed
       nothing and is skipped without touching its bytes;
-    - each rewritten partition pair is one task: both files are sorted
-      by doc_id, so a vectorized zipper classifies every key as
+    - each rewritten partition pair is merged in isolation (pairs are
+      packed into ``read_blocks(paired bytes)`` tasks): both files are
+      sorted by doc_id, so a vectorized zipper classifies every key as
       unchanged (same winning lsn — skipped), updated (old row → −1
       partial, new row → +1), deleted (only in a → −1), or added (only
       in b → +1), and both signed partials come out of the SAME pass.
@@ -373,8 +376,13 @@ def _aligned_delta_stream(
             return empty_schema.empty_table()
         return pa.concat_tables([t.cast(empty_schema) for t in outs])
 
-    return (rd.from_items(pairs)
-            .map_batches(pair_partials, batch_format="pyarrow", batch_size=1))
+    # sized by bytes, not one task per pair: a task per ~9 ms pair costs
+    # more to start than the pair takes to merge on a small lake
+    paired_bytes = sum(os.path.getsize(os.path.join(lake_dir, rel))
+                       for pair in pairs for rel in pair.values() if rel)
+    blocks = min(len(pairs), read_blocks(paired_bytes))
+    return (rd.from_items(pairs, override_num_blocks=blocks)
+            .map_batches(pair_partials, batch_format="pyarrow", batch_size=None))
 
 
 def _ivm_delta_stream(
@@ -534,31 +542,12 @@ def incremental_source_budget(
         _budget_partials, _DELTA_SCHEMA, broadcast_threshold,
         delta_source=delta_source,
     )
+    base_t = pa.table([base["source"], base["n_docs"], base["total_tokens"]],
+                      names=_DELTA_SCHEMA.names).cast(_DELTA_SCHEMA)
     if stream is None:
-        return _finish_budget(pa.table(
-            {"source": base["source"],
-             "docs": base["n_docs"], "toks": base["total_tokens"]},
-            schema=_DELTA_SCHEMA))
-    delta = _grouped_delta(stream)
-
-    # driver merge: both tables are O(sources). Counters stay in
-    # pandas' NULLABLE Int64 through the outer merge — the plain-int64
-    # path coerces to float64 on NaN-fill and silently drops low bits
-    # past 2^53, breaking the exact-not-approximate contract (the same
-    # coercion class _portable_shuffle_join documents and avoids)
-    b = base.select(["source", "n_docs", "total_tokens"]).to_pandas()
-    d = delta.to_pandas()
-    for df, cols in ((b, ("n_docs", "total_tokens")), (d, ("docs", "toks"))):
-        for c in cols:
-            df[c] = df[c].astype("Int64")
-    m = b.merge(d, on="source", how="outer").fillna(0)
-    merged = pa.table(
-        {"source": pa.array(m["source"], pa.string()),
-         "docs": pa.array((m["n_docs"] + m["docs"]).astype("int64")),
-         "toks": pa.array((m["total_tokens"] + m["toks"]).astype("int64"))},
-        schema=_DELTA_SCHEMA,
-    )
-    return _finish_budget(merged)
+        return _finish_budget(base_t)
+    # base + delta is the same fold: both are O(sources) int64 tables
+    return _finish_budget(_fold_budget(stream, base_t))
 
 
 _HIST_FULL_SCHEMA = pa.schema([("token", pa.int32()), ("n_occurrences", pa.int64())])
