@@ -7,7 +7,7 @@ Plus per-query timings for the flagship operator set.
 
 Prints ONE JSON line:
   {"metric": ..., "value": <headline seconds>, "unit": "sec",
-   "queries": {...}, "sf": ..., "num_cpus": N, ...}
+   "queries": {...}, "sf": ..., "num_cpus": N, "cpus": <host CPUs>, ...}
 
 --scaling: runs the same bench in two fresh processes at num_cpus=8 and
 num_cpus=32 on the same input and reports both throughputs + scaling
@@ -28,7 +28,9 @@ REPO = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, REPO)
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# Ray's CPU count; defaults to the host's so a small box is not
+# oversubscribed
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count() or 1)
 
 # change-log size scales with the sf directory's lineitem rows (sf0.1 →
 # 600k lineitem → 20M events over 2M keys). Sized so the replay runs
@@ -138,7 +140,7 @@ def run_bench() -> dict:
     for _ in range(TRIALS):
         shutil.rmtree(lake, ignore_errors=True)
         t0 = time.perf_counter()
-        res = replay(chg_dir, lake, num_partitions=256, hot_share_threshold=0.005,
+        res = replay(chg_dir, lake, num_partitions=256,
                      override_num_blocks=int(os.environ.get("GRAFT_BENCH_BLOCKS", "32")) * EVENTS_MULT)
         headline = min(headline, time.perf_counter() - t0)
 
@@ -348,6 +350,7 @@ def run_bench() -> dict:
         "setup_sec": setup_sec,
         "sf": _sf_tag(),
         "num_cpus": NUM_CPUS,
+        "cpus": os.cpu_count(),
         "events": num_events,
         "events_per_sec": round(num_events / headline, 1),
         "lake_rows": res.rows_total,

@@ -31,8 +31,7 @@ write_change_log(chg, num_events=100_000, num_keys=8_000, seed=7, num_shards=8)
 
 # 2. replay it into an exactly-once Parquet lake (epoch 0)
 res = replay(chg, lake, num_partitions=32)
-print(f"epoch {res.epoch}: {res.rows_total} live docs, watermark lsn {res.max_lsn}, "
-      f"{len(res.hot_keys)} hot keys salted")
+print(f"epoch {res.epoch}: {res.rows_total} live docs, watermark lsn {res.max_lsn}")
 
 # 3. incremental ingest: apply a second log on top (epoch 1)
 write_change_log(f"{work}/more", num_events=20_000, num_keys=8_000, seed=8)

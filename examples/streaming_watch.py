@@ -66,7 +66,7 @@ print("epochs committed:", [e["epoch"] for e in watcher.epochs])
 print("lake stats:", lake_stats(lake)["epochs"][-1])
 
 oneshot = os.path.join(WORK, "lake_oneshot")
-replay(src, oneshot, num_partitions=16, hot_share_threshold=1.0)
+replay(src, oneshot, num_partitions=16)
 a = {r["doc_id"]: r["n_tok"] for r in final_state_table(lake).to_pylist()}
 b = {r["doc_id"]: r["n_tok"] for r in final_state_table(oneshot).to_pylist()}
 assert a == b, "watched lake != one-shot replay"

@@ -31,7 +31,7 @@ def primary(tmp_path_factory, ray_session):
             pq.write_table(lo, os.path.join(e0, os.path.basename(p)))
         if hi.num_rows:
             pq.write_table(hi, os.path.join(e1, os.path.basename(p)))
-    replay(e0, lake, num_partitions=16, hot_share_threshold=1.0)
+    replay(e0, lake, num_partitions=16)
     replay(e1, lake)
     return lake
 
@@ -208,7 +208,7 @@ def primary3(tmp_path_factory, ray_session):
             part = t.filter(pa.array((lsn >= cuts[i]) & (lsn < cuts[i + 1])))
             if part.num_rows:
                 pq.write_table(part, os.path.join(edirs[i], os.path.basename(p)))
-    replay(edirs[0], lake, num_partitions=16, hot_share_threshold=1.0)
+    replay(edirs[0], lake, num_partitions=16)
     replay(edirs[1], lake)
     replay(edirs[2], lake)
 

@@ -48,7 +48,7 @@ def test_debezium_roundtrip_replay(tmp_path):
     os.makedirs(chg)
     pq.write_table(tbl, os.path.join(chg, "shard-00000.parquet"))
     lake = str(tmp_path / "lake")
-    replay(chg, lake, num_partitions=2, hot_share_threshold=1.0)
+    replay(chg, lake, num_partitions=2)
 
     state = {r["doc_id"]: r for r in final_state_table(lake).to_pylist()}
     assert set(state) == {"a"}  # b deleted

@@ -21,7 +21,7 @@ def test_microbatches_equal_oneshot_replay(tmp_path):
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
 
     lake_a = str(tmp_path / "lake_replay")
-    replay(files, lake_a, num_partitions=8, hot_share_threshold=1.0)
+    replay(files, lake_a, num_partitions=8)
 
     lake_b = str(tmp_path / "lake_actors")
     ing = IncrementalIngestor(lake_b, num_partitions=8, num_actors=3)
@@ -131,7 +131,7 @@ def test_failed_ingest_does_not_leak_into_next_epoch(tmp_path, monkeypatch):
 
     # oracle: batch replay of shards 0,1,4,5 ONLY (2,3 never committed)
     lake2 = str(tmp_path / "lake2")
-    replay(files[0:2] + files[4:6], lake2, num_partitions=8, hot_share_threshold=1.0)
+    replay(files[0:2] + files[4:6], lake2, num_partitions=8)
     want = _state_map(lake2)
     assert got == want
 
@@ -239,6 +239,6 @@ def test_route_empty_batch_routes_nothing():
 
     schema = pa.schema([("lsn", pa.int64()), ("op", pa.string()),
                         ("doc_id", pa.string()), ("n_tok", pa.int32())])
-    route = _router(Normalize(schema, 4, frozenset(), 0, frozenset(), None),
+    route = _router(Normalize(schema, 4, frozenset(), None),
                     actors=[], owner={})
     assert route(schema.empty_table()).to_pydict() == {"routed": [0]}

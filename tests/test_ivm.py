@@ -32,7 +32,7 @@ def two_epoch_lake(tmp_path_factory, ray_session):
             pq.write_table(lo, os.path.join(e0, os.path.basename(p)))
         if hi.num_rows:
             pq.write_table(hi, os.path.join(e1, os.path.basename(p)))
-    replay(e0, lake, num_partitions=16, hot_share_threshold=1.0)
+    replay(e0, lake, num_partitions=16)
     replay(e1, lake)
     return lake
 
@@ -96,7 +96,7 @@ def test_incremental_source_disappears(tmp_path, ray_session):
         (10, "d", "b1", [], "books"),        # books vanishes
         (11, "u", "a1", [7, 8, 9], "web"),   # web re-weighted
     ])
-    replay(e0, lake, num_partitions=4, hot_share_threshold=1.0)
+    replay(e0, lake, num_partitions=4)
     replay(e1, lake)
 
     base = source_budget_at(lake, 0)
@@ -211,7 +211,7 @@ def test_ivm_property_random_logs(tmp_path, ray_session):
                 pq.write_table(lo, os.path.join(e0, os.path.basename(p)))
             if hi.num_rows:
                 pq.write_table(hi, os.path.join(e1, os.path.basename(p)))
-        replay(e0, lake, num_partitions=8, hot_share_threshold=1.0)
+        replay(e0, lake, num_partitions=8)
         replay(e1, lake)
         got = incremental_source_budget(
             lake, source_budget_at(lake, 0), 0, 1)
@@ -284,7 +284,7 @@ def retouch_lake(tmp_path_factory, ray_session):
         (13, "d", "W", None, None),        # live -> deleted
         (14, "d", "V", None, None),        # dead -> re-deleted
     ]), os.path.join(e1, "shard-0.parquet"))
-    replay(e0, lake, num_partitions=4, hot_share_threshold=1.0)
+    replay(e0, lake, num_partitions=4)
     replay(e1, lake)
     return lake
 
@@ -373,7 +373,7 @@ def _two_epoch(tmp_path, rows0, rows1, num_partitions, **kw):
     os.makedirs(e0), os.makedirs(e1)
     _write_log(os.path.join(e0, "s0.parquet"), rows0, **kw)
     _write_log(os.path.join(e1, "s1.parquet"), rows1, **kw)
-    replay(e0, lake, num_partitions=num_partitions, hot_share_threshold=1.0)
+    replay(e0, lake, num_partitions=num_partitions)
     replay(e1, lake)
     return lake
 

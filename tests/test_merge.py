@@ -106,3 +106,47 @@ def test_compact_refuses_null_doc_id():
     })
     with pytest.raises(ValueError, match="null doc_id"):
         compact(t)
+
+
+def _compact_full_gather(changes, keep_tombstones):
+    """Reference LWW compaction that gathers every row's payload in
+    sort order before dropping the losers."""
+    import pyarrow.compute as pc
+
+    from ton_etl_ray.core.merge import SORT_KEYS, _first_per_key_mask
+
+    t = changes.take(pc.sort_indices(changes, sort_keys=SORT_KEYS))
+    out = t.filter(_first_per_key_mask(t["doc_id"]))
+    if not keep_tombstones:
+        out = out.filter(pc.not_equal(out["op"], pa.scalar("d")))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("keep_tombstones", [True, False])
+def test_compact_equals_full_gather(seed, keep_tombstones):
+    """compact gathers only the winners' payloads; its output must equal
+    the full-gather reference row for row, on multi-chunk input with
+    duplicate (doc_id, lsn, op) ties carrying different payloads."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    n = 3000
+    lsn = rng.integers(0, 400, size=n)           # many exact lsn ties
+    op = rng.choice(["c", "u", "d"], size=n, p=[0.4, 0.4, 0.2])
+    keys = rng.integers(0, 150, size=n)
+    rows = [
+        (int(l), str(o), f"k{k:04d}", None if o == "d" else [int(i), int(l)])
+        for i, (l, o, k) in enumerate(zip(lsn, op, keys))
+    ]
+    chunks = [_chg(rows[i:i + 700]) for i in range(0, n, 700)]
+    t = pa.concat_tables(chunks)
+    assert t["doc_id"].num_chunks > 1
+    got = compact(t, keep_tombstones=keep_tombstones)
+    want = _compact_full_gather(t, keep_tombstones)
+    assert got.equals(want)
+    assert got.num_rows > 0
+    if keep_tombstones:
+        assert "d" in got["op"].to_pylist()
+    else:
+        assert "d" not in got["op"].to_pylist()

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pyarrow as pa
 
-from ton_etl_ray.core.partition import assign_partitions, detect_hot_keys, hash64
+from ton_etl_ray.core.partition import assign_partitions, hash64
 
 
 def test_hash_deterministic_across_processes():
@@ -25,23 +25,6 @@ def test_same_key_same_partition():
     keys = pa.array(["a", "b", "a", "c", "b"])
     p = assign_partitions(keys, 8)
     assert p[0] == p[2] and p[1] == p[4]
-
-
-def test_hot_keys_fan_out_over_salts():
-    keys = pa.array(["hot"] * 100 + ["cold"] * 10)
-    parts = set()
-    for token in range(20):
-        p = assign_partitions(keys, 8, hot_keys=frozenset({"hot"}), num_salts=4, salt_token=token)
-        assert (p[:100] >= 8).all()  # hot rows in the salted range
-        assert (p[100:] < 8).all()
-        parts.update(p[:100].tolist())
-    assert len(parts) > 1  # different salt tokens hit different slots
-
-
-def test_detect_hot_keys():
-    keys = pa.array(["h"] * 500 + [f"k{i}" for i in range(500)])
-    hot = detect_hot_keys(keys, share_threshold=0.05, min_count=10)
-    assert hot == frozenset({"h"})
 
 
 def test_partition_balance():

@@ -38,7 +38,7 @@ def test_replay_matches_oracle(tmp_path):
     chg = str(tmp_path / "chg")
     lake = str(tmp_path / "lake")
     write_change_log(chg, num_events=20000, num_keys=1500, seed=3, num_shards=6, max_tok=24)
-    res = replay(chg, lake, num_partitions=16, hot_share_threshold=0.005)
+    res = replay(chg, lake, num_partitions=16)
     assert res.published and res.epoch == 0
     got = final_state_table(lake).select(["doc_id", "tokens", "n_tok", "source"])
     want = _oracle(chg)
@@ -48,55 +48,32 @@ def test_replay_matches_oracle(tmp_path):
     assert res.rows_total == len(wm)
 
 
-def test_replay_hot_keys_salted(tmp_path):
+def test_replay_zipf_hot_keys_unsalted(tmp_path):
+    """zipf s=1.1 over 200 keys: the top keys take several % of the log
+    each, and every row still routes by hash(doc_id) to one reducer."""
     chg = str(tmp_path / "chg")
     lake = str(tmp_path / "lake")
     write_change_log(chg, num_events=10000, num_keys=200, seed=9, num_shards=4, max_tok=16)
-    # zipf s=1.1 over 200 keys → top key has several % share → hot detection fires
-    res = replay(chg, lake, num_partitions=8, num_salts=4, hot_share_threshold=0.02)
-    assert res.hot_keys, "expected hot keys to be detected"
-    assert res.counters["hotspill_parts"] > 0
+    res = replay(chg, lake, num_partitions=8)
+    assert res.hot_keys == []
     gm = _as_map(final_state_table(lake).select(["doc_id", "tokens", "n_tok", "source"]))
     wm = _as_map(_oracle(chg))
     assert gm == wm
 
 
-def test_replay_many_hot_keys_distributed_fold(tmp_path):
-    """≥64 hot keys: the second-stage spill fold must run distributed
-    (per-base ray tasks at this size), not a per-partition driver loop
-    (VERDICT r3 Wrong #4). The `hotspill_fold_parts` counter is produced
-    ONLY by the fold's manifest rows, and the final state must still
-    match the rank-1 oracle exactly."""
+def test_single_key_log_bounded_by_block_compaction(tmp_path):
+    """Skew bound: one doc_id carries all 100k events over 10 shards of
+    10k rows. The per-block partial compaction in Normalize sends at
+    most one row per key per read block into the exchange, so the one
+    reducer that owns the key sees ≤ 10 rows, not 100k."""
     chg = str(tmp_path / "chg")
     lake = str(tmp_path / "lake")
-    write_change_log(chg, num_events=30000, num_keys=300, seed=11, num_shards=4, max_tok=12)
-    # tiny share threshold → the zipf head through rank ≥64 all flag hot
-    res = replay(chg, lake, num_partitions=8, num_salts=4,
-                 hot_share_threshold=0.0008)
-    assert len(res.hot_keys) >= 64, f"only {len(res.hot_keys)} hot keys"
-    assert res.counters["hotspill_parts"] > 0
-    # distributed fold ran, touching at most every base partition
-    assert 0 < res.counters["hotspill_fold_parts"] <= 8
-    assert res.counters["hotspill_fold_mode"] == "tasks"
+    write_change_log(chg, num_events=100_000, num_keys=1, seed=5, num_shards=10, max_tok=8)
+    res = replay(chg, lake, num_partitions=8)
+    assert res.counters["rows_in"] <= 10, res.counters
     gm = _as_map(final_state_table(lake).select(["doc_id", "tokens", "n_tok", "source"]))
     wm = _as_map(_oracle(chg))
-    assert gm == wm
-
-
-def test_replay_fold_dataset_path(tmp_path):
-    """Force the groupby-Dataset fold shape (the huge-fan-out route,
-    fold_task_product_cap=0) and pin it to the same oracle — both fold
-    implementations must be interchangeable."""
-    chg = str(tmp_path / "chg")
-    lake = str(tmp_path / "lake")
-    write_change_log(chg, num_events=10000, num_keys=200, seed=9, num_shards=4, max_tok=16)
-    res = replay(chg, lake, num_partitions=8, num_salts=4,
-                 hot_share_threshold=0.02, fold_task_product_cap=0)
-    assert res.hot_keys
-    assert res.counters["hotspill_fold_mode"] == "dataset"
-    assert res.counters["hotspill_fold_parts"] > 0
-    gm = _as_map(final_state_table(lake).select(["doc_id", "tokens", "n_tok", "source"]))
-    wm = _as_map(_oracle(chg))
+    assert len(wm) == 1
     assert gm == wm
 
 
@@ -144,11 +121,10 @@ def test_resume_after_partial_run(tmp_path):
     write_change_log(chg, num_events=10000, num_keys=700, seed=8, num_shards=4, max_tok=16)
 
     # simulate a crash: only half the partitions get applied, no commit
-    partial = replay(chg, lake, num_partitions=8, only_parts=frozenset(range(4)),
-                     hot_share_threshold=1.0)
+    partial = replay(chg, lake, num_partitions=8, only_parts=frozenset(range(4)))
     assert not partial.published
 
-    res = replay(chg, lake, resume=True, num_partitions=8, hot_share_threshold=1.0)
+    res = replay(chg, lake, resume=True, num_partitions=8)
     assert res.published and res.epoch == 0
     # committed partitions were skipped, not recomputed
     assert res.partitions_written == 8
@@ -162,8 +138,8 @@ def test_fresh_run_discards_abandoned_staging(tmp_path):
     chg = str(tmp_path / "chg")
     lake = str(tmp_path / "lake")
     write_change_log(chg, num_events=4000, num_keys=300, seed=10, num_shards=2, max_tok=16)
-    replay(chg, lake, num_partitions=4, only_parts=frozenset({0}), hot_share_threshold=1.0)
-    res = replay(chg, lake, num_partitions=4, hot_share_threshold=1.0)  # resume=False → restart epoch
+    replay(chg, lake, num_partitions=4, only_parts=frozenset({0}))
+    res = replay(chg, lake, num_partitions=4)  # resume=False → restart epoch
     assert res.published
     gm = _as_map(final_state_table(lake).select(["doc_id", "tokens", "n_tok", "source"]))
     assert gm == _as_map(_oracle(chg))
@@ -180,24 +156,21 @@ def test_invalid_op_rejected(tmp_path):
     os.makedirs(chg)
     pq.write_table(bad, os.path.join(chg, "shard-00000.parquet"))
     with pytest.raises(Exception, match="invalid op"):
-        replay(chg, str(tmp_path / "lake"), num_partitions=2, hot_share_threshold=1.0)
+        replay(chg, str(tmp_path / "lake"), num_partitions=2)
 
 
-def test_resume_with_salting_recomputes_hotspills(tmp_path):
-    """Regression: committed salted (hotspill) partitions must NOT be
-    skipped on resume — their slot assignment is not reproducible across
-    runs, so skipping could drop hot-key rows (review finding)."""
+def test_resume_after_partial_run_zipf(tmp_path):
+    """Crash after partitions 0-3 of 8 are durable on a zipf log with
+    hot keys; resume skips every durable partition manifest and
+    converges to the oracle."""
     chg = str(tmp_path / "chg")
     lake = str(tmp_path / "lake")
     write_change_log(chg, num_events=10000, num_keys=200, seed=97, num_shards=4, max_tok=16)
 
-    # partial crash: some base partitions AND their hotspills committed
-    partial = replay(chg, lake, num_partitions=8, num_salts=4, hot_share_threshold=0.02,
-                     only_parts=frozenset(range(12)))  # bases 0-7 + salted 8-11
+    partial = replay(chg, lake, num_partitions=8, only_parts=frozenset(range(4)))
     assert not partial.published
 
-    res = replay(chg, lake, resume=True, num_partitions=8, num_salts=4,
-                 hot_share_threshold=0.02)
+    res = replay(chg, lake, resume=True, num_partitions=8)
     assert res.published
     gm = _as_map(final_state_table(lake).select(["doc_id", "tokens", "n_tok", "source"]))
     wm = _as_map(_oracle(chg))
@@ -219,7 +192,7 @@ def test_coalesced_shuffle_matches_oracle(tmp_path, ray_session):
                      num_shards=16, max_tok=16)
     lake = str(tmp_path / "lake")
     replay(chg, lake, num_partitions=32, override_num_blocks=16,
-           coalesce_shuffle_blocks=4, hot_share_threshold=0.01)
+           coalesce_shuffle_blocks=4)
     got = final_state_table(lake).to_pandas()
     shards = sorted(_glob.glob(chg + "/*.parquet"))
     ora = duckdb.sql(

@@ -22,7 +22,7 @@ def test_late_equals_eager_and_oracle(tmp_path):
 
     lake_e = str(tmp_path / "lake_eager")
     lake_l = str(tmp_path / "lake_late")
-    replay(files, lake_e, num_partitions=8, hot_share_threshold=0.01)
+    replay(files, lake_e, num_partitions=8)
     res = replay_late(files, lake_l, num_partitions=8)
     assert res.published and res.counters["winning_keys"] > 0
 
@@ -49,12 +49,12 @@ def test_late_incremental_on_eager_lake(tmp_path):
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
 
     lake = str(tmp_path / "lake")
-    replay(files[:2], lake, num_partitions=8, hot_share_threshold=1.0)
+    replay(files[:2], lake, num_partitions=8)
     res = replay_late(files[2:], lake)
     assert res.epoch == 1
 
     lake_ref = str(tmp_path / "lake_ref")
-    replay(files, lake_ref, num_partitions=8, hot_share_threshold=1.0)
+    replay(files, lake_ref, num_partitions=8)
     assert _state(lake) == _state(lake_ref)
 
 

@@ -22,8 +22,8 @@ def test_shard_arrival_order_insensitive(tmp_path):
 
     lake_a = str(tmp_path / "lake_fwd")
     lake_b = str(tmp_path / "lake_rev")
-    replay(files, lake_a, num_partitions=4, hot_share_threshold=1.0)
-    replay(list(reversed(files)), lake_b, num_partitions=4, hot_share_threshold=1.0)
+    replay(files, lake_a, num_partitions=4)
+    replay(list(reversed(files)), lake_b, num_partitions=4)
     assert _state(lake_a) == _state(lake_b)
 
 
@@ -34,7 +34,7 @@ def test_empty_shard_tolerated(tmp_path):
     pq.write_table(t, os.path.join(chg, "shard-00000.parquet"))
     pq.write_table(t.slice(0, 0), os.path.join(chg, "shard-00001.parquet"))
     lake = str(tmp_path / "lake")
-    res = replay(chg, lake, num_partitions=4, hot_share_threshold=1.0)
+    res = replay(chg, lake, num_partitions=4)
     assert res.published and res.rows_total > 0
 
 
@@ -54,8 +54,8 @@ def test_multi_epoch_schema_evolution(tmp_path):
         pq.write_table(t.set_column(t.column_names.index("lsn"), "lsn", lsn), f)
 
     lake = str(tmp_path / "lake")
-    replay(chg0, lake, num_partitions=4, hot_share_threshold=1.0)
-    replay(chg1, lake, hot_share_threshold=1.0)
+    replay(chg0, lake, num_partitions=4)
+    replay(chg1, lake)
 
     got = final_state_table(lake)
     assert got.schema.field("lang").type == pa.string()

@@ -88,7 +88,7 @@ def test_decimal_column_replay_end_to_end(tmp_path):
     pq.write_table(t1, chg / "shard-1.parquet")
 
     lake = str(tmp_path / "lake")
-    replay(str(chg), lake, num_partitions=4, hot_share_threshold=1.0)
+    replay(str(chg), lake, num_partitions=4)
     state = final_state_table(lake)
     assert state.schema.field("price").type == pa.decimal128(20, 2)
 

@@ -15,9 +15,9 @@ def test_gc_keeps_inherited_files(tmp_path):
     write_change_log(chg, num_events=6000, num_keys=400, seed=41, num_shards=4, max_tok=16)
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
     lake = str(tmp_path / "lake")
-    replay(files[:2], lake, num_partitions=8, hot_share_threshold=1.0)
-    replay(files[2:3], lake, hot_share_threshold=1.0)   # epoch 1 rewrites SOME parts
-    replay(files[3:], lake, hot_share_threshold=1.0)    # epoch 2
+    replay(files[:2], lake, num_partitions=8)
+    replay(files[2:3], lake)   # epoch 1 rewrites SOME parts
+    replay(files[3:], lake)    # epoch 2
 
     before = {r["doc_id"]: r["n_tok"] for r in final_state_table(lake).to_pylist()}
     res = sink.gc_epochs(lake, keep_epochs=1)
@@ -33,10 +33,10 @@ def test_excluded_doc_ids_dropped(tmp_path):
     lake = str(tmp_path / "lake")
     # pick two keys known to be live in the unfiltered final state
     full = str(tmp_path / "lake_full")
-    replay(files, full, num_partitions=4, hot_share_threshold=1.0)
+    replay(files, full, num_partitions=4)
     live = [r["doc_id"] for r in final_state_table(full).to_pylist()][:2]
 
-    replay(files, lake, num_partitions=4, hot_share_threshold=1.0,
+    replay(files, lake, num_partitions=4,
            excluded_doc_ids=frozenset(live))
     got = {r["doc_id"] for r in final_state_table(lake).to_pylist()}
     assert not (set(live) & got)
@@ -58,8 +58,8 @@ def test_lake_stats(tmp_path):
     write_change_log(chg, num_events=3000, num_keys=200, seed=43, num_shards=2, max_tok=8)
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
     lake = str(tmp_path / "lake")
-    replay(files[:1], lake, num_partitions=4, hot_share_threshold=1.0)
-    replay(files[1:], lake, hot_share_threshold=1.0)
+    replay(files[:1], lake, num_partitions=4)
+    replay(files[1:], lake)
     s = sink.lake_stats(lake)
     assert s["latest"] == 1
     assert len(s["epochs"]) == 2
@@ -104,7 +104,7 @@ def test_verify_lake_detects_corruption(tmp_path):
     chg = str(tmp_path / "chg")
     write_change_log(chg, num_events=2000, num_keys=150, seed=44, num_shards=2, max_tok=8)
     lake = str(tmp_path / "lake")
-    replay(chg, lake, num_partitions=4, hot_share_threshold=1.0)
+    replay(chg, lake, num_partitions=4)
     res = sink.verify_lake(lake)
     assert res["partitions_checked"] >= 1 and res["hashes_verified"] >= 1
     # corrupt one partition file → verification must fail
@@ -122,7 +122,7 @@ def test_gc_spares_in_progress_epoch(tmp_path):
     chg = str(tmp_path / "chg")
     write_change_log(chg, num_events=3000, num_keys=200, seed=42, num_shards=2, max_tok=8)
     lake = str(tmp_path / "lake")
-    replay(chg, lake, num_partitions=4, hot_share_threshold=1.0)
+    replay(chg, lake, num_partitions=4)
     # simulate another writer mid-epoch-1: staged part file, no _COMMIT
     d = sink.epoch_dir(lake, 1)
     os.makedirs(d)
@@ -145,10 +145,10 @@ def test_lock_released_on_failure(tmp_path):
     with open(files[1], "wb") as f:
         f.write(b"not parquet")
     with pytest.raises(Exception):
-        replay(chg, lake, num_partitions=4, hot_share_threshold=1.0)
+        replay(chg, lake, num_partitions=4)
     assert not os.path.exists(os.path.join(sink.epoch_dir(lake, 0), "_LOCK"))
     # a fresh replay over the good shard succeeds immediately (no stale lock)
-    res = replay(files[:1], lake, num_partitions=4, hot_share_threshold=1.0)
+    res = replay(files[:1], lake, num_partitions=4)
     assert res.published
 
 
@@ -173,7 +173,7 @@ def test_concurrent_writer_lock_survives_second_start(tmp_path):
     with open(staged, "wb") as f:
         f.write(b"PAR1fake")
     with pytest.raises(sink.EpochLockError):
-        replay(chg, lake, num_partitions=4, hot_share_threshold=1.0)
+        replay(chg, lake, num_partitions=4)
     assert os.path.exists(staged)   # writer A's files untouched
     assert os.path.exists(lockp)    # writer A's lock untouched
 
@@ -286,3 +286,37 @@ def test_latest_epoch_on_read_only_lake(tmp_path, monkeypatch):
     assert sink.latest_epoch(lake) == 2
     with open(os.path.join(lake, sink.LATEST_NAME)) as f:
         assert f.read() == "0"  # nothing written
+
+
+def test_publish_epoch_collects_stale_tmp_files(tmp_path):
+    """A crashed writer's ``*.tmp.<pid>.<ns>`` files are unlinked by the
+    next publish once older than the lock's stale age — in the lake root
+    and in the published epoch dir. Fresh tmps (a live writer's) and
+    other files survive, and read paths delete nothing."""
+    import time
+
+    import pyarrow as pa
+
+    lake = str(tmp_path / "lake")
+    edir = sink.epoch_dir(lake, 0)
+    os.makedirs(edir)
+    old = time.time() - sink.STALE_SEC - 60
+    stale = [os.path.join(lake, "_LATEST.tmp.4242.123456789"),
+             os.path.join(edir, "part-00001.parquet.tmp.4242.987654321")]
+    fresh = [os.path.join(lake, "_LATEST.tmp.4343.1"),
+             os.path.join(edir, "part-00002.parquet.tmp.4343.2")]
+    other = os.path.join(edir, "notes.tmp.txt")
+    for p in stale + fresh + [other]:
+        with open(p, "w") as f:
+            f.write("x")
+    for p in stale + [other]:
+        os.utime(p, (old, old))
+
+    sink.latest_epoch(lake)  # read path: deletes nothing
+    assert all(os.path.exists(p) for p in stale + fresh + [other])
+
+    sink.publish_epoch(lake, 0, {}, {"num_partitions": 0},
+                       pa.schema([("doc_id", pa.string())]))
+    assert not any(os.path.exists(p) for p in stale)
+    assert all(os.path.exists(p) for p in fresh + [other])
+    assert sink.latest_epoch(lake) == 0

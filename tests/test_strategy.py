@@ -21,7 +21,7 @@ def test_auto_picks_eager_small(tmp_path):
     chg = str(tmp_path / "chg")
     write_change_log(chg, num_events=5000, num_keys=400, seed=82, num_shards=3, max_tok=16)
     lake = str(tmp_path / "lake")
-    res = replay_auto(chg, lake, num_partitions=4, hot_share_threshold=1.0)
+    res = replay_auto(chg, lake, num_partitions=4)
     assert res.published
     c = sink.read_commit(lake, 0)
     assert c.get("strategy") != "late_materialization"  # eager path

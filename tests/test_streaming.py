@@ -54,7 +54,7 @@ def test_watch_microbatches_equal_oneshot(tmp_path):
 
     # one-shot oracle over the same shards
     lake2 = str(tmp_path / "lake2")
-    replay(src, lake2, num_partitions=8, hot_share_threshold=1.0)
+    replay(src, lake2, num_partitions=8)
     assert _state_map(lake) == _state_map(lake2)
 
 
@@ -93,7 +93,7 @@ def test_watch_resume_skips_committed_shards(tmp_path):
         w2.close()
 
     lake2 = str(tmp_path / "lake2")
-    replay(src, lake2, num_partitions=8, hot_share_threshold=1.0)
+    replay(src, lake2, num_partitions=8)
     assert _state_map(lake) == _state_map(lake2)
 
 
@@ -158,7 +158,7 @@ def test_failed_flush_keeps_shards_pending(tmp_path, monkeypatch):
         w.close()
 
     lake2 = str(tmp_path / "lake2")
-    replay(src, lake2, num_partitions=8, hot_share_threshold=1.0)
+    replay(src, lake2, num_partitions=8)
     assert _state_map(lake) == _state_map(lake2)
 
 
@@ -220,7 +220,7 @@ w.run(poll_interval_sec=0.05, stop_after_idle_polls=3)
         w2.close()
 
     lake2 = str(tmp_path / "lake2")
-    replay(src, lake2, num_partitions=8, hot_share_threshold=1.0)
+    replay(src, lake2, num_partitions=8)
     assert _state_map(lake) == _state_map(lake2)
     assert killed or S.latest_epoch(lake) is not None
 
@@ -324,7 +324,7 @@ def test_quiescence_gate_defers_growing_file(tmp_path):
         w.close()
 
     lake2 = str(tmp_path / "lake2")
-    replay(src, lake2, num_partitions=8, hot_share_threshold=1.0)
+    replay(src, lake2, num_partitions=8)
     assert _state_map(lake) == _state_map(lake2)
 
 
@@ -361,7 +361,7 @@ def test_watcher_gc_collects_superseded_epochs(tmp_path):
     assert committed_inputs(lake) == {os.path.basename(f) for f in files}
 
     lake2 = str(tmp_path / "lake2")
-    replay(src, lake2, num_partitions=8, hot_share_threshold=1.0)
+    replay(src, lake2, num_partitions=8)
     assert _state_map(lake) == _state_map(lake2)
 
 

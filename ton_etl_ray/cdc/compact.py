@@ -128,7 +128,7 @@ def compact_lake(lake_dir: str, *, num_partitions: int | None = None) -> dict:
             lake_dir, epoch, partitions,
             {
                 "num_partitions": p_new,
-                "num_salts": prev.get("num_salts", 8),
+                "num_salts": 0,
                 "hot_keys": [],
                 "inputs": [f"<compact:epoch-{latest:06d}>"],
                 "rows_total": rows_total,

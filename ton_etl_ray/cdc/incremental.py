@@ -246,10 +246,7 @@ class IncrementalIngestor:
             schemas.append(pa.schema([f for f in prev_schema if f.name != "lsn"]))
         unified = unify_schemas(schemas)
 
-        # salting is a replay()-path concern (one skewed reducer); here the
-        # unit of work is an actor owning many partitions, so hot keys are
-        # already amortized — route purely by hash
-        norm = Normalize(unified, self.P, frozenset(), 0, frozenset(), None)
+        norm = Normalize(unified, self.P, frozenset(), None)
         route = _router(norm, self.actors, self.owner)
 
         ds = rd.read_parquet(files)

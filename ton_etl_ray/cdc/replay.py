@@ -4,12 +4,9 @@ Ray-Data-first shape (SURVEY.md §3.5, §7)::
 
     read_parquet(change shards, grouped by on-disk schema)
       → map_batches(Normalize: conform to unified schema, validate ops,
-                    per-batch partial LWW compaction, partition+salt)   # stateless, zero-copy Arrow
+                    per-block partial LWW compaction, hash partition)   # stateless, zero-copy Arrow
       → groupby("part").map_groups(apply_partition)                     # the one all-to-all shuffle
-           base partition: merge prior state (LWW) → 2PC partition write
-           salted hot partition: partial compact (tombstones kept) → spill
-      → groupby("part").map_groups(fold_partition)  # distributed second
-           stage: fold salted hot-spill winners into their base partitions
+           merge prior state (LWW) → 2PC partition write
       → publish epoch (_COMMIT + _LATEST pointer flip)
 
 Correctness contract (BASELINE.json north rule): final table equals the
@@ -22,13 +19,13 @@ Scale design notes:
 - the only global shuffle is ``groupby("part")`` over *partially
   compacted* rows (≤1 row per key per input block), so shuffle volume is
   bounded by keys×blocks, not raw events;
+- that same bound is the skew bound: ``Normalize`` compacts whole read
+  blocks (``map_batches(batch_size=None)``), so a key however hot enters
+  the exchange at most once per block — a 100k-event single-key log in
+  10 shards sends ≤10 rows to its reducer. Every row routes by
+  ``hash(doc_id) % P``; there is no salting and no second reduce stage;
 - there is NO global sort by lsn — LWW(max lsn) only needs per-key
   ordering, which the per-partition reduce provides (SURVEY.md §7.4);
-- hot keys are salted across ``num_salts`` extra shuffle partitions and
-  re-reduced in a second DISTRIBUTED groupby stage (one group per base
-  partition that received hot winners — only manifest rows reach the
-  driver), so one skewed key never lands on a single reducer and many
-  hot keys never serialize the epoch tail (SURVEY.md §4.2);
 - untouched partitions are inherited by reference into the new epoch's
   commit — an epoch only rewrites partitions that received changes;
 - choose ``num_partitions`` so (partition state + epoch changes) fits a
@@ -46,7 +43,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray
 import ray.data as rd
 
 from ..core import merge as M
@@ -59,7 +55,7 @@ from . import sink
 MANIFEST_ROW_SCHEMA = pa.schema(
     [
         pa.field("part", pa.int64()),
-        pa.field("kind", pa.string()),  # 'data' | 'hotspill'
+        pa.field("kind", pa.string()),  # always 'data'
         pa.field("file", pa.string()),
         pa.field("rows", pa.int64()),
         pa.field("rows_in", pa.int64()),
@@ -85,7 +81,7 @@ class ReplayResult:
     epoch: int
     published: bool
     num_partitions: int
-    hot_keys: list[str]
+    hot_keys: list[str]  # always []: no key is salted
     rows_total: int
     max_lsn: int
     partitions_written: int
@@ -105,8 +101,7 @@ def _discover(changes: str | list[str]) -> list[str]:
 
 def _sample_row_groups(files: list[str], max_files: int = 8):
     """First row group (doc_id column) of up to ``max_files`` evenly
-    spaced shards — the ONE shard-sampling idiom behind hot-key
-    detection here and the strategy router's shuffle-bytes estimate
+    spaced shards — the strategy router's shuffle-bytes sample
     (cdc/strategy.py). Yields ``(ParquetFile, row_group_table)``."""
     step = max(1, len(files) // max_files)
     for f in files[::step][:max_files]:
@@ -114,39 +109,24 @@ def _sample_row_groups(files: list[str], max_files: int = 8):
         yield pf, pf.read_row_group(0, columns=["doc_id"])
 
 
-def _sample_keys(files: list[str], max_files: int = 8, max_rows: int = 200_000) -> pa.ChunkedArray:
-    """Bounded driver-side sample for hot-key detection: first row group
-    of up to ``max_files`` evenly spaced shards, doc_id column only."""
-    chunks = []
-    total = 0
-    for _pf, rg in _sample_row_groups(files, max_files):
-        chunks.append(rg.column("doc_id"))
-        total += rg.num_rows
-        if total >= max_rows:
-            break
-    return pa.chunked_array([c for ch in chunks for c in ch.chunks])
-
-
 class Normalize:
     """Stage 1 (stateless map_batches): conform → validate → partial
     compact → partition assignment. The envelope-normalization analogue
     of the reference's converters (datalake/converters/converter.py) plus
-    the pre-aggregation combiner that bounds shuffle volume per key."""
+    the pre-aggregation combiner that bounds shuffle volume per key: each
+    call emits at most one row per key, which is also the engine's skew
+    bound (see the module docstring)."""
 
     def __init__(
         self,
         schema: pa.Schema,
         num_partitions: int,
-        hot_keys: frozenset[str],
-        num_salts: int,
         skip_parts: frozenset[int],
         only_parts: frozenset[int] | None,
         excluded_doc_ids: frozenset[str] | None = None,
     ):
         self.schema = schema
         self.P = num_partitions
-        self.hot = hot_keys
-        self.S = num_salts
         self.skip = skip_parts
         self.only = only_parts
         self.excluded = excluded_doc_ids
@@ -170,10 +150,7 @@ class Normalize:
             # envelope-only column: never part of persisted state — drop
             # before the shuffle so it doesn't ride the all-to-all
             t = t.drop_columns(["ts_ms"])
-        salt_token = pc.min(t["lsn"]).as_py() or 0
-        part = P.assign_partitions(
-            t["doc_id"], self.P, hot_keys=self.hot, num_salts=self.S, salt_token=salt_token
-        )
+        part = P.assign_partitions(t["doc_id"], self.P)
         t = t.append_column("part", pa.array(part, pa.int64()))
         keep = np.ones(len(part), dtype=bool)
         if self.skip:
@@ -185,43 +162,13 @@ class Normalize:
         return t
 
 
-def _make_apply_fn(
-    lake_dir: str,
-    epoch: int,
-    num_partitions: int,
-    prev_state: dict[int, str],
-):
+def _make_apply_fn(lake_dir: str, epoch: int, prev_state: dict[int, str]):
     """Stage 2 reducer, executed once per shuffle partition group."""
 
     def apply_partition(group: pa.Table) -> pa.Table:
         part = int(group["part"][0].as_py())
         changes = group.drop_columns(["part"])
         rows_in = changes.num_rows
-        if part >= num_partitions:
-            partial = M.compact(changes, keep_tombstones=True)
-            # stamp each winner's BASE partition, sorted, with row
-            # groups aligned to it: the fold stage then reads ONLY its
-            # base's row groups via parquet statistics pushdown instead
-            # of every spill file in full (the task-mode fold's
-            # O(bases × spill bytes) read amplification — VERDICT r4
-            # Wrong #2's suggested base-pruned spill read)
-            base = P.assign_partitions(partial["doc_id"], num_partitions)
-            order = np.argsort(base, kind="stable")
-            partial = partial.append_column(
-                "base", pa.array(base, pa.int64())
-            ).take(pa.array(order))
-            nb = max(1, len(np.unique(base)))
-            rg = min(1 << 20, max(1024, partial.num_rows // nb + 1))
-            fname = sink.spill_file(part)
-            m = sink.write_partition(
-                lake_dir, epoch, fname, partial,
-                {"kind": "hotspill", "part": part, "rows_in": rows_in,
-                 "max_lsn": pc.max(partial["lsn"]).as_py(),
-                 "min_lsn": int(pc.min(changes["lsn"]).as_py()),
-                 "tombstones": int(pc.sum(pc.equal(partial["op"], "d")).as_py() or 0)},
-                row_group_size=rg,
-            )
-            return _manifest_row(part, "hotspill", m)
         state = None
         if part in prev_state:
             state = pq.read_table(prev_state[part])
@@ -238,56 +185,6 @@ def _make_apply_fn(
         return _manifest_row(part, "data", m)
 
     return apply_partition
-
-
-def _make_fold_fn(
-    lake_dir: str,
-    epoch: int,
-    staging: str,
-    prev_state: dict[int, str],
-    prior_max_by_part: dict[int, int],
-    prior_min_by_part: dict[int, int],
-    spill_min_lsn: int,
-):
-    """Hot-spill second-stage reducer: one shuffle group per BASE
-    partition that received salted hot winners. Compaction inside the
-    group is globally correct — every row of a key hashes to the same
-    base partition, so the group holds ALL of that key's spill winners.
-    Merges on top of the stage-1 partition file (or prior-epoch state)
-    and rewrites it under the same deterministic name (LWW-idempotent)."""
-
-    def fold_partition(group: pa.Table) -> pa.Table:
-        bp = int(group["part"][0].as_py())
-        sub = M.compact(group.drop_columns(["part"]), keep_tombstones=True)
-        cur_path = os.path.join(staging, sink.part_file(bp))
-        if os.path.exists(cur_path):
-            state = pq.read_table(cur_path)
-        elif bp in prev_state:
-            state = pq.read_table(prev_state[bp])
-        else:
-            state = None
-        new_state = M.merge_state(state, sub).sort_by("doc_id")
-        m = sink.write_partition(
-            lake_dir, epoch, sink.part_file(bp), new_state,
-            {"kind": "data", "part": bp,
-             "rows_in": int(sub.num_rows),
-             # the partition watermark covers BOTH the shuffle-stage
-             # changes and the hot winners folded in here
-             "max_lsn": max(prior_max_by_part.get(bp, -1),
-                            int(pc.max(sub["lsn"]).as_py())),
-             # min: the folded winners' lsns are POST-compaction (a hot
-             # key's lowest lsn may have lost LWW inside the spill), so
-             # the sound lower bound folds in the spill manifests'
-             # RAW-changes min; -1 (unknown) propagates — a partial min
-             # would falsely prove stream ordering
-             "min_lsn": (
-                 -1 if prior_min_by_part.get(bp, 0) < 0 or spill_min_lsn < 0
-                 else min(prior_min_by_part.get(bp, 1 << 62), spill_min_lsn)),
-             "tombstones": int(pc.sum(pc.equal(sub["op"], "d")).as_py() or 0)},
-        )
-        return _manifest_row(bp, "data", m)
-
-    return fold_partition
 
 
 def _manifest_row(part: int, kind: str, m: dict) -> pa.Table:
@@ -364,13 +261,10 @@ def replay(
     lake_dir: str,
     *,
     num_partitions: int = 64,
-    num_salts: int = 8,
-    hot_share_threshold: float = 0.01,
     resume: bool = False,
     only_parts: frozenset[int] | None = None,
     override_num_blocks: int | None = None,
     excluded_doc_ids: frozenset[str] | None = None,
-    fold_task_product_cap: int = 4096,
     coalesce_shuffle_blocks: int | None = None,
 ) -> ReplayResult:
     """Apply a change log to the lake as one new epoch (exactly-once).
@@ -426,11 +320,9 @@ def replay(
             sink.clear_staging(lake_dir, epoch)
         return _replay_locked(
             files, lake_dir, epoch, staging, prev_epoch, prev_commit,
-            num_partitions=num_partitions, num_salts=num_salts,
-            hot_share_threshold=hot_share_threshold, resume=resume,
+            num_partitions=num_partitions, resume=resume,
             only_parts=only_parts, override_num_blocks=override_num_blocks,
             excluded_doc_ids=excluded_doc_ids,
-            fold_task_product_cap=fold_task_product_cap,
             coalesce_shuffle_blocks=coalesce_shuffle_blocks,
         )
     finally:
@@ -448,14 +340,11 @@ def _replay_locked(
     prev_commit: dict | None,
     *,
     num_partitions: int,
-    num_salts: int,
-    hot_share_threshold: float,
     resume: bool,
     only_parts: frozenset[int] | None,
     override_num_blocks: int | None,
     excluded_doc_ids: frozenset[str] | None,
-    fold_task_product_cap: int = 4096,
-    coalesce_shuffle_blocks: int | None = None,
+    coalesce_shuffle_blocks: int | None,
 ) -> ReplayResult:
     """Pipeline body; caller holds the epoch lock and releases it."""
     # unified change schema across shards (+ prior lake schema so state
@@ -471,21 +360,10 @@ def _replay_locked(
         schemas.append(pa.schema([f for f in prev_payload if f.name != "lsn"]))
     unified = unify_schemas(schemas)
 
-    hot = P.detect_hot_keys(
-        _sample_keys(files), share_threshold=hot_share_threshold
-    ) if hot_share_threshold < 1.0 else frozenset()
-
-    # resume: only BASE data partitions are skippable. Salted (hotspill)
-    # partitions must always be recomputed: their slot assignment depends
-    # on per-batch salt tokens and block boundaries, which a resumed run
-    # (possibly at different parallelism) does not reproduce — skipping a
-    # committed slot could silently drop hot-key rows newly routed to it.
-    # Recomputed spills supersede stale ones (same deterministic names);
-    # re-merging duplicated hot winners is LWW-idempotent.
-    committed = {
-        f: m for f, m in (sink.staged_manifests(lake_dir, epoch) if resume else {}).items()
-        if m.get("kind") == "data"
-    }
+    # resume: every durable partition manifest is skipped — a key always
+    # hashes to the same partition, so a committed partition already
+    # holds every row of this log routed to it
+    committed = sink.staged_manifests(lake_dir, epoch) if resume else {}
     skip_parts = frozenset(m["part"] for m in committed.values())
 
     prev_state = sink.state_path_map(lake_dir, prev_epoch)
@@ -502,8 +380,10 @@ def _replay_locked(
         ds = rd.read_parquet(fl, override_num_blocks=blocks)
         groups.append(
             ds.map_batches(
-                Normalize(unified, num_partitions, hot, num_salts, skip_parts, only_parts,
+                Normalize(unified, num_partitions, skip_parts, only_parts,
                           excluded_doc_ids),
+                # whole blocks: the per-block compaction is the skew bound
+                batch_size=None,
                 batch_format="pyarrow",
             )
         )
@@ -515,107 +395,18 @@ def _replay_locked(
     if coalesce_shuffle_blocks and coalesce_shuffle_blocks > 0:
         ds = ds.repartition(coalesce_shuffle_blocks)
 
-    apply_fn = _make_apply_fn(lake_dir, epoch, num_partitions, prev_state)
+    apply_fn = _make_apply_fn(lake_dir, epoch, prev_state)
     manifest_rows = ds.groupby("part").map_groups(
         apply_fn, batch_format="pyarrow"
     ).take_all()
 
-    manifests: dict[str, dict] = dict(committed)
+    manifests: dict[int, dict] = {m["part"]: m for m in committed.values()}
     for r in manifest_rows:
-        manifests[str(r["file"])] = {
+        manifests[int(r["part"])] = {
             k: (str(v) if isinstance(v, str) else int(v)) for k, v in r.items()
         }
 
-    # --- hot-key second-stage reduce: fold salted partials into base parts.
-    # DISTRIBUTED (VERDICT r3 Wrong #4), two shapes, both leaving only
-    # manifest rows on the driver:
-    #   tasks   — one @ray.remote task per affected base partition (the
-    #             bases are known up front: hash of the detected hot
-    #             keys). Each task reads ONLY its base's row groups from
-    #             each spill (spills are base-sorted with aligned row
-    #             groups; parquet statistics prune the rest), merges and
-    #             writes. No Dataset-job startup cost — a second Dataset
-    #             stage adds ~1 s fixed latency, ~10% of a whole 32-cpu
-    #             sf0.1 replay (measured, quiet host).
-    #   dataset — read spills → ONE groupby("part") shuffle → per-group
-    #             merge+write. Each spill file is read exactly once, so
-    #             this is the shape for huge fan-outs where
-    #             bases × files re-reads would swamp the page cache.
-    # Routed by the bases × spill-files product (fold_task_product_cap).
-    spills = [m for m in manifests.values() if m["kind"] == "hotspill"]
-    fold_parts = 0
-    fold_mode = None
-    if spills:
-        spill_paths = [os.path.join(staging, m["file"]) for m in spills]
-        prior_max_by_part = {
-            int(m["part"]): int(m["max_lsn"])
-            for m in manifests.values() if m["kind"] == "data"
-        }
-        prior_min_by_part = {
-            int(m["part"]): int(m.get("min_lsn", -1))
-            for m in manifests.values() if m["kind"] == "data"
-        }
-        spill_mins = [int(m.get("min_lsn", -1)) for m in spills]
-        spill_min_lsn = -1 if any(v < 0 for v in spill_mins) else min(spill_mins)
-
-        fold_fn = _make_fold_fn(
-            lake_dir, epoch, staging, prev_state, prior_max_by_part,
-            prior_min_by_part, spill_min_lsn,
-        )
-        bases = sorted(
-            {int(b) for b in P.assign_partitions(
-                pa.array(sorted(hot), pa.string()), num_partitions)}
-        )
-        if bases and len(bases) * len(spill_paths) <= fold_task_product_cap:
-            fold_mode = "tasks"
-
-            @ray.remote(num_cpus=1)
-            def fold_base(bp: int) -> pa.Table | None:
-                # spills are sorted by 'base' with aligned row groups,
-                # so this filter prunes to ~this base's rows at the
-                # parquet-statistics level instead of reading each file
-                # in full per base
-                sub = pa.concat_tables([
-                    pq.read_table(p, filters=[("base", "=", bp)])
-                    for p in spill_paths
-                ]).drop_columns(["base"])
-                if sub.num_rows == 0:
-                    return None
-                sub = sub.append_column(
-                    "part", pa.array(np.full(sub.num_rows, bp), pa.int64())
-                )
-                return fold_fn(sub)
-
-            fold_rows = [
-                row
-                for t in ray.get([fold_base.remote(bp) for bp in bases])
-                if t is not None
-                for row in t.to_pylist()
-            ]
-        else:
-            fold_mode = "dataset"
-
-            def assign_base(t: pa.Table) -> pa.Table:
-                # the spill's stored 'base' column IS the assignment
-                return t.rename_columns(
-                    ["part" if c == "base" else c for c in t.column_names]
-                )
-
-            fold_rows = (
-                rd.read_parquet(spill_paths, override_num_blocks=max(1, len(spill_paths)))
-                .map_batches(assign_base, batch_format="pyarrow")
-                .groupby("part")
-                .map_groups(fold_fn, batch_format="pyarrow")
-                .take_all()
-            )
-        fold_parts = len(fold_rows)
-        for r in fold_rows:
-            manifests[str(r["file"])] = {
-                k: (str(v) if isinstance(v, str) else int(v)) for k, v in r.items()
-            }
-
     # --- phase-2 commit: full partition map (written ∪ inherited)
-    data_manifests = {m["part"]: m for m in manifests.values() if m["kind"] == "data"}
     state_schema = pa.schema(
         [f for f in unified if f.name not in ("op", "ts_ms")]
     )
@@ -628,8 +419,8 @@ def _replay_locked(
     # ordered-epoch proof consumers check: min_lsn > prev max_lsn.
     min_lsns: list[int] = []
     for p_ in range(num_partitions):
-        if p_ in data_manifests:
-            m = data_manifests[p_]
+        if p_ in manifests:
+            m = manifests[p_]
             rel = os.path.join(os.path.basename(staging), m["file"])
             partitions[str(p_)] = {"path": rel, "rows": m["rows"], "max_lsn": m["max_lsn"]}
             written += 1
@@ -659,8 +450,8 @@ def _replay_locked(
             lake_dir, epoch, partitions,
             {
                 "num_partitions": num_partitions,
-                "num_salts": num_salts,
-                "hot_keys": sorted(hot),
+                "num_salts": 0,
+                "hot_keys": [],
                 "inputs": [os.path.basename(f) for f in files],
                 "rows_total": rows_total,
                 "max_lsn": max_lsn,
@@ -675,7 +466,7 @@ def _replay_locked(
         epoch=epoch,
         published=published,
         num_partitions=num_partitions,
-        hot_keys=sorted(hot),
+        hot_keys=[],
         rows_total=rows_total,
         max_lsn=max_lsn,
         partitions_written=written,
@@ -683,14 +474,6 @@ def _replay_locked(
         counters={
             "rows_in": int(sum(m["rows_in"] for m in manifests.values())),
             "tombstones": int(sum(m["tombstones"] for m in manifests.values())),
-            "hotspill_parts": len(spills),
-            # base partitions folded by the DISTRIBUTED second-stage
-            # reduce (0 = no hot keys this epoch); tests assert on this
-            # to pin that the fold ran as a Ray stage, not a driver loop
-            "hotspill_fold_parts": fold_parts,
-            # 'tasks' (per-base ray tasks) or 'dataset' (groupby stage);
-            # None when no hot keys spilled this epoch
-            "hotspill_fold_mode": fold_mode,
         },
     )
 

@@ -25,9 +25,9 @@ because tombstone winners are always in the fetch set, so any
 false-positive stale row meets its key's true winner in the reduce and
 loses the LWW merge.
 
-Restriction: like replay(), one epoch per call; salting is unnecessary
-here (narrow rows bound hot-key volume at ≤1 row/key/block, and phase B
-ships one row per key by construction).
+Restriction: like replay(), one epoch per call. Like replay(), skew is
+bounded by the per-block combiner (≤1 row/key/block), and phase B ships
+one row per key by construction.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Usage::
 
     python -m ton_etl_ray.cdc.run_replay --changes DIR --lake DIR \
-        [--num-partitions P] [--num-salts S] [--resume] [--num-cpus N]
+        [--num-partitions P] [--resume] [--num-cpus N]
 
 This is the only place (besides bench.py and the test fixture) that owns
 a Ray session; library code never calls ray.init (driver contract).
@@ -22,8 +22,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--changes", required=True)
     ap.add_argument("--lake", required=True)
     ap.add_argument("--num-partitions", type=int, default=64)
-    ap.add_argument("--num-salts", type=int, default=8)
-    ap.add_argument("--hot-share-threshold", type=float, default=0.01)
     ap.add_argument("--resume", action="store_true")
     ap.add_argument("--excluded-doc-ids", default=None,
                     help="comma-separated keys to drop (data corrections)")
@@ -53,8 +51,6 @@ def main(argv: list[str] | None = None) -> int:
         args.changes,
         args.lake,
         num_partitions=args.num_partitions,
-        num_salts=args.num_salts,
-        hot_share_threshold=args.hot_share_threshold,
         resume=args.resume,
         excluded_doc_ids=excluded,
         coalesce_shuffle_blocks=args.coalesce_shuffle_blocks,

@@ -25,7 +25,6 @@ Layout::
         _COMMIT.json               # partition map + totals + schema
         part-00007.parquet
         part-00007.manifest.json   # rows, max_lsn, counters, inputs
-        hotspill-00033.parquet     # salted hot-key partials (pre-publish)
 """
 
 from __future__ import annotations
@@ -33,12 +32,18 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
+import time
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 COMMIT_NAME = "_COMMIT.json"
 LATEST_NAME = "_LATEST"
+# age after which a crashed writer's epoch lock is reclaimed and its
+# orphan tmp files are collected
+STALE_SEC = 3600.0
+_TMP_RE = re.compile(r"\.tmp\.\d+\.\d+$")  # _tmp_name's suffix
 
 
 def epoch_dir(lake_dir: str, epoch: int) -> str:
@@ -47,10 +52,6 @@ def epoch_dir(lake_dir: str, epoch: int) -> str:
 
 def part_file(p: int) -> str:
     return f"part-{p:05d}.parquet"
-
-
-def spill_file(p: int) -> str:
-    return f"hotspill-{p:05d}.parquet"
 
 
 def _fsync_dir(path: str) -> None:
@@ -67,9 +68,7 @@ def _tmp_name(path: str) -> str:
     # let one writer O_TRUNC the other's in-progress file and replace a
     # torn inode into place — pid+nanotime keeps every attempt disjoint
     # (same hazard sources_avro.write_avro already pid-suffixes for)
-    import time as _time
-
-    return f"{path}.tmp.{os.getpid()}.{_time.monotonic_ns()}"
+    return f"{path}.tmp.{os.getpid()}.{time.monotonic_ns()}"
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -82,11 +81,10 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     _fsync_dir(os.path.dirname(path))
 
 
-def atomic_write_table(path: str, table: pa.Table, *,
-                       row_group_size: int | None = None) -> int:
+def atomic_write_table(path: str, table: pa.Table) -> int:
     """Write a parquet file atomically; returns file size in bytes."""
     tmp = _tmp_name(path)
-    pq.write_table(table, tmp, row_group_size=row_group_size)
+    pq.write_table(table, tmp)
     with open(tmp, "rb+") as f:
         os.fsync(f.fileno())
     size = os.path.getsize(tmp)
@@ -109,8 +107,7 @@ def _sha256_file(path: str) -> str:
 
 
 def write_partition(
-    lake_dir: str, epoch: int, fname: str, table: pa.Table, lineage: dict,
-    *, row_group_size: int | None = None
+    lake_dir: str, epoch: int, fname: str, table: pa.Table, lineage: dict
 ) -> dict:
     """Phase-1 commit of one partition: data file then manifest.
 
@@ -120,7 +117,7 @@ def write_partition(
     d = epoch_dir(lake_dir, epoch)
     os.makedirs(d, exist_ok=True)
     path = os.path.join(d, fname)
-    size = atomic_write_table(path, table, row_group_size=row_group_size)
+    size = atomic_write_table(path, table)
     manifest = {
         "file": fname,
         "rows": table.num_rows,
@@ -209,7 +206,27 @@ def publish_epoch(
         json.dumps(commit, sort_keys=True).encode(),
     )
     atomic_write_bytes(os.path.join(lake_dir, LATEST_NAME), str(epoch).encode())
+    for d in (lake_dir, epoch_dir(lake_dir, epoch)):
+        _sweep_stale_tmp(d)
     return commit
+
+
+def _sweep_stale_tmp(d: str) -> None:
+    """Unlink ``*.tmp.<pid>.<ns>`` files older than ``STALE_SEC`` in
+    ``d``: a writer that crashed between its tmp write and the rename
+    leaves them behind. Writer side only (``publish_epoch``, under the
+    epoch lock); read paths never delete. A live writer's tmp is far
+    younger than the lock's stale age."""
+    now = time.time()
+    for name in os.listdir(d):
+        if not _TMP_RE.search(name):
+            continue
+        p = os.path.join(d, name)
+        try:
+            if now - os.path.getmtime(p) > STALE_SEC:
+                os.remove(p)
+        except FileNotFoundError:
+            pass  # a racing sweeper got it first
 
 
 def lake_schema(lake_dir: str, epoch: int | None = None) -> pa.Schema:
@@ -235,14 +252,12 @@ class EpochLockError(RuntimeError):
     pass
 
 
-def acquire_epoch_lock(lake_dir: str, epoch: int, *, stale_sec: float = 3600.0) -> str:
+def acquire_epoch_lock(lake_dir: str, epoch: int, *, stale_sec: float = STALE_SEC) -> str:
     """Single-writer guard for an epoch (O_EXCL lock file).
 
     Two concurrent replays of the same epoch would race on staging
     files; the lock makes the second fail fast. A crashed writer's lock
     goes stale after ``stale_sec`` and is reclaimed (resume path)."""
-    import time as _time
-
     d = epoch_dir(lake_dir, epoch)
     os.makedirs(d, exist_ok=True)
     lock = os.path.join(d, "_LOCK")
@@ -266,7 +281,7 @@ def acquire_epoch_lock(lake_dir: str, epoch: int, *, stale_sec: float = 3600.0) 
         except (ValueError, IndexError):
             pid = None
         try:
-            age = _time.time() - os.path.getmtime(lock)
+            age = time.time() - os.path.getmtime(lock)
         except FileNotFoundError:
             return False, False, None, 0.0
         alive = True
@@ -283,7 +298,7 @@ def acquire_epoch_lock(lake_dir: str, epoch: int, *, stale_sec: float = 3600.0) 
     for _ in range(256):
         try:
             fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.write(fd, f"{os.getpid()} {_time.time()}".encode())
+            os.write(fd, f"{os.getpid()} {time.time()}".encode())
             os.close(fd)
             return lock
         except FileExistsError:
@@ -309,11 +324,11 @@ def acquire_epoch_lock(lake_dir: str, epoch: int, *, stale_sec: float = 3600.0) 
             rfd = os.open(rl, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             try:
-                if _time.time() - os.path.getmtime(rl) > 60:
+                if time.time() - os.path.getmtime(rl) > 60:
                     os.remove(rl)  # leaked by a crashed reclaimer
             except FileNotFoundError:
                 pass
-            _time.sleep(0.01)
+            time.sleep(0.01)
             continue
         try:
             exists, still_ok, _p, _a = _inspect()

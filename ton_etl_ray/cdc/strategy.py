@@ -62,8 +62,6 @@ def replay_auto(
     override_num_blocks: int | None = None,
     resume: bool = False,
     excluded_doc_ids: frozenset[str] | None = None,
-    hot_share_threshold: float = 0.01,
-    num_salts: int = 8,
 ) -> ReplayResult:
     """Pick eager vs late by comparing predicted shuffle bytes to the
     object store capacity (spill threshold at 50%). Shared options
@@ -90,5 +88,4 @@ def replay_auto(
         files, lake_dir, num_partitions=num_partitions,
         override_num_blocks=override_num_blocks, resume=resume,
         excluded_doc_ids=excluded_doc_ids,
-        hot_share_threshold=hot_share_threshold, num_salts=num_salts,
     )

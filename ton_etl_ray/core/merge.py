@@ -45,9 +45,9 @@ def compact(changes: pa.Table, *, keep_tombstones: bool = True) -> pa.Table:
     """One winning row per doc_id: max (lsn, op) — vectorized LWW dedup.
 
     With ``keep_tombstones=True`` the winner may be an ``op='d'`` row;
-    callers that compose partial compactions (per-batch combiners, salted
-    hot-key partials) MUST keep tombstones so a delete can still beat
-    earlier upserts in a later reduce stage (SURVEY.md §7.5).
+    callers that compose partial compactions (per-batch combiners) MUST
+    keep tombstones so a delete can still beat earlier upserts in a later
+    reduce stage (SURVEY.md §7.5).
     """
     if changes.num_rows == 0:
         return changes
@@ -56,12 +56,14 @@ def compact(changes: pa.Table, *, keep_tombstones: bool = True) -> pa.Table:
         # below builds on pc.not_equal, whose null results coerce to
         # False — null-key rows would VANISH silently instead of erroring
         raise ValueError("null doc_id in change batch")
+    # sort and pick winners on the key columns only, then gather the
+    # payload once for the winners — losers' payloads never move
     idx = pc.sort_indices(changes, sort_keys=SORT_KEYS)
-    t = changes.take(idx)
-    out = t.filter(_first_per_key_mask(t["doc_id"]))
+    win = idx.filter(_first_per_key_mask(changes["doc_id"].take(idx)))
     if not keep_tombstones:
-        out = out.filter(pc.not_equal(out["op"], pa.scalar("d")))
-    return out
+        live = pc.not_equal(changes["op"].take(win), pa.scalar("d"))
+        win = win.filter(live.combine_chunks())
+    return changes.take(win)
 
 
 def merge_state(state: pa.Table | None, changes: pa.Table) -> pa.Table:

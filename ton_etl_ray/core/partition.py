@@ -1,16 +1,12 @@
-"""Deterministic key hashing, hash partitioning and skew-aware salting.
+"""Deterministic key hashing and hash partitioning.
 
 The reference relies on Kafka key partitioning plus coarse 10-way address
 bucketing (reference datalake/metadata_snapshot.py:88-89; README.md:63)
-and simply eats skew on hot accounts. At 10^10 events we make skew
-handling explicit (SURVEY.md §4.2):
-
-- every key hashes to one of ``num_partitions`` base partitions;
-- keys detected as hot are *salted*: their rows are spread across
-  ``num_salts`` salt slots (deterministic per input block), each slot a
-  distinct shuffle partition, so no single reducer sees the full hot key;
-- salted partials keep tombstones and are re-reduced in a tiny second
-  stage, so a delete still beats earlier upserts across salt slots.
+and simply eats skew on hot accounts. Every key here hashes to one of
+``num_partitions`` partitions, and skew is bounded one stage earlier:
+replay's map-side combiner compacts each input block to one row per key
+before the exchange, so a hot key reaches its reducer at most once per
+block however many events it has (cdc/replay.py, ``Normalize``).
 
 Hashing must be deterministic across processes and runs (resume filters
 committed partitions by recomputing the very same hash), so we use
@@ -72,56 +68,8 @@ def hash64(values: pa.Array | pa.ChunkedArray | list) -> np.ndarray:
 
 
 def assign_partitions(
-    doc_ids: pa.Array | pa.ChunkedArray,
-    num_partitions: int,
-    *,
-    hot_keys: frozenset[str] | None = None,
-    num_salts: int = 8,
-    salt_token: int = 0,
+    doc_ids: pa.Array | pa.ChunkedArray, num_partitions: int
 ) -> np.ndarray:
-    """Partition id per row.
-
-    Base partitions are ``0 .. num_partitions-1``. Rows whose key is in
-    ``hot_keys`` are instead routed to the salted range
-    ``num_partitions .. num_partitions + num_salts - 1`` using
-    ``salt_token`` (e.g. a per-block counter) so one hot key fans out
-    over ``num_salts`` reducers. Salted partitions hold *partial* LWW
-    states that must be re-reduced (see cdc.replay hot finalize).
-    """
+    """Partition id per row: ``hash64(doc_id) % num_partitions``."""
     h = hash64(doc_ids)
-    part = (h % np.uint64(num_partitions)).astype(np.int64)
-    if hot_keys:
-        if isinstance(doc_ids, pa.ChunkedArray):
-            doc_ids = doc_ids.combine_chunks()
-        hot_mask = np.asarray(
-            pl.Series("k", doc_ids).is_in(list(hot_keys)).to_numpy()
-        )
-        if hot_mask.any():
-            mix = np.uint64((0x9E3779B97F4A7C15 * int(salt_token)) % (1 << 64))
-            with np.errstate(over="ignore"):
-                salt = (h + mix) % np.uint64(num_salts)
-            part[hot_mask] = num_partitions + salt[hot_mask].astype(np.int64)
-    return part
-
-
-def detect_hot_keys(
-    sample_keys: pa.Array | pa.ChunkedArray,
-    *,
-    share_threshold: float = 0.01,
-    min_count: int = 50,
-) -> frozenset[str]:
-    """Hot keys from a sample: frequency share above ``share_threshold``.
-
-    Cheap driver-side pre-pass over a bounded sample of the change log
-    (first row groups of a few shards) — the analogue of choosing bucket
-    counts up front in the reference's snapshot jobs, but data-driven.
-    """
-    s = pl.Series("k", sample_keys.combine_chunks() if isinstance(sample_keys, pa.ChunkedArray) else sample_keys)
-    n = len(s)
-    if n == 0:
-        return frozenset()
-    vc = s.value_counts()
-    cnt_col = [c for c in vc.columns if c != "k"][0]
-    thresh = max(min_count, int(share_threshold * n))
-    hot = vc.filter(pl.col(cnt_col) >= thresh)["k"].to_list()
-    return frozenset(hot)
+    return (h % np.uint64(num_partitions)).astype(np.int64)

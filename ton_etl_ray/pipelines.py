@@ -256,7 +256,7 @@ def ensure_flagship_lake(sf_dir: str, *, num_partitions: int = 16) -> str:
                 shutil.rmtree(build, ignore_errors=True)
                 os.makedirs(build, exist_ok=True)
                 replay(ensure_flagship_log(sf_dir), os.path.join(build, "lake"),
-                       num_partitions=num_partitions, hot_share_threshold=1.0)
+                       num_partitions=num_partitions)
                 with open(os.path.join(build, "_DONE"), "w") as f:
                     f.write(_fingerprint(sf_dir))
                 _swap_in(build, base)
@@ -278,7 +278,7 @@ def flagship(sf_dir: str, work_dir: str | None = None, *, num_partitions: int = 
         chg = ensure_flagship_log(sf_dir)
         lake = f"/tmp/tonray_flagship_{_tag(sf_dir)}/lake"
         shutil.rmtree(lake, ignore_errors=True)
-    replay(chg, lake, num_partitions=num_partitions, hot_share_threshold=1.0)
+    replay(chg, lake, num_partitions=num_partitions)
     return read_lake(lake)
 
 
@@ -353,7 +353,7 @@ def ensure_epoch_diff_lake(sf_dir: str, *, num_partitions: int = 16) -> str:
             if hi.num_rows:
                 pq.write_table(hi, os.path.join(e1, fname))
         blake = os.path.join(build, "lake")
-        replay(e0, blake, num_partitions=num_partitions, hot_share_threshold=1.0)
+        replay(e0, blake, num_partitions=num_partitions)
         replay(e1, blake)
         with open(os.path.join(build, "_DONE"), "w") as f:
             f.write(_fingerprint(sf_dir))

@@ -124,7 +124,7 @@ def main() -> int:
     if "--eager" in sys.argv:
         from ton_etl_ray.cdc.replay import replay
 
-        res = replay(CHG, LAKE, num_partitions=1024, hot_share_threshold=0.005)
+        res = replay(CHG, LAKE, num_partitions=1024)
     else:
         from ton_etl_ray.cdc.replay_late import replay_late
 
