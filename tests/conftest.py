@@ -22,3 +22,47 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+class LakeWriter:
+    """Commits a lake's next epoch through one of the four lake writers
+    (``kind``): ``replay``, ``replay_late``, ``ingest``
+    (``IncrementalIngestor.ingest``) or ``compact`` (``compact_lake``,
+    which applies no change files: it rewrites the committed state).
+    Calling it returns the committed epoch."""
+
+    def __init__(self, kind: str):
+        self.kind = kind
+
+    def ingestor(self, lake: str, num_partitions: int = 8):
+        from ton_etl_ray.cdc.incremental import IncrementalIngestor
+
+        return IncrementalIngestor(lake, num_partitions=num_partitions, num_actors=1)
+
+    def __call__(self, lake: str, files: list[str], *, num_partitions: int = 8,
+                 ingestor=None) -> int:
+        """``ingestor``: an already-built one for ``ingest`` (it reads the
+        lake head at construction); otherwise one is built and closed."""
+        if self.kind == "replay":
+            from ton_etl_ray.cdc.replay import replay
+
+            return replay(files, lake, num_partitions=num_partitions).epoch
+        if self.kind == "replay_late":
+            from ton_etl_ray.cdc.replay_late import replay_late
+
+            return replay_late(files, lake, num_partitions=num_partitions).epoch
+        if self.kind == "compact":
+            from ton_etl_ray.cdc.compact import compact_lake
+
+            return compact_lake(lake)["epoch"]
+        ing = ingestor or self.ingestor(lake, num_partitions)
+        try:
+            return ing.ingest(files)["epoch"]
+        finally:
+            if ingestor is None:
+                ing.close()
+
+
+@pytest.fixture(params=["replay", "replay_late", "ingest", "compact"])
+def lake_writer(request) -> LakeWriter:
+    return LakeWriter(request.param)

@@ -300,12 +300,55 @@ def test_noop_epoch_keeps_lsn_watermark(tmp_path, ray_session):
     assert sink.read_commit(lake, r1.epoch)["max_lsn"] == 4_999
 
 
-def test_replay_repins_epoch_when_raced_by_publisher(tmp_path, monkeypatch):
-    """A concurrent publisher can commit replay's pinned target epoch
-    between latest_epoch() and the epoch lock; replay must RE-PIN under
-    the lock (like incremental.ingest / compact_lake) instead of
-    clear_staging-ing the committed epoch's live data. Simulated by a
-    one-call-stale latest_epoch."""
+@pytest.mark.parametrize("path", ["replay", "watcher"])
+def test_stale_redelivery_keeps_lsn_watermark(tmp_path, path):
+    """Re-applying an old shard that touches every partition must not
+    move the commit watermark backwards: consumers mint fresh lsns at
+    max_lsn+1 (changefeed tombstones, metadata refresh), which would
+    collide with stored lsns above the regressed value. Covers the
+    one-shot replay and the watcher (IncrementalIngestor) path."""
+    import shutil
+
+    from ton_etl_ray.cdc import sink
+    from ton_etl_ray.cdc.streaming import DirectoryWatcher
+
+    chg, lake = str(tmp_path / "chg"), str(tmp_path / "lake")
+    write_change_log(chg, num_events=6_000, num_keys=400, seed=23,
+                     num_shards=4, max_tok=8)
+    files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
+    if path == "replay":
+        e0 = replay(files, lake, num_partitions=8).epoch
+        res = replay(files[:1], lake)
+        e1, written = res.epoch, res.partitions_written
+        assert res.max_lsn == 5_999
+    else:
+        watch = str(tmp_path / "incoming")
+        os.makedirs(watch)
+        w = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=1,
+                             max_batch_shards=4, stable_polls=0)
+        try:
+            for f in files:
+                shutil.copy(f, watch)
+            e0 = w.step()["epoch"]
+            # redelivered under a new name, so the watcher ingests it
+            shutil.copy(files[0], os.path.join(watch, "redelivered.parquet"))
+            w.poll()
+            res = w.flush()
+            e1, written = res["epoch"], res["partitions_written"]
+            assert w.metrics[-1]["watermark_lsn"] == 5_999
+        finally:
+            w.close()
+    assert sink.read_commit(lake, e0)["max_lsn"] == 5_999
+    assert written == 8  # the stale shard rewrote every partition
+    assert sink.read_commit(lake, e1)["max_lsn"] == 5_999
+
+
+def test_replay_repins_epoch_when_raced_by_publisher(tmp_path, monkeypatch, lake_writer):
+    """A concurrent publisher can commit a writer's pinned target epoch
+    between latest_epoch() and the epoch lock; every writer (replay,
+    replay_late, ingest, compact_lake — they share sink.EpochTxn) must
+    RE-PIN under the lock instead of clear_staging-ing the committed
+    epoch's live data. Simulated by a one-call-stale latest_epoch."""
     from ton_etl_ray.cdc import sink as S
 
     chg = str(tmp_path / "chg")
@@ -317,6 +360,10 @@ def test_replay_repins_epoch_when_raced_by_publisher(tmp_path, monkeypatch):
     replay(files[2:3], lake)                    # epoch 1 (the "racer")
     state_e1 = _as_map(final_state_table(lake, 1))
     assert S.is_committed(lake, 1)
+    # compaction applies no changes: its epoch 2 holds epoch 1's state
+    applied = files[:3] if lake_writer.kind == "compact" else files
+    # the ingestor reads the head at construction: build it before the race
+    ing = lake_writer.ingestor(lake) if lake_writer.kind == "ingest" else None
 
     real = S.latest_epoch
     calls = {"n": 0}
@@ -327,12 +374,17 @@ def test_replay_repins_epoch_when_raced_by_publisher(tmp_path, monkeypatch):
         return 0 if calls["n"] == 1 else real(lake_dir)
 
     monkeypatch.setattr(S, "latest_epoch", stale_once)
-    res = replay(files[3:], lake)
-    assert res.epoch == 2                       # re-pinned past the racer
+    try:
+        epoch = lake_writer(lake, files[3:], ingestor=ing)
+    finally:
+        if ing is not None:
+            ing.close()
+    assert calls["n"] >= 2                      # the stale view was consumed
+    assert epoch == 2                           # re-pinned past the racer
     assert S.is_committed(lake, 1)              # racer's commit survived
     assert _as_map(final_state_table(lake, 1)) == state_e1
 
     # and the final state equals a clean one-shot of the same log
     clean = str(tmp_path / "clean")
-    replay(files, clean, num_partitions=8)
+    replay(applied, clean, num_partitions=8)
     assert _as_map(final_state_table(lake)) == _as_map(final_state_table(clean))

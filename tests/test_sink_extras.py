@@ -133,23 +133,36 @@ def test_gc_spares_in_progress_epoch(tmp_path):
     assert os.path.exists(staged)
 
 
-def test_lock_released_on_failure(tmp_path):
-    """A replay that raises mid-pipeline must not strand _LOCK (ADVICE r1)."""
+def test_lock_released_on_failure(tmp_path, lake_writer):
+    """A writer that raises mid-pipeline must not strand _LOCK (ADVICE
+    r1) — every writer, since they share sink.EpochTxn."""
     import pytest
 
     chg = str(tmp_path / "chg")
     write_change_log(chg, num_events=1000, num_keys=100, seed=43, num_shards=2, max_tok=8)
     lake = str(tmp_path / "lake")
-    # corrupt one shard so the pipeline fails after the lock is acquired
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
-    with open(files[1], "wb") as f:
+    if lake_writer.kind == "compact":
+        # compaction reads the lake, not a change log: corrupt a
+        # committed partition file of a one-epoch lake instead
+        replay(files[:1], lake, num_partitions=4)
+        target, bad = 1, sink.lake_files(lake)[0]
+    else:
+        target, bad = 0, files[1]
+    with open(bad, "rb") as f:
+        good = f.read()
+    # corrupt one input so the pipeline fails after the lock is acquired
+    with open(bad, "wb") as f:
         f.write(b"not parquet")
     with pytest.raises(Exception):
-        replay(chg, lake, num_partitions=4)
-    assert not os.path.exists(os.path.join(sink.epoch_dir(lake, 0), "_LOCK"))
-    # a fresh replay over the good shard succeeds immediately (no stale lock)
-    res = replay(files[:1], lake, num_partitions=4)
-    assert res.published
+        lake_writer(lake, files, num_partitions=4)
+    assert not os.path.exists(os.path.join(sink.epoch_dir(lake, target), "_LOCK"))
+    # a fresh run over good input succeeds immediately (no stale lock)
+    if lake_writer.kind == "compact":
+        with open(bad, "wb") as f:
+            f.write(good)
+    epoch = lake_writer(lake, files[:1], num_partitions=4)
+    assert epoch == target and sink.is_committed(lake, epoch)
 
 
 def test_concurrent_writer_lock_survives_second_start(tmp_path):
@@ -320,3 +333,28 @@ def test_publish_epoch_collects_stale_tmp_files(tmp_path):
     assert not any(os.path.exists(p) for p in stale)
     assert all(os.path.exists(p) for p in fresh + [other])
     assert sink.latest_epoch(lake) == 0
+
+
+def test_commit_protocol_lives_in_sink_only():
+    """Every lake writer commits through sink.EpochTxn: the protocol's
+    primitives are called nowhere in the package but cdc/sink.py, so a
+    new writer cannot hand-roll (and drift from) the pin/lock/stage/
+    publish sequence."""
+    import ast
+
+    primitives = {"publish_epoch", "acquire_epoch_lock", "release_epoch_lock", "clear_staging"}
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "ton_etl_ray")
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True)):
+        if os.path.relpath(path, pkg) == os.path.join("cdc", "sink.py"):
+            continue
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name in primitives:
+                offenders.append(f"{os.path.relpath(path, pkg)}:{node.lineno} {name}")
+    assert not offenders, offenders

@@ -24,8 +24,6 @@ in-place epoch, keeping the incremental history GC-able.
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -51,28 +49,15 @@ def compact_lake(lake_dir: str, *, num_partitions: int | None = None) -> dict:
     layout guard (its actors cache the partition map) — restart the
     watcher/ingestor after re-sharding."""
     ensure_portable()
-    # pin latest under the epoch lock: a replay publishing concurrently
-    # moves _LATEST, and clear_staging on a COMMITTED epoch would delete
-    # live data — retry against the new head instead
-    while True:
-        latest = sink.latest_epoch(lake_dir)
-        if latest is None:
-            raise ValueError(f"compact_lake: no committed epoch in {lake_dir}")
-        epoch = latest + 1
-        lock = sink.acquire_epoch_lock(lake_dir, epoch)
-        if not sink.is_committed(lake_dir, epoch):
-            break
-        sink.release_epoch_lock(lock)  # raced a publisher; re-pin
-    prev = sink.read_commit(lake_dir, latest)
     if num_partitions is not None and num_partitions < 1:
         # an explicit bad width must fail loud — `or` would silently
         # treat 0 as "keep the previous width" and a negative value
         # would wrap through the uint64 partition modulo
-        sink.release_epoch_lock(lock)
         raise ValueError(f"compact_lake: num_partitions must be >= 1, got {num_partitions}")
-    p_new = int(num_partitions if num_partitions is not None else prev["num_partitions"])
-    try:
-        sink.clear_staging(lake_dir, epoch)
+    with sink.EpochTxn(lake_dir, require_base=True) as txn:
+        latest, epoch = txn.prev_epoch, txn.epoch
+        p_new = int(num_partitions if num_partitions is not None
+                    else txn.prev_commit["num_partitions"])
         schema = sink.lake_schema(lake_dir, latest)
         files = sink.lake_files(lake_dir, latest)
 
@@ -112,32 +97,9 @@ def compact_lake(lake_dir: str, *, num_partitions: int | None = None) -> dict:
                 .take_all()
             )
 
-        edir = os.path.basename(sink.epoch_dir(lake_dir, epoch))
-        partitions: dict[str, dict] = {
-            str(p): {"path": "", "rows": 0, "max_lsn": -1} for p in range(p_new)
-        }
-        rows_total = 0
-        for r in manifest_rows:
-            partitions[str(r["part"])] = {
-                "path": os.path.join(edir, r["file"]),
-                "rows": int(r["rows"]),
-                "max_lsn": int(r["max_lsn"]),
-            }
-            rows_total += int(r["rows"])
-        commit = sink.publish_epoch(
-            lake_dir, epoch, partitions,
-            {
-                "num_partitions": p_new,
-                "num_salts": 0,
-                "hot_keys": [],
-                "inputs": [f"<compact:epoch-{latest:06d}>"],
-                "rows_total": rows_total,
-                # the watermark is carried, not recomputed: compaction
-                # applies no changes
-                "max_lsn": prev["max_lsn"],
-            },
-            schema,
+        # a full rewrite: nothing is inherited, and the layout may change
+        return txn.publish(
+            {int(r["part"]): r for r in manifest_rows}, schema,
+            num_partitions=p_new, inherit=False,
+            inputs=[f"<compact:epoch-{latest:06d}>"],
         )
-        return commit
-    finally:
-        sink.release_epoch_lock(lock)

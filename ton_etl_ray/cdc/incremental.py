@@ -40,9 +40,8 @@ import ray.data as rd
 
 from .._pickle import ensure_portable
 from ..core import merge as M
-from ..core.schema_evolution import unify_schemas
 from . import sink
-from .replay import Normalize
+from .replay import Normalize, _change_schema
 
 
 def _router(norm: Normalize, actors: list, owner: dict[int, int]):
@@ -193,59 +192,35 @@ class IncrementalIngestor:
         under ``derived``; a crash before publish leaves them
         uncommitted, and the retry re-derives over the same shard set."""
         files = sorted(glob.glob(os.path.join(changes, "*.parquet"))) if isinstance(changes, str) else list(changes)
-        # pin the head UNDER the epoch lock (same retry loop as
-        # compact_lake): a concurrent publisher (compaction, another
-        # writer) can commit our target epoch between latest_epoch() and
-        # the lock, and clear_staging on a COMMITTED epoch would delete
-        # live data. Re-pin until the locked epoch is still uncommitted.
-        while True:
-            prev = sink.latest_epoch(self.lake_dir)
-            epoch = 0 if prev is None else prev + 1
-            lock = sink.acquire_epoch_lock(self.lake_dir, epoch)
-            if not sink.is_committed(self.lake_dir, epoch):
-                break
-            sink.release_epoch_lock(lock)  # raced a publisher; re-pin
-        if prev is not None:
-            committed_p = sink.read_commit(self.lake_dir, prev)["num_partitions"]
-            if committed_p != self.P:
+        with sink.EpochTxn(self.lake_dir) as txn:
+            if txn.prev_commit is not None and txn.prev_commit["num_partitions"] != self.P:
                 # a compact_lake(num_partitions=...) re-shard ran under a
                 # LIVE ingestor: this ingestor's cached partition map no
                 # longer matches the lake layout, and mixing the two would
                 # scatter keys across both numberings. Fail loudly; the
                 # operator restarts the watcher/ingestor, which adopts the
-                # new layout at construction. (Checked AFTER the lock so a
+                # new layout at construction. (Checked under the lock so a
                 # re-shard can't slip into the check-to-lock window.)
-                sink.release_epoch_lock(lock)
                 raise RuntimeError(
-                    f"ingest: lake was re-sharded to {committed_p} partitions "
-                    f"(this ingestor was built for {self.P}); restart the "
+                    f"ingest: lake was re-sharded to {txn.prev_commit['num_partitions']} "
+                    f"partitions (this ingestor was built for {self.P}); restart the "
                     "ingestor to adopt the new layout"
                 )
-        staging = sink.epoch_dir(self.lake_dir, epoch)
-        try:
-            sink.clear_staging(self.lake_dir, epoch)
-            return self._ingest_locked(files, prev, epoch, staging, derive)
-        except BaseException:
-            # the epoch never committed, but rows may sit in actor buffers
-            # and seal() may have mutated resident state — discard BOTH so
-            # the re-ingest can't double-apply (exactly-once, not
-            # at-least-once)
             try:
-                ray.get([a.reset.remote() for a in self.actors])
-            except Exception:
-                pass  # actors dead → state is gone anyway; lake is truth
-            raise
-        finally:
-            sink.release_epoch_lock(lock)
+                return self._ingest_locked(files, txn, derive)
+            except BaseException:
+                # the epoch never committed, but rows may sit in actor buffers
+                # and seal() may have mutated resident state — discard BOTH so
+                # the re-ingest can't double-apply (exactly-once, not
+                # at-least-once)
+                try:
+                    ray.get([a.reset.remote() for a in self.actors])
+                except Exception:
+                    pass  # actors dead → state is gone anyway; lake is truth
+                raise
 
-    def _ingest_locked(self, files: list[str], prev: int | None, epoch: int,
-                       staging: str, derive=None) -> dict:
-        schemas = [pq.read_schema(f) for f in files]
-        if prev is not None:
-            prev_schema = sink.lake_schema(self.lake_dir, prev)
-            schemas.append(pa.schema([f for f in prev_schema if f.name != "lsn"]))
-        unified = unify_schemas(schemas)
-
+    def _ingest_locked(self, files: list[str], txn: sink.EpochTxn, derive=None) -> dict:
+        _, unified, state_schema = _change_schema(files, self.lake_dir, txn.prev_epoch)
         norm = Normalize(unified, self.P, frozenset(), None)
         route = _router(norm, self.actors, self.owner)
 
@@ -253,49 +228,20 @@ class IncrementalIngestor:
         total_routed = sum(r["routed"] for r in ds.map_batches(route, batch_format="pyarrow").take_all())
 
         manifests = [m for ms in ray.get(
-            [a.seal.remote(epoch, prev) for a in self.actors]) for m in ms]
-
-        partitions: dict[str, dict] = {}
-        prev_commit = sink.read_commit(self.lake_dir, prev) if prev is not None else None
-        by_part = {m["part"]: m for m in manifests}
-        rows_total, max_lsn = 0, -1
-        for p in range(self.P):
-            if p in by_part:
-                m = by_part[p]
-                partitions[str(p)] = {
-                    "path": os.path.join(os.path.basename(staging), m["file"]),
-                    "rows": int(m["rows"]), "max_lsn": int(m["max_lsn"]),
-                }
-            elif prev_commit is not None and str(p) in prev_commit["partitions"]:
-                partitions[str(p)] = prev_commit["partitions"][str(p)]
-            else:
-                partitions[str(p)] = {"path": "", "rows": 0, "max_lsn": -1}
-            rows_total += partitions[str(p)]["rows"]
-            max_lsn = max(max_lsn, partitions[str(p)]["max_lsn"])
+            [a.seal.remote(txn.epoch, txn.prev_epoch) for a in self.actors]) for m in ms]
 
         # side-output derivation runs BEFORE publish (seal-then-publish):
         # derived files exist on disk but are invisible to readers until
         # the commit lands with their paths
-        derived = derive(files, epoch) if derive is not None else {}
+        derived = derive(files, txn.epoch) if derive is not None else {}
 
-        state_schema = pa.schema([f for f in unified if f.name not in ("op", "ts_ms")])
-        # commit-level min_lsn: sound lower bound on this epoch's NEWLY
-        # stored lsns (same contract as replay) — consumed by the
-        # changefeed tombstone-collision check, which was permanently
-        # 'unknown' for watcher-built lakes while this path omitted it
-        min_lsns = [int(m.get("min_lsn", -1)) for m in by_part.values()]
-        sink.publish_epoch(
-            self.lake_dir, epoch, partitions,
-            {"num_partitions": self.P, "num_salts": 0, "hot_keys": [],
-             "inputs": [os.path.basename(f) for f in files],
-             "rows_total": rows_total, "max_lsn": max_lsn,
-             "min_lsn": (-1 if not min_lsns or any(v < 0 for v in min_lsns)
-                         else min(min_lsns)),
-             **({"derived": derived} if derived else {})},
-            state_schema,
+        commit = txn.publish(
+            {m["part"]: m for m in manifests}, state_schema,
+            num_partitions=self.P, inputs=[os.path.basename(f) for f in files],
+            **({"derived": derived} if derived else {}),
         )
-        return {"epoch": epoch, "rows_total": rows_total, "routed": int(total_routed),
-                "partitions_written": len(by_part)}
+        return {"epoch": txn.epoch, "rows_total": commit["rows_total"], "routed": int(total_routed),
+                "partitions_written": txn.partitions_written}
 
     def close(self) -> None:
         for a in self.actors:

@@ -81,7 +81,9 @@ class ReplayResult:
     epoch: int
     published: bool
     num_partitions: int
-    hot_keys: list[str]  # always []: no key is salted
+    # always []: no key is salted. Kept because lakebench reads it
+    # (its cdc.replay.hot_keys per-layer count).
+    hot_keys: list[str]
     rows_total: int
     max_lsn: int
     partitions_written: int
@@ -294,188 +296,96 @@ def replay(
 
     ensure_portable()
     files = _discover(changes)
-    os.makedirs(lake_dir, exist_ok=True)
+    with sink.EpochTxn(lake_dir, resume=resume) as txn:
+        if txn.prev_commit is not None:
+            # the partition layout is fixed at epoch 0: prior state is looked
+            # up by partition file, so later epochs must hash with the same P
+            num_partitions = txn.prev_commit["num_partitions"]
+        by_schema, unified, state_schema = _change_schema(files, lake_dir, txn.prev_epoch)
 
-    # pin the head UNDER the epoch lock (same retry loop as
-    # incremental.ingest / compact_lake): a concurrent publisher
-    # (watcher micro-batch, compaction, another replay) can commit our
-    # target epoch between latest_epoch() and the lock, and
-    # clear_staging on a COMMITTED epoch would delete live data.
-    # Re-pin until the locked epoch is still uncommitted.
-    while True:
-        prev_epoch = sink.latest_epoch(lake_dir)
-        epoch = 0 if prev_epoch is None else prev_epoch + 1
-        lock = sink.acquire_epoch_lock(lake_dir, epoch)
-        if not sink.is_committed(lake_dir, epoch):
-            break
-        sink.release_epoch_lock(lock)  # raced a publisher; re-pin
-    prev_commit = sink.read_commit(lake_dir, prev_epoch) if prev_epoch is not None else None
-    if prev_commit is not None:
-        # the partition layout is fixed at epoch 0: prior state is looked up
-        # by partition file, so later epochs must hash with the same P
-        num_partitions = prev_commit["num_partitions"]
-    staging = sink.epoch_dir(lake_dir, epoch)
-    try:
-        if not resume:
-            sink.clear_staging(lake_dir, epoch)
-        return _replay_locked(
-            files, lake_dir, epoch, staging, prev_epoch, prev_commit,
-            num_partitions=num_partitions, resume=resume,
-            only_parts=only_parts, override_num_blocks=override_num_blocks,
-            excluded_doc_ids=excluded_doc_ids,
-            coalesce_shuffle_blocks=coalesce_shuffle_blocks,
+        # resume: every durable partition manifest is skipped — a key always
+        # hashes to the same partition, so a committed partition already
+        # holds every row of this log routed to it
+        committed = sink.staged_manifests(lake_dir, txn.epoch) if resume else {}
+        skip_parts = frozenset(m["part"] for m in committed.values())
+
+        total_bytes = sum(os.path.getsize(f) for f in files)
+        if override_num_blocks is None:
+            override_num_blocks = read_blocks(total_bytes)
+
+        groups = []
+        total_read_blocks = 0
+        for fl in by_schema:
+            blocks = max(1, int(override_num_blocks * len(fl) / len(files)))
+            total_read_blocks += blocks
+            ds = rd.read_parquet(fl, override_num_blocks=blocks)
+            groups.append(
+                ds.map_batches(
+                    Normalize(unified, num_partitions, skip_parts, only_parts,
+                              excluded_doc_ids),
+                    # whole blocks: the per-block compaction is the skew bound
+                    batch_size=None,
+                    batch_format="pyarrow",
+                )
+            )
+        ds = groups[0]
+        for g in groups[1:]:
+            ds = ds.union(g)
+        if coalesce_shuffle_blocks is None:
+            coalesce_shuffle_blocks = _auto_coalesce_target(total_read_blocks, total_bytes)
+        if coalesce_shuffle_blocks and coalesce_shuffle_blocks > 0:
+            ds = ds.repartition(coalesce_shuffle_blocks)
+
+        apply_fn = _make_apply_fn(lake_dir, txn.epoch, sink.state_path_map(lake_dir, txn.prev_epoch))
+        manifest_rows = ds.groupby("part").map_groups(
+            apply_fn, batch_format="pyarrow"
+        ).take_all()
+
+        manifests: dict[int, dict] = {m["part"]: m for m in committed.values()}
+        for r in manifest_rows:
+            manifests[int(r["part"])] = {
+                k: (str(v) if isinstance(v, str) else int(v)) for k, v in r.items()
+            }
+
+        meta = {"num_partitions": num_partitions,
+                "inputs": [os.path.basename(f) for f in files]}
+        published = only_parts is None
+        commit = (txn.publish(manifests, state_schema, **meta) if published
+                  else txn.build(manifests, **meta))
+        return ReplayResult(
+            epoch=txn.epoch,
+            published=published,
+            num_partitions=num_partitions,
+            hot_keys=[],
+            rows_total=commit["rows_total"],
+            max_lsn=commit["max_lsn"],
+            partitions_written=txn.partitions_written,
+            partitions_inherited=txn.partitions_inherited,
+            counters={
+                "rows_in": int(sum(m["rows_in"] for m in manifests.values())),
+                "tombstones": int(sum(m["tombstones"] for m in manifests.values())),
+            },
         )
-    finally:
-        # always release: a stranded _LOCK would lock out other processes
-        # for stale_sec (pid-liveness reclaim only works on the same host)
-        sink.release_epoch_lock(lock)
 
 
-def _replay_locked(
-    files: list[str],
-    lake_dir: str,
-    epoch: int,
-    staging: str,
-    prev_epoch: int | None,
-    prev_commit: dict | None,
-    *,
-    num_partitions: int,
-    resume: bool,
-    only_parts: frozenset[int] | None,
-    override_num_blocks: int | None,
-    excluded_doc_ids: frozenset[str] | None,
-    coalesce_shuffle_blocks: int | None,
-) -> ReplayResult:
-    """Pipeline body; caller holds the epoch lock and releases it."""
-    # unified change schema across shards (+ prior lake schema so state
-    # columns survive even if this epoch's shards dropped one)
-    file_schemas: dict[bytes, tuple[pa.Schema, list[str]]] = {}
+def _change_schema(
+    files: list[str], lake_dir: str, prev_epoch: int | None
+) -> tuple[list[list[str]], pa.Schema, pa.Schema]:
+    """The change schema every writer conforms to: ``files`` grouped by
+    on-disk schema, the unified change schema (the previous lake schema
+    included, so state columns survive even if this epoch's shards
+    dropped one) and the state schema it persists (no ``op``/``ts_ms``)."""
+    by_schema: dict[bytes, tuple[pa.Schema, list[str]]] = {}
     for f in files:
         s = pq.read_schema(f)
-        key = s.serialize().to_pybytes()
-        file_schemas.setdefault(key, (s, []))[1].append(f)
-    schemas = [s for s, _ in file_schemas.values()]
+        by_schema.setdefault(s.serialize().to_pybytes(), (s, []))[1].append(f)
+    schemas = [s for s, _ in by_schema.values()]
     if prev_epoch is not None:
-        prev_payload = sink.lake_schema(lake_dir, prev_epoch)
-        schemas.append(pa.schema([f for f in prev_payload if f.name != "lsn"]))
+        prev = sink.lake_schema(lake_dir, prev_epoch)
+        schemas.append(pa.schema([f for f in prev if f.name != "lsn"]))
     unified = unify_schemas(schemas)
-
-    # resume: every durable partition manifest is skipped — a key always
-    # hashes to the same partition, so a committed partition already
-    # holds every row of this log routed to it
-    committed = sink.staged_manifests(lake_dir, epoch) if resume else {}
-    skip_parts = frozenset(m["part"] for m in committed.values())
-
-    prev_state = sink.state_path_map(lake_dir, prev_epoch)
-
-    total_bytes = sum(os.path.getsize(f) for f in files)
-    if override_num_blocks is None:
-        override_num_blocks = read_blocks(total_bytes)
-
-    groups = []
-    total_read_blocks = 0
-    for s, fl in file_schemas.values():
-        blocks = max(1, int(override_num_blocks * len(fl) / len(files)))
-        total_read_blocks += blocks
-        ds = rd.read_parquet(fl, override_num_blocks=blocks)
-        groups.append(
-            ds.map_batches(
-                Normalize(unified, num_partitions, skip_parts, only_parts,
-                          excluded_doc_ids),
-                # whole blocks: the per-block compaction is the skew bound
-                batch_size=None,
-                batch_format="pyarrow",
-            )
-        )
-    ds = groups[0]
-    for g in groups[1:]:
-        ds = ds.union(g)
-    if coalesce_shuffle_blocks is None:
-        coalesce_shuffle_blocks = _auto_coalesce_target(total_read_blocks, total_bytes)
-    if coalesce_shuffle_blocks and coalesce_shuffle_blocks > 0:
-        ds = ds.repartition(coalesce_shuffle_blocks)
-
-    apply_fn = _make_apply_fn(lake_dir, epoch, prev_state)
-    manifest_rows = ds.groupby("part").map_groups(
-        apply_fn, batch_format="pyarrow"
-    ).take_all()
-
-    manifests: dict[int, dict] = {m["part"]: m for m in committed.values()}
-    for r in manifest_rows:
-        manifests[int(r["part"])] = {
-            k: (str(v) if isinstance(v, str) else int(v)) for k, v in r.items()
-        }
-
-    # --- phase-2 commit: full partition map (written ∪ inherited)
-    state_schema = pa.schema(
-        [f for f in unified if f.name not in ("op", "ts_ms")]
-    )
-    partitions: dict[str, dict] = {}
-    written = inherited = 0
-    rows_total = 0
-    max_lsn = -1
-    # min over the epoch's OWN incoming events (written partitions
-    # only — inherited carry no new events); -1 = unknown/no-op. The
-    # ordered-epoch proof consumers check: min_lsn > prev max_lsn.
-    min_lsns: list[int] = []
-    for p_ in range(num_partitions):
-        if p_ in manifests:
-            m = manifests[p_]
-            rel = os.path.join(os.path.basename(staging), m["file"])
-            partitions[str(p_)] = {"path": rel, "rows": m["rows"], "max_lsn": m["max_lsn"]}
-            written += 1
-            rows_total += m["rows"]
-            max_lsn = max(max_lsn, m["max_lsn"])
-            min_lsns.append(int(m.get("min_lsn", -1)))
-        elif prev_commit is not None and str(p_) in prev_commit["partitions"]:
-            ent = prev_commit["partitions"][str(p_)]
-            partitions[str(p_)] = ent
-            inherited += 1
-            rows_total += ent["rows"]
-            # inherited partitions carry lake state, so their lsns are
-            # part of the epoch's HIGH WATERMARK — excluding them made a
-            # no-op epoch (all partitions inherited) commit max_lsn=-1,
-            # regressing the watermark every consumer builds on: the
-            # changefeed tombstone lsn (commit(b).max_lsn+1 → 0, which
-            # COLLIDES with real lsns), metadata_refresh_feed's update
-            # lsn, and the watcher's watermark_lsn gauge. incremental.py
-            # already maxes over all partitions; this matches it.
-            max_lsn = max(max_lsn, int(ent.get("max_lsn", -1)))
-        else:
-            partitions[str(p_)] = {"path": "", "rows": 0, "max_lsn": -1}
-
-    published = False
-    if only_parts is None:
-        sink.publish_epoch(
-            lake_dir, epoch, partitions,
-            {
-                "num_partitions": num_partitions,
-                "num_salts": 0,
-                "hot_keys": [],
-                "inputs": [os.path.basename(f) for f in files],
-                "rows_total": rows_total,
-                "max_lsn": max_lsn,
-                "min_lsn": (-1 if not min_lsns or any(v < 0 for v in min_lsns)
-                            else min(min_lsns)),
-            },
-            state_schema,
-        )
-        published = True
-
-    return ReplayResult(
-        epoch=epoch,
-        published=published,
-        num_partitions=num_partitions,
-        hot_keys=[],
-        rows_total=rows_total,
-        max_lsn=max_lsn,
-        partitions_written=written,
-        partitions_inherited=inherited,
-        counters={
-            "rows_in": int(sum(m["rows_in"] for m in manifests.values())),
-            "tombstones": int(sum(m["tombstones"] for m in manifests.values())),
-        },
-    )
+    state_schema = pa.schema([f for f in unified if f.name not in ("op", "ts_ms")])
+    return [fl for _, fl in by_schema.values()], unified, state_schema
 
 
 def read_lake(lake_dir: str, epoch: int | None = None) -> "rd.Dataset":

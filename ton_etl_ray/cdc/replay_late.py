@@ -45,11 +45,11 @@ import ray.data as rd
 
 from ..core import merge as M
 from ..core import partition as P
-from ..core.schema_evolution import conform, unify_schemas
+from ..core.schema_evolution import conform
 from ..ops._util import read_blocks
 from ..schemas import VALID_OPS
 from . import sink
-from .replay import ReplayResult, _discover
+from .replay import ReplayResult, _change_schema, _discover
 
 
 def _carry_file(part: int) -> str:
@@ -71,45 +71,39 @@ def replay_late(
 
     ensure_portable()
     files = _discover(changes)
-    os.makedirs(lake_dir, exist_ok=True)
-
-    # pin the head UNDER the epoch lock (same retry loop as
-    # incremental.ingest / compact_lake / replay): a concurrent
-    # publisher can commit our target epoch between latest_epoch() and
-    # the lock, and clear_staging on a COMMITTED epoch would delete
-    # live data. Re-pin until the locked epoch is still uncommitted.
-    while True:
-        prev_epoch = sink.latest_epoch(lake_dir)
-        epoch = 0 if prev_epoch is None else prev_epoch + 1
-        lock = sink.acquire_epoch_lock(lake_dir, epoch)
-        if not sink.is_committed(lake_dir, epoch):
-            break
-        sink.release_epoch_lock(lock)  # raced a publisher; re-pin
-    prev_commit = sink.read_commit(lake_dir, prev_epoch) if prev_epoch is not None else None
-    if prev_commit is not None:
-        num_partitions = prev_commit["num_partitions"]
-    staging = sink.epoch_dir(lake_dir, epoch)
-    try:
-        if not resume:
-            sink.clear_staging(lake_dir, epoch)
-        return _replay_late_locked(
-            files, lake_dir, epoch, staging, prev_epoch, prev_commit,
+    with sink.EpochTxn(lake_dir, resume=resume) as txn:
+        if txn.prev_commit is not None:
+            num_partitions = txn.prev_commit["num_partitions"]
+        by_schema, unified, state_schema = _change_schema(files, lake_dir, txn.prev_epoch)
+        written, winning_keys = _replay_late_locked(
+            files, lake_dir, txn.epoch, by_schema, unified,
+            sink.state_path_map(lake_dir, txn.prev_epoch),
             num_partitions=num_partitions,
             override_num_blocks=override_num_blocks, resume=resume,
             lsn_filter=lsn_filter, bloom_threshold=bloom_threshold,
             excluded_doc_ids=excluded_doc_ids,
         )
-    finally:
-        sink.release_epoch_lock(lock)
+        commit = txn.publish(
+            written, state_schema, num_partitions=num_partitions,
+            inputs=[os.path.basename(f) for f in files],
+            strategy="late_materialization",
+        )
+        return ReplayResult(
+            epoch=txn.epoch, published=True, num_partitions=num_partitions, hot_keys=[],
+            rows_total=commit["rows_total"], max_lsn=commit["max_lsn"],
+            partitions_written=txn.partitions_written,
+            partitions_inherited=txn.partitions_inherited,
+            counters={"winning_keys": winning_keys},
+        )
 
 
 def _replay_late_locked(
     files: list[str],
     lake_dir: str,
     epoch: int,
-    staging: str,
-    prev_epoch: int | None,
-    prev_commit: dict | None,
+    by_schema: list[list[str]],
+    unified: pa.Schema,
+    prev_state: dict[int, str],
     *,
     num_partitions: int,
     override_num_blocks: int | None,
@@ -117,8 +111,10 @@ def _replay_late_locked(
     lsn_filter: str,
     bloom_threshold: int,
     excluded_doc_ids: frozenset[str] | None,
-) -> ReplayResult:
-    """Pipeline body; caller holds the epoch lock and releases it."""
+) -> tuple[dict[int, dict], int]:
+    """Phases A and B; the caller holds the epoch transaction. Returns
+    the written partitions' manifests and the winning-key count."""
+    staging = sink.epoch_dir(lake_dir, epoch)
     # resume: partitions whose data manifest is durable are done — phase A
     # reruns (narrow, cheap), phase B skips their rows entirely
     committed_parts = frozenset(
@@ -126,21 +122,8 @@ def _replay_late_locked(
         if m.get("kind") == "data"
     ) if resume else frozenset()
 
-    file_schemas: dict[bytes, tuple[pa.Schema, list[str]]] = {}
-    for f in files:
-        s = pq.read_schema(f)
-        key = s.serialize().to_pybytes()
-        file_schemas.setdefault(key, (s, []))[1].append(f)
-    schemas = [s for s, _ in file_schemas.values()]
-    if prev_epoch is not None:
-        prev_payload = sink.lake_schema(lake_dir, prev_epoch)
-        schemas.append(pa.schema([f_ for f_ in prev_payload if f_.name != "lsn"]))
-    unified = unify_schemas(schemas)
-
     if override_num_blocks is None:
         override_num_blocks = read_blocks(sum(os.path.getsize(f) for f in files))
-
-    prev_state = sink.state_path_map(lake_dir, prev_epoch)
 
     # ---------- phase A: narrow winner decision ----------
     def narrow(batch: pa.Table) -> pa.Table:
@@ -204,7 +187,7 @@ def _replay_late_locked(
         )
 
     narrow_groups = []
-    for s, fl in file_schemas.values():
+    for fl in by_schema:
         blocks = max(1, int(override_num_blocks * len(fl) / len(files)))
         ds = rd.read_parquet(fl, columns=["doc_id", "lsn", "op"], override_num_blocks=blocks)
         narrow_groups.append(ds.map_batches(narrow, batch_format="pyarrow"))
@@ -274,7 +257,7 @@ def _replay_late_locked(
                          "file": [m["file"]]})
 
     pay_groups = []
-    for s, fl in file_schemas.values():
+    for fl in by_schema:
         blocks = max(1, int(override_num_blocks * len(fl) / len(files)))
         ds = rd.read_parquet(fl, override_num_blocks=blocks)
         pay_groups.append(ds.map_batches(fetch_filter, batch_format="pyarrow"))
@@ -305,37 +288,4 @@ def _replay_late_locked(
         results[part] = {"part": part, "rows": m["rows"], "max_lsn": m["max_lsn"], "file": m["file"]}
         os.remove(f)
 
-    partitions: dict[str, dict] = {}
-    rows_total, max_lsn = 0, -1
-    written = inherited = 0
-    for p_ in range(num_partitions):
-        if p_ in results:
-            r = results[p_]
-            partitions[str(p_)] = {
-                "path": os.path.join(os.path.basename(staging), str(r["file"])),
-                "rows": int(r["rows"]), "max_lsn": int(r["max_lsn"]),
-            }
-            written += 1
-        elif prev_commit is not None and str(p_) in prev_commit["partitions"]:
-            partitions[str(p_)] = prev_commit["partitions"][str(p_)]
-            inherited += 1
-        else:
-            partitions[str(p_)] = {"path": "", "rows": 0, "max_lsn": -1}
-        rows_total += partitions[str(p_)]["rows"]
-        max_lsn = max(max_lsn, partitions[str(p_)]["max_lsn"])
-
-    state_schema = pa.schema([f_ for f_ in unified if f_.name not in ("op", "ts_ms")])
-    sink.publish_epoch(
-        lake_dir, epoch, partitions,
-        {"num_partitions": num_partitions, "num_salts": 0, "hot_keys": [],
-         "inputs": [os.path.basename(f) for f in files],
-         "rows_total": rows_total, "max_lsn": max_lsn,
-         "strategy": "late_materialization"},
-        state_schema,
-    )
-    return ReplayResult(
-        epoch=epoch, published=True, num_partitions=num_partitions, hot_keys=[],
-        rows_total=rows_total, max_lsn=max_lsn,
-        partitions_written=written, partitions_inherited=inherited,
-        counters={"winning_keys": int(len(win_lsns))},
-    )
+    return results, len(win_lsns)

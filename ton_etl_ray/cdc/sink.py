@@ -17,6 +17,27 @@ Task retries are invisible: a retried applier rewrites the same
 deterministic content to the same path. Resume after a crash skips
 every partition whose manifest already exists (lineage recorded inside).
 
+Every lake writer — ``replay``, ``replay_late``,
+``IncrementalIngestor.ingest`` and ``compact_lake`` — commits through
+ONE ``EpochTxn``, and this module is the only caller of the protocol's
+primitives (``acquire_epoch_lock``, ``clear_staging``,
+``publish_epoch``, ``release_epoch_lock``). The transaction owns:
+
+- pinning the committed head under the epoch lock, re-pinning when a
+  concurrent publisher committed the target epoch first;
+- clearing the epoch's abandoned staging (unless the writer resumes);
+- releasing the lock on every exit path;
+- the phase-2 commit record: the partition map (written ∪ inherited ∪
+  empty), ``rows_total``, the monotone ``max_lsn`` watermark and
+  ``min_lsn``, then ``publish_epoch``.
+
+The writer keeps what is specific to it: its phase-1 pipeline, the
+partition count and whether untouched partitions are inherited
+(compaction re-shards and rewrites everything), extra commit keys
+(late's ``strategy``, ingest's ``derived``), ingest's re-shard guard,
+actor reset and pre-publish ``derive`` hook, and whether to publish at
+all (``replay(only_parts=...)`` leaves staging for ``resume``).
+
 Layout::
 
     lake_dir/
@@ -374,6 +395,110 @@ def clear_staging(lake_dir: str, epoch: int) -> None:
             os.remove(p)
 
 
+class EpochTxn:
+    """The epoch-commit transaction shared by every lake writer::
+
+        with EpochTxn(lake_dir, resume=resume) as txn:
+            ...phase 1: write partitions into epoch_dir(lake_dir, txn.epoch)
+            txn.publish(written, schema, num_partitions=P, inputs=[...])
+
+    Entering pins ``prev_epoch``/``prev_commit`` (the committed head)
+    and ``epoch`` (the target) under the target's lock; leaving always
+    releases the lock. ``require_base`` refuses a lake with no committed
+    epoch before any lock or directory is created (compaction).
+    ``build``/``publish`` also set ``partitions_written`` and
+    ``partitions_inherited``."""
+
+    def __init__(self, lake_dir: str, *, resume: bool = False, require_base: bool = False):
+        self.lake_dir = lake_dir
+        self.resume = resume
+        self.require_base = require_base
+        self.prev_epoch: int | None = None
+        self.prev_commit: dict | None = None
+        self.epoch = -1
+        self.partitions_written = self.partitions_inherited = 0
+
+    def __enter__(self) -> "EpochTxn":
+        # pin the head UNDER the epoch lock: a concurrent publisher
+        # (watcher micro-batch, compaction, another replay) can commit
+        # our target epoch between latest_epoch() and the lock, and
+        # clear_staging on a COMMITTED epoch would delete live data.
+        # Re-pin until the locked epoch is still uncommitted.
+        while True:
+            prev = latest_epoch(self.lake_dir)
+            if prev is None and self.require_base:
+                raise ValueError(f"no committed epoch in {self.lake_dir}")
+            epoch = 0 if prev is None else prev + 1
+            lock = acquire_epoch_lock(self.lake_dir, epoch)
+            if not is_committed(self.lake_dir, epoch):
+                break
+            release_epoch_lock(lock)  # raced a publisher; re-pin
+        self._lock = lock
+        self.prev_epoch, self.epoch = prev, epoch
+        try:
+            if prev is not None:
+                self.prev_commit = read_commit(self.lake_dir, prev)
+            if not self.resume:
+                clear_staging(self.lake_dir, epoch)
+        except BaseException:
+            release_epoch_lock(lock)
+            raise
+        return self
+
+    def __exit__(self, *exc) -> None:
+        # always release: a stranded _LOCK would lock out other processes
+        # for stale_sec (pid-liveness reclaim only works on the same host)
+        release_epoch_lock(self._lock)
+
+    def build(self, written: dict[int, dict], *, num_partitions: int,
+              inherit: bool = True, **meta) -> dict:
+        """The commit record without publishing it: ``written`` maps a
+        part id to its manifest (``file``, ``rows``, ``max_lsn``,
+        optional ``min_lsn``); every other partition is inherited from
+        the previous commit (``inherit``) or empty. ``meta`` adds the
+        writer's own keys."""
+        own = os.path.basename(epoch_dir(self.lake_dir, self.epoch))
+        prev = self.prev_commit["partitions"] if inherit and self.prev_commit else {}
+        # the watermark never moves backwards: a redelivered stale shard
+        # rewrites partitions with OLD lsns, and consumers mint fresh
+        # lsns at max_lsn+1 (changefeed tombstones, metadata refresh)
+        max_lsn = int(self.prev_commit["max_lsn"]) if self.prev_commit else -1
+        partitions: dict[str, dict] = {}
+        self.partitions_written = self.partitions_inherited = 0
+        for p in range(num_partitions):
+            if p in written:
+                m = written[p]
+                ent = {"path": os.path.join(own, str(m["file"])),
+                       "rows": int(m["rows"]), "max_lsn": int(m["max_lsn"])}
+                self.partitions_written += 1
+            elif str(p) in prev:
+                ent = prev[str(p)]
+                self.partitions_inherited += 1
+            else:
+                ent = {"path": "", "rows": 0, "max_lsn": -1}
+            partitions[str(p)] = ent
+            max_lsn = max(max_lsn, int(ent["max_lsn"]))
+        # min over the epoch's OWN incoming events (inherited partitions
+        # carry none); -1 = unknown. The ordered-epoch proof consumers
+        # check: min_lsn > prev max_lsn (ops/tokens._lsn_ordered_span).
+        min_lsns = [int(m.get("min_lsn", -1)) for m in written.values()]
+        return {
+            "num_partitions": num_partitions,
+            "partitions": partitions,
+            "rows_total": sum(ent["rows"] for ent in partitions.values()),
+            "max_lsn": max_lsn,
+            "min_lsn": -1 if not min_lsns or min(min_lsns) < 0 else min(min_lsns),
+            **meta,
+        }
+
+    def publish(self, written: dict[int, dict], schema: pa.Schema, **kw) -> dict:
+        """Phase 2: build the commit record and publish it. Returns the
+        published commit."""
+        meta = self.build(written, **kw)
+        partitions = meta.pop("partitions")
+        return publish_epoch(self.lake_dir, self.epoch, partitions, meta, schema)
+
+
 def verify_lake(lake_dir: str, epoch: int | None = None) -> dict:
     """Lineage verification: every committed partition file exists, has
     the manifested size and (when recorded) content hash. Returns
@@ -426,7 +551,6 @@ def lake_stats(lake_dir: str) -> dict:
                 "watermark_lsn": c["max_lsn"],
                 "partitions_written": own,
                 "partitions_inherited": sum(1 for ent in c["partitions"].values() if ent["path"]) - own,
-                "hot_keys": len(c.get("hot_keys", [])),
                 "inputs": len(c.get("inputs", [])),
             }
         )
