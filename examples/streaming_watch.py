@@ -44,7 +44,7 @@ def arrive(path: str) -> None:
     os.replace(tmp, os.path.join(incoming, os.path.basename(path)))
 
 
-watcher = DirectoryWatcher(incoming, lake, num_partitions=16, num_actors=2,
+watcher = DirectoryWatcher(incoming, lake, num_partitions=16,
                            max_batch_shards=2, idle_flush_sec=0.5,
                            stable_polls=0)  # producer renames atomically
 try:

@@ -24,6 +24,15 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def exchange_plan(monkeypatch):
+    """Force the Ray Data plan: with ``BLOCK_BYTES = 0`` no input is
+    smaller than one read block, so nothing runs in-process."""
+    from ton_etl_ray.ops import _util
+
+    monkeypatch.setattr(_util, "BLOCK_BYTES", 0)
+
+
 class LakeWriter:
     """Commits a lake's next epoch through one of the four lake writers
     (``kind``): ``replay``, ``replay_late``, ``ingest``
@@ -37,12 +46,12 @@ class LakeWriter:
     def ingestor(self, lake: str, num_partitions: int = 8):
         from ton_etl_ray.cdc.incremental import IncrementalIngestor
 
-        return IncrementalIngestor(lake, num_partitions=num_partitions, num_actors=1)
+        return IncrementalIngestor(lake, num_partitions=num_partitions)
 
     def __call__(self, lake: str, files: list[str], *, num_partitions: int = 8,
                  ingestor=None) -> int:
         """``ingestor``: an already-built one for ``ingest`` (it reads the
-        lake head at construction); otherwise one is built and closed."""
+        lake head at construction); otherwise one is built."""
         if self.kind == "replay":
             from ton_etl_ray.cdc.replay import replay
 
@@ -55,12 +64,7 @@ class LakeWriter:
             from ton_etl_ray.cdc.compact import compact_lake
 
             return compact_lake(lake)["epoch"]
-        ing = ingestor or self.ingestor(lake, num_partitions)
-        try:
-            return ing.ingest(files)["epoch"]
-        finally:
-            if ingestor is None:
-                ing.close()
+        return (ingestor or self.ingestor(lake, num_partitions)).ingest(files)["epoch"]
 
 
 @pytest.fixture(params=["replay", "replay_late", "ingest", "compact"])

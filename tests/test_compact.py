@@ -199,7 +199,7 @@ def test_watcher_survives_same_width_compaction(ray_session, tmp_path):
     shards = write_change_log(full, num_events=6000, num_keys=700, seed=8,
                               num_shards=6)
     os.makedirs(watch)
-    w = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=2,
+    w = DirectoryWatcher(watch, lake, num_partitions=8,
                          max_batch_shards=3, idle_flush_sec=0.1, stable_polls=0)
     for p in shards[:3]:
         shutil.copy(p, watch)
@@ -239,7 +239,7 @@ def test_live_ingestor_rejects_mid_stream_reshard(ray_session, tmp_path):
     shards = write_change_log(full, num_events=4000, num_keys=400, seed=10,
                               num_shards=4)
     os.makedirs(watch)
-    w = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=2,
+    w = DirectoryWatcher(watch, lake, num_partitions=8,
                          max_batch_shards=2, idle_flush_sec=0.1, stable_polls=0)
     for p in shards[:2]:
         shutil.copy(p, watch)

@@ -1,4 +1,4 @@
-"""Stateful actor-pool ingestor: micro-batch epochs equal batch replay."""
+"""Micro-batch ingestor: micro-batch epochs equal batch replay."""
 
 import glob
 import os
@@ -23,18 +23,16 @@ def test_microbatches_equal_oneshot_replay(tmp_path):
     lake_a = str(tmp_path / "lake_replay")
     replay(files, lake_a, num_partitions=8)
 
-    lake_b = str(tmp_path / "lake_actors")
-    ing = IncrementalIngestor(lake_b, num_partitions=8, num_actors=3)
+    lake_b = str(tmp_path / "lake_ingest")
+    ing = IncrementalIngestor(lake_b, num_partitions=8)
     r0 = ing.ingest(files[:2])
     r1 = ing.ingest(files[2:4])
     assert (r0["epoch"], r1["epoch"]) == (0, 1)
 
-    # restart: a NEW ingestor must lazily reload committed state from disk
-    ing.close()
-    ing2 = IncrementalIngestor(lake_b, num_actors=2)
+    # restart: a NEW ingestor must build on the committed state on disk
+    ing2 = IncrementalIngestor(lake_b)
     r2 = ing2.ingest(files[4:])
     assert r2["epoch"] == 2
-    ing2.close()
 
     assert _state_map(lake_a) == _state_map(lake_b)
 
@@ -44,10 +42,9 @@ def test_microbatch_matches_duckdb_oracle(tmp_path):
     write_change_log(chg, num_events=6000, num_keys=500, seed=32, num_shards=4, max_tok=16)
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
     lake = str(tmp_path / "lake")
-    ing = IncrementalIngestor(lake, num_partitions=4, num_actors=2)
+    ing = IncrementalIngestor(lake, num_partitions=4)
     for f in files:
         ing.ingest([f])
-    ing.close()
 
     want = duckdb.sql(
         f"""
@@ -62,7 +59,7 @@ def test_microbatch_matches_duckdb_oracle(tmp_path):
 
 
 def test_microbatch_schema_evolution(tmp_path):
-    """Actor-pool path handles evolved shards arriving in a later epoch."""
+    """Evolved shards arriving in a later epoch widen the lake schema."""
     import pyarrow as pa
 
     chg0 = str(tmp_path / "c0")
@@ -79,10 +76,9 @@ def test_microbatch_schema_evolution(tmp_path):
         pq.write_table(t.set_column(t.column_names.index("lsn"), "lsn", lsn), f)
 
     lake = str(tmp_path / "lake")
-    ing = IncrementalIngestor(lake, num_partitions=4, num_actors=2)
+    ing = IncrementalIngestor(lake, num_partitions=4)
     ing.ingest(chg0)
     ing.ingest(chg1)
-    ing.close()
 
     from ton_etl_ray.cdc.replay import final_state_table
 
@@ -95,8 +91,8 @@ def test_microbatch_schema_evolution(tmp_path):
 
 def test_failed_ingest_does_not_leak_into_next_epoch(tmp_path, monkeypatch):
     """Exactly-once across micro-batches (ADVICE r1): a failed (never
-    committed) ingest's rows must NOT appear in a later epoch's commit —
-    actor buffers and resident state are discarded on failure."""
+    committed) ingest leaves no commit, retrying it applies it once, and
+    a batch that is not retried never leaks into a later epoch."""
     import pytest
 
     from ton_etl_ray.cdc import incremental as inc_mod
@@ -106,41 +102,44 @@ def test_failed_ingest_does_not_leak_into_next_epoch(tmp_path, monkeypatch):
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
 
     lake = str(tmp_path / "lake")
-    ing = IncrementalIngestor(lake, num_partitions=8, num_actors=2)
-    try:
-        ing.ingest(files[0:2])                       # epoch 0: ok
+    ing = IncrementalIngestor(lake, num_partitions=8)
+    ing.ingest(files[0:2])                           # epoch 0: ok
 
-        real_publish = inc_mod.sink.publish_epoch
-        calls = {"n": 0}
+    real_publish = inc_mod.sink.publish_epoch
+    calls = {"n": 0}
 
-        def failing_publish(*a, **k):
-            calls["n"] += 1
-            raise RuntimeError("injected publish failure")
+    def failing_publish(*a, **k):
+        calls["n"] += 1
+        raise RuntimeError("injected publish failure")
 
+    def fail_once(batch, epoch):
         monkeypatch.setattr(inc_mod.sink, "publish_epoch", failing_publish)
         with pytest.raises(RuntimeError):
-            ing.ingest(files[2:4])                   # epoch 1: FAILS (post-seal)
-        assert calls["n"] == 1
+            ing.ingest(batch)                        # fails after the writes
         monkeypatch.setattr(inc_mod.sink, "publish_epoch", real_publish)
+        assert not inc_mod.sink.is_committed(lake, epoch)
 
-        ing.ingest(files[4:6])                       # epoch 1 retry: batch 3 only
-    finally:
-        ing.close()
+    def oracle(batch):
+        out = str(tmp_path / f"oracle{len(batch)}")
+        replay(batch, out, num_partitions=8)
+        return _state_map(out)
 
-    got = _state_map(lake)
+    fail_once(files[2:3], 1)
+    assert ing.ingest(files[2:3])["epoch"] == 1      # the retry lands once
+    assert _state_map(lake) == oracle(files[0:3])
 
-    # oracle: batch replay of shards 0,1,4,5 ONLY (2,3 never committed)
-    lake2 = str(tmp_path / "lake2")
-    replay(files[0:2] + files[4:6], lake2, num_partitions=8)
-    want = _state_map(lake2)
-    assert got == want
+    fail_once(files[3:4], 2)                            # never retried
+    assert ing.ingest(files[4:6])["epoch"] == 2
+    assert calls["n"] == 2
+    # oracle: batch replay of shards 0,1,2,4,5 ONLY (3 never committed)
+    assert _state_map(lake) == oracle(files[0:3] + files[4:6])
 
 
 def test_interleaved_external_writer_not_reverted(tmp_path):
-    """An external replay() committing between two watcher micro-batches
-    must SURVIVE the next seal: the appliers' resident cache used to
-    reflect the pre-interleave epoch and silently reverted the
-    corrections in the next commit."""
+    """An external replay() committing between two micro-batches of the
+    same ingestor must SURVIVE the next ingest: every epoch merges onto
+    the head it pins under the epoch lock, never onto state the
+    ingestor saw earlier."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -150,8 +149,8 @@ def test_interleaved_external_writer_not_reverted(tmp_path):
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
     lake = str(tmp_path / "lake")
 
-    ing = IncrementalIngestor(lake, num_partitions=8, num_actors=2)
-    ing.ingest(files[:2])            # epoch 0 — actors now hold state
+    ing = IncrementalIngestor(lake, num_partitions=8)
+    ing.ingest(files[:2])            # epoch 0
     ing.ingest(files[2:4])           # epoch 1
 
     # external one-shot correction: rewrite EVERY live doc's tokens at
@@ -196,7 +195,6 @@ def test_interleaved_external_writer_not_reverted(tmp_path):
     untouched = {d: v for d, v in final.items() if d not in set(touched)}
     assert untouched and all(v[0] == (7, 7, 7) for v in untouched.values()), (
         "external epoch's corrections were reverted by a stale applier cache")
-    ing.close()
 
 
 def test_latest_pointer_repairs_after_partial_publish(tmp_path):
@@ -229,16 +227,19 @@ def test_latest_pointer_repairs_after_partial_publish(tmp_path):
     assert S.latest_epoch(lake2) == 0
 
 
-def test_route_empty_batch_routes_nothing():
-    """An empty change batch routes zero rows instead of indexing into
-    an empty partition column."""
-    import pyarrow as pa
+def test_route_empty_batch_routes_nothing(tmp_path):
+    """An empty change shard routes zero rows: its epoch commits and
+    inherits every partition."""
+    import pyarrow.parquet as pq
 
-    from ton_etl_ray.cdc.incremental import _router
-    from ton_etl_ray.cdc.replay import Normalize
-
-    schema = pa.schema([("lsn", pa.int64()), ("op", pa.string()),
-                        ("doc_id", pa.string()), ("n_tok", pa.int32())])
-    route = _router(Normalize(schema, 4, frozenset(), None),
-                    actors=[], owner={})
-    assert route(schema.empty_table()).to_pydict() == {"routed": [0]}
+    chg = str(tmp_path / "chg")
+    write_change_log(chg, num_events=2000, num_keys=150, seed=46, num_shards=2, max_tok=8)
+    files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
+    lake = str(tmp_path / "lake")
+    ing = IncrementalIngestor(lake, num_partitions=4)
+    ing.ingest(files)
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(pq.read_schema(files[0]).empty_table(), empty)
+    res = ing.ingest([empty])
+    assert (res["epoch"], res["routed"], res["partitions_written"]) == (1, 0, 0)
+    assert res["rows_total"] == len(_state_map(lake)) > 0

@@ -436,10 +436,10 @@ def test_incremental_partition_born_and_emptied(tmp_path, ray_session):
         assert _as_map(got) == {"web": (1, 1, 1.0), "books": (1, 3, 3.0)}
 
 
-def test_aligned_pair_stage_sized_by_bytes(two_epoch_lake):
-    """The pair stage packs partition pairs into byte-sized blocks: on
-    a small lake it runs at most min(pairs, 2 × cpus) tasks, not one
-    task per pair."""
+def test_aligned_pair_stage_sized_by_bytes(two_epoch_lake, exchange_plan):
+    """The pair stage's Ray plan packs partition pairs into byte-sized
+    blocks: on a small lake it runs at most min(pairs, 2 × cpus) tasks,
+    not one task per pair."""
     import re
 
     import ray

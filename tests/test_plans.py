@@ -1,0 +1,98 @@
+"""The two commit plans. Below one read block of input
+(``ops._util.BLOCK_BYTES``) replay, the watcher, compaction and the
+budget views run in-process (``local``); above it they run a Ray Data
+plan (``exchange``). The oracle tests elsewhere use small inputs, so
+they run the local plan; each runs again here under the forced
+exchange."""
+
+import glob
+import os
+import shutil
+
+import pytest
+import test_compact
+import test_incremental
+import test_ivm
+import test_replay
+import test_streaming
+
+from ton_etl_ray.cdc import sink
+from ton_etl_ray.cdc.compact import compact_lake
+from ton_etl_ray.cdc.replay import final_state_table, replay
+from ton_etl_ray.cdc.streaming import DirectoryWatcher
+from ton_etl_ray.gen import write_change_log
+from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
+
+ORACLE_TESTS = {
+    "replay": test_replay.test_replay_matches_oracle,
+    "replay_epochs": test_replay.test_incremental_epochs_equal_oneshot,
+    "replay_schema_evolution": test_replay.test_replay_schema_evolution,
+    "ingest_schema_evolution": test_incremental.test_microbatch_schema_evolution,
+    "compact_schema_evolution": lambda p: test_compact.test_compact_schema_evolved_lake(None, p),
+    "ingest": test_incremental.test_microbatch_matches_duckdb_oracle,
+    "watcher": test_streaming.test_watch_microbatches_equal_oneshot,
+    "compact": lambda p: test_compact.test_compact_preserves_state_and_enables_gc(None, p),
+    "compact_reshard": lambda p: test_compact.test_compact_reshard_and_incremental_on_top(None, p),
+    "ivm": lambda p: test_ivm.test_ivm_property_random_logs(p, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TESTS))
+def test_oracle_under_exchange_plan(name, tmp_path, exchange_plan):
+    ORACLE_TESTS[name](tmp_path)
+
+
+def _writers(tmp_path):
+    """Commit epoch 0 by replay, epoch 1 by the watcher, then refresh
+    the budget view across them and compact (epoch 2). Returns the
+    lake, the replay result, the ingest result and the compaction."""
+    chg, lake, watch = (str(tmp_path / d) for d in ("chg", "lake", "watch"))
+    write_change_log(chg, num_events=4000, num_keys=300, seed=81, num_shards=4, max_tok=8)
+    files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
+    res = replay(files[:2], lake, num_partitions=8)
+    os.makedirs(watch)
+    for f in files[2:]:
+        shutil.copy(f, watch)
+    w = DirectoryWatcher(watch, lake, stable_polls=0, idle_flush_sec=0)
+    ing = w.step()
+    view = incremental_source_budget(lake, source_budget_at(lake, 0), 0, 1)
+    assert view.equals(source_budget_at(lake, 1))
+    return lake, res, ing, compact_lake(lake)
+
+
+def test_small_inputs_start_no_ray_data_execution(tmp_path, monkeypatch):
+    """A small replay, watcher epoch, view refresh, view recompute and
+    compaction never start a Ray Data execution, and record it."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    def refuse(*a, **k):
+        raise AssertionError("a Ray Data execution started")
+
+    monkeypatch.setattr(StreamingExecutor, "execute", refuse)
+    lake, res, ing, commit = _writers(tmp_path)
+    assert res.counters["plan"] == ing["plan"] == commit["plan"] == "local"
+    assert [sink.read_commit(lake, e)["plan"] for e in range(3)] == ["local"] * 3
+
+
+def test_forced_exchange_records_plan(tmp_path, exchange_plan):
+    lake, res, ing, commit = _writers(tmp_path)
+    assert res.counters["plan"] == ing["plan"] == commit["plan"] == "exchange"
+    assert [sink.read_commit(lake, e)["plan"] for e in range(3)] == ["exchange"] * 3
+
+
+def test_touched_state_counts_toward_the_size_rule(tmp_path, monkeypatch):
+    """A change batch smaller than one read block still takes the
+    exchange when the committed state of the partitions it touches
+    makes the epoch larger than one block; the result is the same."""
+    from ton_etl_ray.ops import _util
+
+    chg, lake = str(tmp_path / "chg"), str(tmp_path / "lake")
+    write_change_log(chg, num_events=4000, num_keys=300, seed=83, num_shards=4, max_tok=8)
+    files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
+    assert replay(files[:3], lake, num_partitions=8).counters["plan"] == "local"
+    monkeypatch.setattr(_util, "BLOCK_BYTES", os.path.getsize(files[3]) + 1)
+    res = replay(files[3:], lake)
+    assert res.counters["plan"] == "exchange"
+    got = final_state_table(lake).select(["doc_id", "tokens", "n_tok", "source"])
+    assert test_replay._as_map(got) == test_replay._as_map(test_replay._oracle(chg))
+

@@ -61,7 +61,7 @@ def test_replay_zipf_hot_keys_unsalted(tmp_path):
     assert gm == wm
 
 
-def test_single_key_log_bounded_by_block_compaction(tmp_path):
+def test_single_key_log_bounded_by_block_compaction(tmp_path, exchange_plan):
     """Skew bound: one doc_id carries all 100k events over 10 shards of
     10k rows. The per-block partial compaction in Normalize sends at
     most one row per key per read block into the exchange, so the one
@@ -159,6 +159,25 @@ def test_invalid_op_rejected(tmp_path):
         replay(chg, str(tmp_path / "lake"), num_partitions=2)
 
 
+def test_empty_batch_is_valid_change_batch():
+    """A 0-row change batch normalizes to 0 rows (``pc.all`` of an empty
+    mask is null, which used to read as "invalid op"); a bad op or a
+    null lsn is still rejected."""
+    from ton_etl_ray.cdc.replay import Normalize, validate_changes
+    from ton_etl_ray.gen import make_change_batch
+
+    t = make_change_batch(num_events=10, num_keys=5, seed=1)
+    empty = t.schema.empty_table()
+    validate_changes(empty)
+    assert Normalize(t.schema, 4, frozenset(), None)(empty).num_rows == 0
+    with pytest.raises(ValueError, match="invalid op"):
+        validate_changes(t.set_column(t.column_names.index("op"), "op",
+                                      pa.array(["x"] * t.num_rows, pa.string())))
+    with pytest.raises(ValueError, match="null lsn"):
+        validate_changes(t.set_column(t.column_names.index("lsn"), "lsn",
+                                      pa.nulls(t.num_rows, pa.int64())))
+
+
 def test_resume_after_partial_run_zipf(tmp_path):
     """Crash after partitions 0-3 of 8 are durable on a zipf log with
     hot keys; resume skips every durable partition manifest and
@@ -177,7 +196,7 @@ def test_resume_after_partial_run_zipf(tmp_path):
     assert gm == wm
 
 
-def test_coalesced_shuffle_matches_oracle(tmp_path, ray_session):
+def test_coalesced_shuffle_matches_oracle(tmp_path, ray_session, exchange_plan):
     """replay(coalesce_shuffle_blocks=…) must produce the identical
     final state — the repartition only changes block boundaries, never
     rows (the single-node escape hatch for high-block-count logs)."""
@@ -234,7 +253,7 @@ def test_auto_coalesce_routing():
     assert route(1000, 64 << 30, nodes_alive=1, cpus=32) is None  # 1B ≈ 64 GB
 
 
-def test_auto_coalesce_zero_disables(tmp_path, ray_session):
+def test_auto_coalesce_zero_disables(tmp_path, ray_session, exchange_plan):
     """coalesce_shuffle_blocks=0 must disable coalescing (no repartition
     op in the plan) while None auto-routes; both produce the oracle
     state on a small log (where auto is a no-op anyway)."""
@@ -324,7 +343,7 @@ def test_stale_redelivery_keeps_lsn_watermark(tmp_path, path):
     else:
         watch = str(tmp_path / "incoming")
         os.makedirs(watch)
-        w = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=1,
+        w = DirectoryWatcher(watch, lake, num_partitions=8,
                              max_batch_shards=4, stable_polls=0)
         try:
             for f in files:
@@ -374,11 +393,7 @@ def test_replay_repins_epoch_when_raced_by_publisher(tmp_path, monkeypatch, lake
         return 0 if calls["n"] == 1 else real(lake_dir)
 
     monkeypatch.setattr(S, "latest_epoch", stale_once)
-    try:
-        epoch = lake_writer(lake, files[3:], ingestor=ing)
-    finally:
-        if ing is not None:
-            ing.close()
+    epoch = lake_writer(lake, files[3:], ingestor=ing)
     assert calls["n"] >= 2                      # the stale view was consumed
     assert epoch == 2                           # re-pinned past the racer
     assert S.is_committed(lake, 1)              # racer's commit survived

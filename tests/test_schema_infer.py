@@ -80,7 +80,7 @@ def test_watch_drifting_jsonl_stream(tmp_path):
     lake = str(tmp_path / "lake")
     stage = str(tmp_path / "stage")
     pre = debezium_preprocessor(stage, infer_stable_schema=True)
-    w = DirectoryWatcher(watch, lake, num_partitions=4, num_actors=1,
+    w = DirectoryWatcher(watch, lake, num_partitions=4,
                          max_batch_shards=1, pattern="*.jsonl",
                          preprocess=pre, stable_polls=0)
     try:
@@ -129,7 +129,7 @@ def test_drift_contradicting_pin_does_not_wedge(tmp_path):
     ])
     lake = str(tmp_path / "lake")
     pre = debezium_preprocessor(str(tmp_path / "stage"), infer_stable_schema=True)
-    w = DirectoryWatcher(watch, lake, num_partitions=4, num_actors=1,
+    w = DirectoryWatcher(watch, lake, num_partitions=4,
                          max_batch_shards=1, pattern="*.jsonl",
                          preprocess=pre, stable_polls=0)
     try:

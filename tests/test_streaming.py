@@ -32,7 +32,7 @@ def test_watch_microbatches_equal_oneshot(tmp_path):
     os.makedirs(watch)
     lake = str(tmp_path / "lake")
     clock = FakeClock()
-    w = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=2,
+    w = DirectoryWatcher(watch, lake, num_partitions=8,
                          max_batch_shards=2, idle_flush_sec=5.0, stable_polls=0, time_fn=clock)
     try:
         # shards arrive in waves; size trigger flushes pairs immediately
@@ -69,7 +69,7 @@ def test_watch_resume_skips_committed_shards(tmp_path):
     clock = FakeClock()
     for f in files[:2]:
         shutil.copy(f, watch)
-    w1 = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=2,
+    w1 = DirectoryWatcher(watch, lake, num_partitions=8,
                           max_batch_shards=2, stable_polls=0, time_fn=clock)
     try:
         w1.step()
@@ -82,7 +82,7 @@ def test_watch_resume_skips_committed_shards(tmp_path):
     for f in files[2:]:
         shutil.copy(f, watch)
     clock2 = FakeClock()
-    w2 = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=2,
+    w2 = DirectoryWatcher(watch, lake, num_partitions=8,
                           max_batch_shards=2, stable_polls=0, time_fn=clock2)
     try:
         w2.step()
@@ -106,7 +106,7 @@ def test_idle_drain_flushes_partial_batch(tmp_path):
     os.makedirs(watch)
     lake = str(tmp_path / "lake")
     clock = FakeClock()
-    w = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=2,
+    w = DirectoryWatcher(watch, lake, num_partitions=8,
                          max_batch_shards=8, idle_flush_sec=5.0, stable_polls=0, time_fn=clock)
     try:
         shutil.copy(files[0], watch)
@@ -134,7 +134,7 @@ def test_failed_flush_keeps_shards_pending(tmp_path, monkeypatch):
         shutil.copy(f, watch)
     lake = str(tmp_path / "lake")
     clock = FakeClock()
-    w = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=2,
+    w = DirectoryWatcher(watch, lake, num_partitions=8,
                          max_batch_shards=2, stable_polls=0, time_fn=clock)
     try:
         real_ingest = w.ing.ingest
@@ -186,7 +186,7 @@ import sys; sys.path.insert(0, {REPO!r})
 import ray; ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext; DataContext.get_current().enable_progress_bars = False
 from ton_etl_ray.cdc.streaming import DirectoryWatcher
-w = DirectoryWatcher({watch!r}, {lake!r}, num_partitions=8, num_actors=1, max_batch_shards=2)
+w = DirectoryWatcher({watch!r}, {lake!r}, num_partitions=8, max_batch_shards=2)
 w.run(poll_interval_sec=0.05, stop_after_idle_polls=3)
 """
     proc = subprocess.Popen([sys.executable, "-c", script],
@@ -208,7 +208,7 @@ w.run(poll_interval_sec=0.05, stop_after_idle_polls=3)
 
     # recovery: fresh watcher picks up exactly the un-committed shards
     clock = FakeClock()
-    w2 = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=2,
+    w2 = DirectoryWatcher(watch, lake, num_partitions=8,
                           max_batch_shards=2, stable_polls=0, time_fn=clock)
     try:
         while True:
@@ -258,7 +258,7 @@ def test_watch_debezium_jsonl_shards(tmp_path):
     lake = str(tmp_path / "lake")
     stage = str(tmp_path / "stage")
     clock = FakeClock()
-    w = DirectoryWatcher(watch, lake, num_partitions=4, num_actors=1,
+    w = DirectoryWatcher(watch, lake, num_partitions=4,
                          max_batch_shards=1, pattern="*.jsonl",
                          preprocess=debezium_preprocessor(stage), stable_polls=0, time_fn=clock)
     try:
@@ -274,7 +274,7 @@ def test_watch_debezium_jsonl_shards(tmp_path):
     assert state == {"a": 7}          # 'b' tombstoned, 'a' updated
 
     # restart: both JSONL shards map to committed parquet names → done
-    w2 = DirectoryWatcher(watch, lake, num_partitions=4, num_actors=1,
+    w2 = DirectoryWatcher(watch, lake, num_partitions=4,
                           max_batch_shards=1, pattern="*.jsonl",
                           preprocess=debezium_preprocessor(stage),
                           stable_polls=0, time_fn=FakeClock())
@@ -297,7 +297,7 @@ def test_quiescence_gate_defers_growing_file(tmp_path):
     os.makedirs(watch)
     lake = str(tmp_path / "lake")
     clock = FakeClock()
-    w = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=2,
+    w = DirectoryWatcher(watch, lake, num_partitions=8,
                          max_batch_shards=2, stable_polls=1, time_fn=clock)
     try:
         # simulate a slow copy: write the first half, poll, then the rest
@@ -340,7 +340,7 @@ def test_watcher_gc_collects_superseded_epochs(tmp_path):
         shutil.copy(f, watch)
     lake = str(tmp_path / "lake")
     clock = FakeClock()
-    w = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=2,
+    w = DirectoryWatcher(watch, lake, num_partitions=8,
                          max_batch_shards=2, gc_every=2, gc_keep_epochs=1,
                          stable_polls=0, time_fn=clock)
     try:
@@ -391,7 +391,7 @@ def test_watch_derive_equals_oneshot_registry_run(tmp_path):
     os.makedirs(watch)
     lake = str(tmp_path / "lake")
     clock = FakeClock()
-    w = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=2,
+    w = DirectoryWatcher(watch, lake, num_partitions=8,
                          max_batch_shards=2, stable_polls=0,
                          derive=_derive_registry(), time_fn=clock)
     try:
@@ -439,7 +439,7 @@ def test_failed_derive_keeps_epoch_uncommitted(tmp_path):
     for f in files:
         shutil.copy(f, watch)
     lake = str(tmp_path / "lake")
-    w = DirectoryWatcher(watch, lake, num_partitions=4, num_actors=1,
+    w = DirectoryWatcher(watch, lake, num_partitions=4,
                          max_batch_shards=2, stable_polls=0,
                          derive=_derive_registry(), time_fn=FakeClock())
     try:
@@ -493,7 +493,7 @@ def test_derive_with_zero_matching_rows(tmp_path):
     watch = str(tmp_path / "incoming")
     os.makedirs(watch)
     lake = str(tmp_path / "lake")
-    w = DirectoryWatcher(watch, lake, num_partitions=4, num_actors=1,
+    w = DirectoryWatcher(watch, lake, num_partitions=4,
                          max_batch_shards=1, stable_polls=0,
                          derive=_derive_registry(), time_fn=FakeClock())
     try:
@@ -548,7 +548,7 @@ def test_metrics_exporter_scrapes_live_gauges(tmp_path):
         }
 
     clock = FakeClock()
-    w = DirectoryWatcher(watch, lake, num_partitions=4, num_actors=1,
+    w = DirectoryWatcher(watch, lake, num_partitions=4,
                          max_batch_shards=2, stable_polls=0, time_fn=clock)
     try:
         with MetricsExporter(lake) as exp:
@@ -613,7 +613,7 @@ def test_continuous_feed_publication(tmp_path, ray_session):
     watch, lake, feed = (str(tmp_path / d) for d in ("incoming", "lake", "feed"))
     os.makedirs(watch)
     clock = FakeClock()
-    w = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=2,
+    w = DirectoryWatcher(watch, lake, num_partitions=8,
                          max_batch_shards=3, idle_flush_sec=5.0,
                          stable_polls=0, feed_dir=feed, time_fn=clock)
     try:
@@ -649,7 +649,7 @@ def test_continuous_feed_publication(tmp_path, ray_session):
         f"SELECT * FROM read_parquet('{lost}/*.parquet', union_by_name=true) ORDER BY doc_id, lsn, op"
     ).df().to_csv(index=False)
     shutil.rmtree(lost)
-    w2 = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=1,
+    w2 = DirectoryWatcher(watch, lake, num_partitions=8,
                           feed_dir=feed, time_fn=clock)
     try:
         assert os.path.isdir(lost)
@@ -676,7 +676,7 @@ def test_watcher_feed_retention(tmp_path, ray_session):
     watch, lake, feed = (str(tmp_path / d) for d in ("incoming", "lake", "feed"))
     os.makedirs(watch)
     clock = FakeClock()
-    w = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=2,
+    w = DirectoryWatcher(watch, lake, num_partitions=8,
                          max_batch_shards=2, idle_flush_sec=5.0,
                          stable_polls=0, feed_dir=feed, feed_keep=2,
                          time_fn=clock)
@@ -708,7 +708,7 @@ def test_watcher_feed_retention(tmp_path, ray_session):
 
     # restart: catch_up_feeds must NOT resurrect pruned feeds, and the
     # chain stays pruned + snapshot-headed
-    w2 = DirectoryWatcher(watch, lake, num_partitions=8, num_actors=1,
+    w2 = DirectoryWatcher(watch, lake, num_partitions=8,
                           feed_dir=feed, feed_keep=2, time_fn=clock)
     w2.close()
     after = sorted(glob.glob(os.path.join(feed, "epoch-*")))
@@ -735,7 +735,7 @@ def test_idle_drain_measures_gap_since_last_arrival(tmp_path, ray_session):
     os.makedirs(watch)
     clock = FakeClock()
     w = DirectoryWatcher(watch, str(tmp_path / "lake"), num_partitions=4,
-                         num_actors=2, max_batch_shards=100,
+                         max_batch_shards=100,
                          idle_flush_sec=5.0, stable_polls=0, time_fn=clock)
     try:
         # trickle: one shard every 4 s (< idle_flush) — NO flush happens

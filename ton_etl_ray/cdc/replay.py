@@ -1,13 +1,26 @@
 """Flagship pipeline: LSN-ordered CDC change-log replay → Parquet lake.
 
-Ray-Data-first shape (SURVEY.md §3.5, §7)::
+Two plans over the same two kernels, chosen by the bytes an epoch
+processes (``ops._util.local_plan``: change files plus the touched
+partitions' committed state smaller than one ``BLOCK_BYTES`` read block
+→ in-process)::
 
-    read_parquet(change shards, grouped by on-disk schema)
-      → map_batches(Normalize: conform to unified schema, validate ops,
-                    per-block partial LWW compaction, hash partition)   # stateless, zero-copy Arrow
-      → groupby("part").map_groups(apply_partition)                     # the one all-to-all shuffle
-           merge prior state (LWW) → 2PC partition write
+    Normalize (conform to the unified schema, validate ops, per-block
+               partial LWW compaction, hash partition)
+      → group by "part"
+      → commit_partition (merge prior state (LWW) → sort → 2PC partition write)
       → publish epoch (_COMMIT + _LATEST pointer flip)
+
+- ``local``: ``Normalize`` per change file, group by part on the driver,
+  then ``commit_partition`` per touched partition — no Ray Data plan;
+  at micro-batch sizes that plan's exchange, scheduling and IO cost
+  more than the merge and write themselves;
+- ``exchange``: ``read_parquet`` (grouped by on-disk schema) →
+  ``map_batches(Normalize)`` → ``groupby("part").map_groups`` whose
+  reducer is ``commit_partition`` — the one all-to-all shuffle.
+
+``IncrementalIngestor.ingest`` (the watcher's writer) applies its
+micro-batches through the same ``_apply_changes``.
 
 Correctness contract (BASELINE.json north rule): final table equals the
 sequential oracle's rank-1 LWW compaction (reference
@@ -15,7 +28,7 @@ datalake_daily_sync.py:641-653) with tombstone deletes, exactly-once
 under task retries and crash-resume, and schema evolution (added
 columns → nulls, numeric widening).
 
-Scale design notes:
+Scale design notes (the exchange plan):
 - the only global shuffle is ``groupby("part")`` over *partially
   compacted* rows (≤1 row per key per input block), so shuffle volume is
   bounded by keys×blocks, not raw events;
@@ -48,8 +61,8 @@ import ray.data as rd
 from ..core import merge as M
 from ..core import partition as P
 from ..core.schema_evolution import conform, unify_schemas
-from ..ops._util import read_blocks
-from ..schemas import ENVELOPE_COLS, VALID_OPS
+from ..ops._util import local_plan, read_blocks
+from ..schemas import VALID_OPS
 from . import sink
 
 MANIFEST_ROW_SCHEMA = pa.schema(
@@ -141,12 +154,7 @@ class Normalize:
             # the earliest stage, before any shuffle
             keep = pc.invert(pc.is_in(t["doc_id"], value_set=pa.array(sorted(self.excluded))))
             t = t.filter(keep)
-        ok = pc.is_in(t["op"], value_set=pa.array(VALID_OPS))
-        if not pc.all(ok).as_py():
-            bad = t.filter(pc.invert(ok))
-            raise ValueError(f"invalid op values, e.g. {bad['op'][0]}")
-        if t["lsn"].null_count:
-            raise ValueError("null lsn in change batch")
+        validate_changes(t)
         t = M.compact(t, keep_tombstones=True)
         if "ts_ms" in t.column_names:
             # envelope-only column: never part of persisted state — drop
@@ -164,36 +172,51 @@ class Normalize:
         return t
 
 
-def _make_apply_fn(lake_dir: str, epoch: int, prev_state: dict[int, str]):
-    """Stage 2 reducer, executed once per shuffle partition group."""
-
-    def apply_partition(group: pa.Table) -> pa.Table:
-        part = int(group["part"][0].as_py())
-        changes = group.drop_columns(["part"])
-        rows_in = changes.num_rows
-        state = None
-        if part in prev_state:
-            state = pq.read_table(prev_state[part])
-        new_state = M.merge_state(state, changes)
-        new_state = new_state.sort_by("doc_id")
-        tomb = int(pc.sum(pc.equal(changes["op"], "d")).as_py() or 0)
-        fname = sink.part_file(part)
-        m = sink.write_partition(
-            lake_dir, epoch, fname, new_state,
-            {"kind": "data", "part": part, "rows_in": rows_in,
-             "max_lsn": int(pc.max(changes["lsn"]).as_py()),
-             "min_lsn": int(pc.min(changes["lsn"]).as_py()), "tombstones": tomb},
-        )
-        return _manifest_row(part, "data", m)
-
-    return apply_partition
+def validate_changes(t: pa.Table) -> None:
+    """Reject a change batch with an op outside ``VALID_OPS`` or a null
+    lsn. A 0-row batch is valid."""
+    bad = t.filter(pc.invert(pc.is_in(t["op"], value_set=pa.array(VALID_OPS))))
+    if bad.num_rows:
+        raise ValueError(f"invalid op values in change batch, e.g. {bad['op'][0]}")
+    if t["lsn"].null_count:
+        raise ValueError("null lsn in change batch")
 
 
-def _manifest_row(part: int, kind: str, m: dict) -> pa.Table:
+def by_part(t: pa.Table, col: str = "part"):
+    """Yield ``(part, rows)`` per distinct ``col`` value of ``t``, with
+    ``col`` dropped: one stable argsort, then slices at the run bounds."""
+    parts = t[col].to_numpy()
+    order = np.argsort(parts, kind="stable")
+    t = t.drop_columns([col]).take(pa.array(order))
+    bounds = (np.flatnonzero(np.diff(parts[order])) + 1).tolist()
+    for lo, hi in zip([0, *bounds], [*bounds, len(order)]):
+        if hi > lo:
+            yield int(parts[order[lo]]), t.slice(lo, hi - lo)
+
+
+def commit_partition(lake_dir: str, epoch: int, part: int, changes: pa.Table,
+                     state_path: str | None) -> dict:
+    """The per-partition commit kernel of both plans: merge ``changes``
+    onto the partition's committed state (LWW), sort by doc_id and
+    2PC-write it. Returns the partition manifest."""
+    state = pq.read_table(state_path) if state_path else None
+    new_state = M.merge_state(state, changes).sort_by("doc_id")
+    return sink.write_partition(
+        lake_dir, epoch, sink.part_file(part), new_state,
+        {"kind": "data", "part": part, "rows_in": changes.num_rows,
+         "max_lsn": int(pc.max(changes["lsn"]).as_py()),
+         "min_lsn": int(pc.min(changes["lsn"]).as_py()),
+         "tombstones": int(pc.sum(pc.equal(changes["op"], "d")).as_py() or 0)},
+    )
+
+
+def _manifest_row(m: dict) -> pa.Table:
+    """A partition manifest as one ``MANIFEST_ROW_SCHEMA`` row (the
+    exchange plan's reducer output)."""
     return pa.table(
         {
-            "part": [part],
-            "kind": [kind],
+            "part": [m["part"]],
+            "kind": [m["kind"]],
             "file": [m["file"]],
             "rows": [m["rows"]],
             "rows_in": [m["rows_in"]],
@@ -291,6 +314,13 @@ def replay(
     blocks). Pass an explicit block count to override, or ``0`` to
     disable coalescing entirely (``replay_late`` bounds exchange bytes
     instead).
+
+    Plan: an epoch that processes less than one read block
+    (``ops._util.BLOCK_BYTES``) — change files plus the committed state
+    of the partitions they touch — commits in-process (``local``) and
+    ignores ``override_num_blocks`` and ``coalesce_shuffle_blocks``;
+    those two shape only the Ray Data exchange that runs above that
+    size. ``counters["plan"]`` records which plan ran.
     """
     from .._pickle import ensure_portable
 
@@ -301,53 +331,20 @@ def replay(
             # the partition layout is fixed at epoch 0: prior state is looked
             # up by partition file, so later epochs must hash with the same P
             num_partitions = txn.prev_commit["num_partitions"]
-        by_schema, unified, state_schema = _change_schema(files, lake_dir, txn.prev_epoch)
-
         # resume: every durable partition manifest is skipped — a key always
         # hashes to the same partition, so a committed partition already
         # holds every row of this log routed to it
         committed = sink.staged_manifests(lake_dir, txn.epoch) if resume else {}
-        skip_parts = frozenset(m["part"] for m in committed.values())
+        manifests, state_schema, plan = _apply_changes(
+            files, lake_dir, txn, num_partitions,
+            skip_parts=frozenset(m["part"] for m in committed.values()),
+            only_parts=only_parts, excluded_doc_ids=excluded_doc_ids,
+            override_num_blocks=override_num_blocks,
+            coalesce_shuffle_blocks=coalesce_shuffle_blocks,
+        )
+        manifests.update((m["part"], m) for m in committed.values())
 
-        total_bytes = sum(os.path.getsize(f) for f in files)
-        if override_num_blocks is None:
-            override_num_blocks = read_blocks(total_bytes)
-
-        groups = []
-        total_read_blocks = 0
-        for fl in by_schema:
-            blocks = max(1, int(override_num_blocks * len(fl) / len(files)))
-            total_read_blocks += blocks
-            ds = rd.read_parquet(fl, override_num_blocks=blocks)
-            groups.append(
-                ds.map_batches(
-                    Normalize(unified, num_partitions, skip_parts, only_parts,
-                              excluded_doc_ids),
-                    # whole blocks: the per-block compaction is the skew bound
-                    batch_size=None,
-                    batch_format="pyarrow",
-                )
-            )
-        ds = groups[0]
-        for g in groups[1:]:
-            ds = ds.union(g)
-        if coalesce_shuffle_blocks is None:
-            coalesce_shuffle_blocks = _auto_coalesce_target(total_read_blocks, total_bytes)
-        if coalesce_shuffle_blocks and coalesce_shuffle_blocks > 0:
-            ds = ds.repartition(coalesce_shuffle_blocks)
-
-        apply_fn = _make_apply_fn(lake_dir, txn.epoch, sink.state_path_map(lake_dir, txn.prev_epoch))
-        manifest_rows = ds.groupby("part").map_groups(
-            apply_fn, batch_format="pyarrow"
-        ).take_all()
-
-        manifests: dict[int, dict] = {m["part"]: m for m in committed.values()}
-        for r in manifest_rows:
-            manifests[int(r["part"])] = {
-                k: (str(v) if isinstance(v, str) else int(v)) for k, v in r.items()
-            }
-
-        meta = {"num_partitions": num_partitions,
+        meta = {"num_partitions": num_partitions, "plan": plan,
                 "inputs": [os.path.basename(f) for f in files]}
         published = only_parts is None
         commit = (txn.publish(manifests, state_schema, **meta) if published
@@ -364,8 +361,73 @@ def replay(
             counters={
                 "rows_in": int(sum(m["rows_in"] for m in manifests.values())),
                 "tombstones": int(sum(m["tombstones"] for m in manifests.values())),
+                "plan": plan,
             },
         )
+
+
+def _apply_changes(
+    files: list[str],
+    lake_dir: str,
+    txn: sink.EpochTxn,
+    num_partitions: int,
+    *,
+    skip_parts: frozenset[int] = frozenset(),
+    only_parts: frozenset[int] | None = None,
+    excluded_doc_ids: frozenset[str] | None = None,
+    override_num_blocks: int | None = None,
+    coalesce_shuffle_blocks: int | None = None,
+) -> tuple[dict[int, dict], pa.Schema, str]:
+    """Phase 1 of a change-applying epoch: ``Normalize`` the change
+    files and ``commit_partition`` every partition they touch, onto
+    ``txn``'s committed head. Returns the written manifests by part,
+    the state schema and the plan that ran (``local`` below one read
+    block of changes plus touched state, else ``exchange``)."""
+    by_schema, unified, state_schema = _change_schema(files, lake_dir, txn.prev_epoch)
+    norm = Normalize(unified, num_partitions, skip_parts, only_parts, excluded_doc_ids)
+    prev_state = sink.state_path_map(lake_dir, txn.prev_epoch)
+    total_bytes = sum(os.path.getsize(f) for f in files)
+    if local_plan(total_bytes):
+        # each file is one block: Normalize's per-block compaction holds
+        changes = pa.concat_tables([norm(pq.read_table(f)) for f in files])
+        groups = list(by_part(changes))
+        # the epoch also reads and rewrites every touched partition's state
+        state_bytes = sum(os.path.getsize(prev_state[p]) for p, _ in groups if p in prev_state)
+        if local_plan(total_bytes + state_bytes):
+            written = [commit_partition(lake_dir, txn.epoch, part, rows, prev_state.get(part))
+                       for part, rows in groups]
+            return {m["part"]: m for m in written}, state_schema, "local"
+
+    if override_num_blocks is None:
+        override_num_blocks = read_blocks(total_bytes)
+    groups = []
+    total_read_blocks = 0
+    for fl in by_schema:
+        blocks = max(1, int(override_num_blocks * len(fl) / len(files)))
+        total_read_blocks += blocks
+        groups.append(
+            rd.read_parquet(fl, override_num_blocks=blocks)
+            # whole blocks: the per-block compaction is the skew bound
+            .map_batches(norm, batch_size=None, batch_format="pyarrow"))
+    ds = groups[0]
+    for g in groups[1:]:
+        ds = ds.union(g)
+    if coalesce_shuffle_blocks is None:
+        coalesce_shuffle_blocks = _auto_coalesce_target(total_read_blocks, total_bytes)
+    if coalesce_shuffle_blocks and coalesce_shuffle_blocks > 0:
+        ds = ds.repartition(coalesce_shuffle_blocks)
+
+    epoch = txn.epoch
+
+    def apply_partition(group: pa.Table) -> pa.Table:
+        part = int(group["part"][0].as_py())
+        return _manifest_row(commit_partition(
+            lake_dir, epoch, part, group.drop_columns(["part"]), prev_state.get(part)))
+
+    rows = ds.groupby("part").map_groups(apply_partition, batch_format="pyarrow").take_all()
+    written = {int(r["part"]): {k: (str(v) if isinstance(v, str) else int(v))
+                                for k, v in r.items()} for r in rows}
+    return written, state_schema, "exchange"
 
 
 def _change_schema(

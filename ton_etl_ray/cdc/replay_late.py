@@ -47,9 +47,8 @@ from ..core import merge as M
 from ..core import partition as P
 from ..core.schema_evolution import conform
 from ..ops._util import read_blocks
-from ..schemas import VALID_OPS
 from . import sink
-from .replay import ReplayResult, _change_schema, _discover
+from .replay import ReplayResult, _change_schema, _discover, validate_changes
 
 
 def _carry_file(part: int) -> str:
@@ -86,14 +85,14 @@ def replay_late(
         commit = txn.publish(
             written, state_schema, num_partitions=num_partitions,
             inputs=[os.path.basename(f) for f in files],
-            strategy="late_materialization",
+            strategy="late_materialization", plan="exchange",
         )
         return ReplayResult(
             epoch=txn.epoch, published=True, num_partitions=num_partitions, hot_keys=[],
             rows_total=commit["rows_total"], max_lsn=commit["max_lsn"],
             partitions_written=txn.partitions_written,
             partitions_inherited=txn.partitions_inherited,
-            counters={"winning_keys": winning_keys},
+            counters={"winning_keys": winning_keys, "plan": "exchange"},
         )
 
 
@@ -130,11 +129,7 @@ def _replay_late_locked(
         if excluded_doc_ids:
             keep = pc.invert(pc.is_in(batch["doc_id"], value_set=pa.array(sorted(excluded_doc_ids))))
             batch = batch.filter(keep)
-        ok = pc.is_in(batch["op"], value_set=pa.array(VALID_OPS))
-        if not pc.all(ok).as_py():
-            raise ValueError("invalid op values in change batch")
-        if batch["lsn"].null_count:
-            raise ValueError("null lsn in change batch")
+        validate_changes(batch)
         t = M.compact(batch, keep_tombstones=True)
         part = P.assign_partitions(t["doc_id"], num_partitions)
         return t.append_column("part", pa.array(part, pa.int64()))

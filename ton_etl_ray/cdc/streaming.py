@@ -14,11 +14,11 @@ This module is the batch-engine analogue:
   LAST arrival while shards are pending (idle drain — the reference's
   "no messages for N seconds"; a steady trickle keeps refreshing the
   timer and is bounded by the size trigger instead);
-- each flush is one ``IncrementalIngestor.ingest`` epoch — actors seal
-  (flush) their partitions and only then the epoch commit publishes,
-  which IS the flush-before-commit barrier (K4/W4): a crash between
-  seal and publish leaves no committed trace, and the shard set is
-  re-ingested next run;
+- each flush is one ``IncrementalIngestor.ingest`` epoch — every
+  touched partition is written and only then the epoch commit
+  publishes, which IS the flush-before-commit barrier (K4/W4): a crash
+  between the writes and publish leaves no committed trace, and the
+  shard set is re-ingested next run;
 - processed-shard tracking is durable: every commit records its input
   shard names, so a restarted watcher resumes exactly after the last
   committed epoch (exactly-once over shard files).
@@ -73,7 +73,6 @@ class DirectoryWatcher:
         lake_dir: str,
         *,
         num_partitions: int = 64,
-        num_actors: int = 4,
         max_batch_shards: int = 8,
         idle_flush_sec: float = 5.0,
         pattern: str = "*.parquet",
@@ -131,7 +130,7 @@ class DirectoryWatcher:
         self._seen: dict[str, tuple[int, int, int]] = {}
         # continuous derive-and-publish (S3's full form): a
         # TransformRegistry whose ``derive_source``-keyed transforms run
-        # over every micro-batch INSIDE the seal-then-publish barrier —
+        # over every micro-batch INSIDE the write-then-publish barrier —
         # side-output tables land under lake/derived/<table>/epoch-N and
         # become visible only when the epoch commit records them
         # (reference datalake/streaming.py:65-191, barrier :99-121)
@@ -144,9 +143,7 @@ class DirectoryWatcher:
         self.metrics: list[dict] = []
         self._window: list[tuple[float, int]] = []
         self.now = time_fn
-        self.ing = IncrementalIngestor(
-            lake_dir, num_partitions=num_partitions, num_actors=num_actors
-        )
+        self.ing = IncrementalIngestor(lake_dir, num_partitions=num_partitions)
         # durable resume: shards named in committed epochs are done
         self.done = committed_inputs(lake_dir)
         self.pending: list[str] = []
@@ -329,7 +326,7 @@ class DirectoryWatcher:
 
     def flush(self) -> dict | None:
         """Ingest the pending micro-batch as one committed epoch
-        (seal-then-publish = the flush-before-commit barrier); derive
+        (write-then-publish = the flush-before-commit barrier); derive
         registry side outputs inside the same barrier; emit one metrics
         gauge row per committed epoch."""
         if not self.pending:
@@ -337,8 +334,8 @@ class DirectoryWatcher:
         batch, rest = self.pending[: self.max_batch], self.pending[self.max_batch:]
         ingest_paths = [self.preprocess(f) for f in batch] if self.preprocess else batch
         # self.pending is NOT mutated until ingest commits: if it raises,
-        # the epoch never published (ingest resets actor state) and the
-        # batch stays pending, so the caller's next flush retries it
+        # the epoch never published and the batch stays pending, so the
+        # caller's next flush retries it
         t0 = self.now()
         res = self.ing.ingest(
             ingest_paths,
@@ -396,7 +393,8 @@ class DirectoryWatcher:
         return self.epochs
 
     def close(self) -> None:
-        self.ing.close()
+        """Nothing to release: every epoch's state lives in the lake.
+        Kept so callers can scope a watcher with ``try/finally``."""
 
 
 def derived_table(lake_dir: str, table: str):

@@ -72,14 +72,32 @@ def session_cpus() -> int:
     return 8
 
 
+#: on-disk bytes per read block (``read_blocks``' target)
+_READ_BLOCK = 64 << 20
+
+#: the size rule of the lake writers and views: a stage that processes
+#: less than one read block runs in-process (see ``local_plan``); Ray
+#: Data runs only above it
+BLOCK_BYTES = _READ_BLOCK
+
+
+def local_plan(total_bytes: int) -> bool:
+    """True when the ``total_bytes`` a stage processes (its input plus
+    any committed state it rewrites) fit in one read block: the stage
+    then runs its per-block kernel in-process. At that size a Ray Data
+    plan is mostly exchange, scheduling and IO, not work.
+    ``BLOCK_BYTES = 0`` forces the Ray plan."""
+    return total_bytes < BLOCK_BYTES
+
+
 def read_blocks(total_bytes: int) -> int:
     """Block count for a stage over ``total_bytes`` of input: ~2 blocks
-    per core, floored by a ~64 MiB on-disk target so blocks stay
-    bounded at scale. Ray's default minimum parallelism (~200 blocks)
-    makes a shuffle quadratic in tiny objects (B_map × B_reduce) and
-    gives every tiny stage a per-task fixed cost (measured: 4.7x faster
-    replay at sf0.1/32 cpus)."""
-    return max(2 * session_cpus(), total_bytes // (64 << 20), 1)
+    per core, floored by the ``_READ_BLOCK`` on-disk target so blocks
+    stay bounded at scale. Ray's default minimum parallelism (~200
+    blocks) makes a shuffle quadratic in tiny objects (B_map × B_reduce)
+    and gives every tiny stage a per-task fixed cost (measured: 4.7x
+    faster replay at sf0.1/32 cpus)."""
+    return max(2 * session_cpus(), total_bytes // _READ_BLOCK, 1)
 
 
 def worker_cache() -> dict:

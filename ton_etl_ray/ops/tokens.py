@@ -30,7 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .._pickle import ensure_portable
-from ._util import read_blocks, worker_cache
+from ._util import local_plan, read_blocks, worker_cache
 
 def _lake(sf_dir: str):
     # cached committed flagship lake: one replay serves every
@@ -134,15 +134,18 @@ def _budget_partials(t: pa.Table, sign: int = 1) -> pa.Table:
     )
 
 
-def _fold_budget(ds, acc: pa.Table | None = None) -> pa.Table:
-    """Fold a Dataset of signed (source, docs, toks) partials into one
-    per-source table on the driver, starting from ``acc``. Each partial
-    already holds at most one row per source per pair or block, so a
-    running int64 ``group_by`` keeps driver memory O(sources) and the
-    sums exact — no shuffle stage to start for a result that lands on
-    the driver anyway."""
+def _fold_budget(partials, acc: pa.Table | None = None) -> pa.Table:
+    """Fold signed (source, docs, toks) partials — a Dataset, or a list
+    of Arrow tables from the in-process plan — into one per-source
+    table on the driver, starting from ``acc``. Each partial already
+    holds at most one row per source per pair or block, so a running
+    int64 ``group_by`` keeps driver memory O(sources) and the sums
+    exact — no shuffle stage to start for a result that lands on the
+    driver anyway."""
     acc = _DELTA_SCHEMA.empty_table() if acc is None else acc
-    for part in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+    if not isinstance(partials, list):
+        partials = partials.iter_batches(batch_format="pyarrow", batch_size=None)
+    for part in partials:
         if part.num_rows:
             g = (pa.concat_tables([acc, part.cast(_DELTA_SCHEMA)])
                  .group_by("source").aggregate([("docs", "sum"), ("toks", "sum")]))
@@ -155,18 +158,22 @@ def source_budget_at(lake_dir: str, epoch: int | None = None) -> pa.Table:
     """The per-source budget VIEW over one committed epoch's state —
     the base a maintained view starts from. Same partial-sum shape as
     ``source_token_budget`` but epoch-pinned and returned as the tiny
-    per-source table (the view itself is O(sources))."""
+    per-source table (the view itself is O(sources)). A lake smaller
+    than one read block folds its per-file partials in-process."""
     ensure_portable()
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from ..cdc import sink
 
     files = sink.lake_files(lake_dir, epoch)
-    if not files:
-        return _finish_budget(_DELTA_SCHEMA.empty_table())
-    ds = rd.read_parquet(files, columns=["source", "n_tok"])
-    return _finish_budget(_fold_budget(
-        ds.map_batches(_budget_partials, batch_format="pyarrow")))
+    cols = ["source", "n_tok"]
+    if not files or local_plan(sum(os.path.getsize(f) for f in files)):
+        partials = [_budget_partials(pq.read_table(f, columns=cols)) for f in files]
+    else:
+        partials = (rd.read_parquet(files, columns=cols)
+                    .map_batches(_budget_partials, batch_format="pyarrow"))
+    return _finish_budget(_fold_budget(partials))
 
 
 def _finish_budget(delta: pa.Table) -> pa.Table:
@@ -307,8 +314,9 @@ def _aligned_delta_stream(
     column-pruned read of each REWRITTEN partition per side, which is
     the minimum any signed-delta maintenance can do without an
     auxiliary index. Pure state comparison — no LSN-ordering
-    assumption, late cross-epoch data included. Returns the partial
-    Dataset or None."""
+    assumption, late cross-epoch data included. Pairs smaller than one
+    read block in total merge in-process. Returns the partials (a
+    Dataset, or a one-table list from the in-process plan) or None."""
     ensure_portable()
     import ray.data as rd
 
@@ -380,6 +388,8 @@ def _aligned_delta_stream(
     # more to start than the pair takes to merge on a small lake
     paired_bytes = sum(os.path.getsize(os.path.join(lake_dir, rel))
                        for pair in pairs for rel in pair.values() if rel)
+    if local_plan(paired_bytes):
+        return [pair_partials(pa.Table.from_pylist(pairs))]
     blocks = min(len(pairs), read_blocks(paired_bytes))
     return (rd.from_items(pairs, override_num_blocks=blocks)
             .map_batches(pair_partials, batch_format="pyarrow", batch_size=None))
@@ -420,8 +430,9 @@ def _ivm_delta_stream(
     join rejects as a non-key field — routing must not depend on the
     session's CPU count). Driver memory is O(blocks) for the change
     counts plus, on the broadcast path only, O(min(change set,
-    broadcast_threshold)) keys. Returns the unioned partial Dataset, or
-    None when nothing changed."""
+    broadcast_threshold)) keys. Returns the partials (the aligned
+    stage's, or the unioned diff-path Dataset), or None when nothing
+    changed."""
     ensure_portable()
     import ray
     import ray.data as rd
@@ -627,11 +638,17 @@ def incremental_token_histogram(
     )
     if stream is None:
         return base
-    delta = (
-        stream.groupby("token")
-        .aggregate(Sum("n_occurrences", alias_name="n_occurrences"))
-        .to_pandas()
-    )
+    if isinstance(stream, list):  # in-process partials: one block, reduce in-process
+        delta = (pa.concat_tables(stream).group_by("token")
+                 .aggregate([("n_occurrences", "sum")])
+                 .select(["token", "n_occurrences_sum"])
+                 .rename_columns(["token", "n_occurrences"]).to_pandas())
+    else:
+        delta = (
+            stream.groupby("token")
+            .aggregate(Sum("n_occurrences", alias_name="n_occurrences"))
+            .to_pandas()
+        )
     b = base.to_pandas()
     if "n_occurrences" not in delta.columns:
         return base

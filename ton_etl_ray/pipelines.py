@@ -288,7 +288,7 @@ def flagship_watch_derived(sf_dir: str, work_dir: str | None = None, *,
     with derive-and-publish (S3's full form): each flushed epoch also
     runs the ``UpdateFeed`` registry transform over its micro-batch and
     commits the ``updated_docs`` side table under the same
-    seal-then-publish barrier. Returns the committed derived table — at
+    write-then-publish barrier. Returns the committed derived table — at
     every point in time it reflects exactly the committed epochs, the
     continuous analogue of the reference's streaming exporter
     (datalake/streaming.py:65-191)."""
@@ -306,7 +306,7 @@ def flagship_watch_derived(sf_dir: str, work_dir: str | None = None, *,
     # the continuous ingest + derive-and-publish, not the log synthesis
     shards = sorted(glob.glob(os.path.join(ensure_flagship_log(sf_dir), "*.parquet")))
     w = DirectoryWatcher(
-        watch, lake, num_partitions=num_partitions, num_actors=2,
+        watch, lake, num_partitions=num_partitions,
         max_batch_shards=2, stable_polls=0,
         derive=REGISTRY.select({"UpdateFeed"}),
     )

@@ -319,7 +319,7 @@ class UpdateFeed(Transform):
     — the exporter that converts each consumed change and re-publishes it
     as a normalized side table): every update event in a micro-batch is
     emitted to the ``updated_docs`` table, committed under the ingest
-    epoch's seal-then-publish barrier via ``DirectoryWatcher(derive=…)``."""
+    epoch's write-then-publish barrier via ``DirectoryWatcher(derive=…)``."""
 
     source = "changes"
     emits = "updated_docs"

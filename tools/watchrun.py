@@ -46,7 +46,7 @@ def main() -> None:
     os.makedirs(WATCH)
 
     shards = sorted(glob.glob(os.path.join(SRC, "shard-*.parquet")))
-    w = DirectoryWatcher(WATCH, LAKE, num_partitions=256, num_actors=8,
+    w = DirectoryWatcher(WATCH, LAKE, num_partitions=256,
                          max_batch_shards=WAVE, idle_flush_sec=0.1, stable_polls=1)
     t0 = time.time()
     epochs = 0
