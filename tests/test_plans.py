@@ -1,10 +1,11 @@
 """The two commit plans. Below one read block of input
-(``ops._util.BLOCK_BYTES``) replay, the watcher, compaction and the
-budget views run in-process (``local``); above it they run a Ray Data
-plan (``exchange``). The oracle tests elsewhere use small inputs, so
-they run the local plan; each runs again here under the forced
-exchange."""
+(``ops._util.BLOCK_BYTES``) replay, replay_late, the watcher,
+compaction and the budget views run in-process (``local``); above it
+they run a Ray Data plan (``exchange``). The oracle tests elsewhere use
+small inputs, so they run the local plan; each runs again here under
+the forced exchange."""
 
+import ast
 import glob
 import os
 import shutil
@@ -14,11 +15,13 @@ import test_compact
 import test_incremental
 import test_ivm
 import test_replay
+import test_replay_late
 import test_streaming
 
 from ton_etl_ray.cdc import sink
 from ton_etl_ray.cdc.compact import compact_lake
 from ton_etl_ray.cdc.replay import final_state_table, replay
+from ton_etl_ray.cdc.replay_late import replay_late
 from ton_etl_ray.cdc.streaming import DirectoryWatcher
 from ton_etl_ray.gen import write_change_log
 from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
@@ -34,6 +37,11 @@ ORACLE_TESTS = {
     "compact": lambda p: test_compact.test_compact_preserves_state_and_enables_gc(None, p),
     "compact_reshard": lambda p: test_compact.test_compact_reshard_and_incremental_on_top(None, p),
     "ivm": lambda p: test_ivm.test_ivm_property_random_logs(p, None),
+    "late": test_replay_late.test_late_equals_eager_and_oracle,
+    "late_on_eager": test_replay_late.test_late_incremental_on_eager_lake,
+    "late_resume": test_replay_late.test_late_resume_after_partial_commit,
+    "late_bloom": test_replay_late.test_bloom_filter_mode_equals_exact,
+    "late_manifests": test_replay_late.test_late_epoch_commits_real_manifests,
 }
 
 
@@ -43,41 +51,80 @@ def test_oracle_under_exchange_plan(name, tmp_path, exchange_plan):
 
 
 def _writers(tmp_path):
-    """Commit epoch 0 by replay, epoch 1 by the watcher, then refresh
-    the budget view across them and compact (epoch 2). Returns the
-    lake, the replay result, the ingest result and the compaction."""
+    """Commit epoch 0 by replay, epoch 1 by replay_late, epoch 2 by the
+    watcher, then refresh the budget view across them and compact
+    (epoch 3). Returns the lake and the plan each epoch's writer
+    reported."""
     chg, lake, watch = (str(tmp_path / d) for d in ("chg", "lake", "watch"))
     write_change_log(chg, num_events=4000, num_keys=300, seed=81, num_shards=4, max_tok=8)
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
-    res = replay(files[:2], lake, num_partitions=8)
+    res = replay(files[:1], lake, num_partitions=8)
+    late = replay_late(files[1:2], lake)
     os.makedirs(watch)
     for f in files[2:]:
         shutil.copy(f, watch)
     w = DirectoryWatcher(watch, lake, stable_polls=0, idle_flush_sec=0)
     ing = w.step()
-    view = incremental_source_budget(lake, source_budget_at(lake, 0), 0, 1)
-    assert view.equals(source_budget_at(lake, 1))
-    return lake, res, ing, compact_lake(lake)
+    view = incremental_source_budget(lake, source_budget_at(lake, 0), 0, 2)
+    assert view.equals(source_budget_at(lake, 2))
+    return lake, [res.counters["plan"], late.counters["plan"], ing["plan"],
+                  compact_lake(lake)["plan"]]
 
 
 def test_small_inputs_start_no_ray_data_execution(tmp_path, monkeypatch):
-    """A small replay, watcher epoch, view refresh, view recompute and
-    compaction never start a Ray Data execution, and record it."""
+    """A small replay, replay_late, watcher epoch, view refresh, view
+    recompute and compaction never start a Ray Data execution nor put
+    an object into the object store (late's winning-lsn filter is
+    passed directly), and record it."""
+    import ray
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     def refuse(*a, **k):
-        raise AssertionError("a Ray Data execution started")
+        raise AssertionError("a Ray Data execution started or an object was put")
 
     monkeypatch.setattr(StreamingExecutor, "execute", refuse)
-    lake, res, ing, commit = _writers(tmp_path)
-    assert res.counters["plan"] == ing["plan"] == commit["plan"] == "local"
-    assert [sink.read_commit(lake, e)["plan"] for e in range(3)] == ["local"] * 3
+    monkeypatch.setattr(ray, "put", refuse)
+    lake, plans = _writers(tmp_path)
+    assert plans == ["local"] * 4
+    assert [sink.read_commit(lake, e)["plan"] for e in range(4)] == plans
 
 
 def test_forced_exchange_records_plan(tmp_path, exchange_plan):
-    lake, res, ing, commit = _writers(tmp_path)
-    assert res.counters["plan"] == ing["plan"] == commit["plan"] == "exchange"
-    assert [sink.read_commit(lake, e)["plan"] for e in range(3)] == ["exchange"] * 3
+    lake, plans = _writers(tmp_path)
+    assert plans == ["exchange"] * 4
+    assert [sink.read_commit(lake, e)["plan"] for e in range(4)] == plans
+
+
+def test_writer_plan_lives_in_partition_apply():
+    """The size decision and the Ray Data read → kernel → group → reduce
+    plumbing of every lake writer exist once, in
+    ``replay.partition_apply``: no other function of the writer modules
+    calls ``local_plan``, ``map_groups`` or ``read_parquet`` — except
+    the committed-lake readers ``read_lake`` and ``epoch_diff``, which
+    read a lake and write nothing."""
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "ton_etl_ray", "cdc")
+    allowed = {"local_plan": {"partition_apply"}, "map_groups": {"partition_apply"},
+               "read_parquet": {"partition_apply", "read_lake", "epoch_diff"}}
+    offenders, found = [], set()
+    for name in ("replay.py", "replay_late.py", "compact.py"):
+        with open(os.path.join(pkg, name)) as f:
+            tree = ast.parse(f.read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                call = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if call not in allowed:
+                    continue
+                owner = getattr(top, "name", "<module>")
+                found.add((call, owner))
+                if owner not in allowed[call]:
+                    offenders.append(f"{name}:{node.lineno} {owner} calls {call}")
+    assert not offenders, offenders
+    # the scan sees the plan function itself
+    assert {(c, "partition_apply") for c in allowed} <= found
 
 
 def test_touched_state_counts_toward_the_size_rule(tmp_path, monkeypatch):

@@ -104,3 +104,48 @@ def test_bloom_filter_mode_equals_exact(tmp_path):
     ).arrow()
     wm = {r["doc_id"]: (tuple(r["tokens"]), r["n_tok"], r["source"]) for r in want.to_pylist()}
     assert _state(lake_b) == wm
+
+
+def test_late_epoch_commits_real_manifests(tmp_path):
+    """A late epoch commits through commit_partition, so its manifests
+    carry rows_in, tombstones and min_lsn like replay()'s: an epoch-1
+    late replay of the lsn-later half of a log proves it is
+    lsn-ordered after epoch 0, and its counters use replay()'s keys."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from ton_etl_ray.cdc import sink
+    from ton_etl_ray.ops.tokens import _lsn_ordered_span
+
+    chg, lake = str(tmp_path / "chg"), str(tmp_path / "lake")
+    write_change_log(chg, num_events=8000, num_keys=600, seed=65, num_shards=4, max_tok=8)
+    halves = [str(tmp_path / "e0"), str(tmp_path / "e1")]
+    for d in halves:
+        os.makedirs(d)
+    for p in sorted(glob.glob(os.path.join(chg, "*.parquet"))):
+        t = pq.read_table(p)
+        late = pa.array(t["lsn"].to_numpy() >= 4000)
+        pq.write_table(t.filter(pc.invert(late)), os.path.join(halves[0], os.path.basename(p)))
+        pq.write_table(t.filter(late), os.path.join(halves[1], os.path.basename(p)))
+    replay(halves[0], lake, num_partitions=8)
+    res = replay_late(halves[1], lake)
+
+    c0, c1 = sink.read_commit(lake, 0), sink.read_commit(lake, 1)
+    assert c1["min_lsn"] > c0["max_lsn"]
+    assert _lsn_ordered_span(lake, 0, 1) == (True, c0["max_lsn"])
+    # every epoch-1 key wins over epoch 0: one fetched row per key
+    keys, deletes = duckdb.sql(
+        f"""
+        WITH ranked AS (
+          SELECT *, row_number() OVER (PARTITION BY doc_id ORDER BY lsn DESC) rk
+          FROM read_parquet('{halves[1]}/*.parquet')
+        ) SELECT count(*), count(*) FILTER (WHERE op = 'd') FROM ranked WHERE rk = 1
+        """
+    ).fetchone()
+    assert res.counters == {"rows_in": keys, "tombstones": deletes, "winning_keys": keys,
+                            "plan": c1["plan"]}
+    assert deletes > 0
+    lake_ref = str(tmp_path / "lake_ref")
+    replay(chg, lake_ref, num_partitions=8)
+    assert _state(lake) == _state(lake_ref)

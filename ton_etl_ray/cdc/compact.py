@@ -10,15 +10,15 @@ current state as one fresh epoch — optionally at a new partition count
 ``_LATEST`` flip) and epoch lock as replay, so a crash mid-compaction
 leaves the previous epoch live and a retry restarts cleanly.
 
-Scale shape: a lake smaller than one read block
-(``ops._util.BLOCK_BYTES``) compacts in-process — tag each file, group
-by partition on the driver, write each. Above that: one streamed read
-of the committed files, one shuffle on the (re)assigned partition id,
-each partition written by the worker that holds it (the same
-worker-side ``sink.write_partition`` pattern replay uses); nothing but
-the tiny partition manifest table ever reaches the driver. Subsequent
-incremental epochs adopt the compacted ``num_partitions`` exactly as
-they adopt epoch 0's today.
+Scale shape: ``replay.partition_apply`` with a kernel that re-tags each
+committed row with its (re)assigned partition and a reducer that sorts
+and writes the partition. A lake smaller than one read block
+(``ops._util.BLOCK_BYTES``) compacts in-process; above that it is one
+streamed read of the committed files, one shuffle on the partition id,
+each partition written by the worker that holds it; nothing but the
+partition manifests ever reaches the driver. Subsequent incremental
+epochs adopt the compacted ``num_partitions`` exactly as they adopt
+epoch 0's today.
 
 Reference analogue: the daily re-materialization habit of
 datalake_daily_sync.py (full-table rewrite per day) expressed as an
@@ -27,20 +27,14 @@ in-place epoch, keeping the incremental history GC-able.
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
-
-import ray.data as rd
 
 from .._pickle import ensure_portable
 from ..core import partition as P
 from ..core.schema_evolution import conform
-from ..ops._util import local_plan
 from . import sink
-from .replay import MANIFEST_ROW_SCHEMA, _manifest_row, by_part
+from .replay import partition_apply
 
 
 def compact_lake(lake_dir: str, *, num_partitions: int | None = None) -> dict:
@@ -66,54 +60,27 @@ def compact_lake(lake_dir: str, *, num_partitions: int | None = None) -> dict:
         p_new = int(num_partitions if num_partitions is not None
                     else txn.prev_commit["num_partitions"])
         schema = sink.lake_schema(lake_dir, latest)
-        files = sink.lake_files(lake_dir, latest)
 
         def tag(t: pa.Table) -> pa.Table:
             # inherited old-epoch files may predate schema evolution —
             # conform (cast + null-pad), never bare cast
             t = conform(t, schema)
             part = P.assign_partitions(t["doc_id"], p_new)
-            return t.append_column("__part", pa.array(part.astype("int64"), pa.int64()))
+            return t.append_column("part", pa.array(part.astype("int64"), pa.int64()))
 
-        def write_part(part: int, t: pa.Table) -> dict:
-            t = t.sort_by("doc_id")
+        def write_part(part: int, t: pa.Table, _state: None) -> dict:
             return sink.write_partition(
-                lake_dir, epoch, sink.part_file(part), t,
+                lake_dir, epoch, sink.part_file(part), t.sort_by("doc_id"),
                 {"kind": "data", "part": part, "rows_in": t.num_rows,
-                 "max_lsn": int(pc.max(t["lsn"]).as_py()) if t.num_rows else -1,
-                 "tombstones": 0},
+                 "max_lsn": int(pc.max(t["lsn"]).as_py()), "tombstones": 0},
             )
 
-        def write_group(g: pa.Table) -> pa.Table:
-            if not len(g):
-                return MANIFEST_ROW_SCHEMA.empty_table()
-            part = int(g["__part"][0].as_py())
-            return _manifest_row(write_part(part, g.drop_columns(["__part"])))
-
-        plan = "local" if local_plan(sum(os.path.getsize(f) for f in files)) else "exchange"
-        if not files:  # an all-tombstoned lake compacts to an empty epoch
-            manifest_rows = []
-        elif plan == "local":
-            tagged = pa.concat_tables([tag(pq.read_table(f)) for f in files])
-            manifest_rows = [write_part(p, t) for p, t in by_part(tagged, "__part")]
-        else:
-            manifest_rows = (
-                rd.read_parquet(files)
-                .map_batches(tag, batch_format="pyarrow")
-                .groupby("__part")
-                .map_groups(write_group, batch_format="pyarrow")
-                .map_batches(
-                    lambda t: t.select(MANIFEST_ROW_SCHEMA.names)
-                    if "file" in t.column_names
-                    else MANIFEST_ROW_SCHEMA.empty_table(),
-                    batch_format="pyarrow",
-                )
-                .take_all()
-            )
+        # an all-tombstoned lake has no files: it compacts to an empty epoch
+        written, plan = partition_apply(sink.lake_files(lake_dir, latest), tag, write_part, {})
 
         # a full rewrite: nothing is inherited, and the layout may change
         return txn.publish(
-            {int(r["part"]): r for r in manifest_rows}, schema,
+            {m["part"]: m for m in written}, schema,
             num_partitions=p_new, plan=plan, inherit=False,
             inputs=[f"<compact:epoch-{latest:06d}>"],
         )

@@ -2,10 +2,11 @@
 
 ``IncrementalIngestor.ingest(shards)`` commits one micro-batch as one
 lake epoch through the commit path of ``replay()``
-(``replay._apply_changes``): below one read block of input
-(``ops._util.BLOCK_BYTES``) the epoch runs in-process — ``Normalize``
-per shard, group by partition on the driver, ``commit_partition`` per
-touched partition — and above it through the Ray Data exchange.
+(``replay._apply_changes`` → ``replay.partition_apply``): below one read
+block of input plus touched state (``ops._util.BLOCK_BYTES``) the epoch
+runs in-process — ``Normalize`` per shard, group by partition on the
+driver, ``commit_partition`` per touched partition — and above it
+through the Ray Data exchange.
 
 No state is kept between epochs: each epoch merges onto the committed
 head its ``EpochTxn`` pinned under the epoch lock. So an interleaved
@@ -21,7 +22,7 @@ import os
 
 from .._pickle import ensure_portable
 from . import sink
-from .replay import _apply_changes, _discover
+from .replay import _apply_changes, _discover, epoch_counters
 
 
 class IncrementalIngestor:
@@ -49,8 +50,10 @@ class IncrementalIngestor:
         publish leaves them uncommitted, and the retry re-derives over
         the same shard set.
 
-        Returns ``epoch``, ``rows_total``, ``routed`` (change rows that
-        reached a partition merge), ``partitions_written`` and ``plan``."""
+        Returns ``epoch``, ``rows_total``, ``partitions_written``,
+        ``routed`` (change rows that reached a partition merge) and
+        ``replay()``'s counters: ``rows_in`` (= ``routed``),
+        ``tombstones`` and ``plan``."""
         files = _discover(changes)
         with sink.EpochTxn(self.lake_dir) as txn:
             if txn.prev_commit is not None and txn.prev_commit["num_partitions"] != self.P:
@@ -66,15 +69,16 @@ class IncrementalIngestor:
                     f"partitions (this ingestor was built for {self.P}); restart the "
                     "ingestor to adopt the new layout"
                 )
-            written, state_schema, plan = _apply_changes(files, self.lake_dir, txn, self.P)
+            written, state_schema, counters = _apply_changes(files, self.lake_dir, txn, self.P)
             # side outputs are derived BEFORE publish: their files exist on
             # disk but stay invisible until the commit lands with their paths
             derived = derive(files, txn.epoch) if derive is not None else {}
             commit = txn.publish(
-                written, state_schema, num_partitions=self.P, plan=plan,
+                written, state_schema, num_partitions=self.P, plan=counters["plan"],
                 inputs=[os.path.basename(f) for f in files],
                 **({"derived": derived} if derived else {}),
             )
+            counters = epoch_counters(written, **counters)
             return {"epoch": txn.epoch, "rows_total": commit["rows_total"],
-                    "routed": sum(m["rows_in"] for m in written.values()),
-                    "partitions_written": txn.partitions_written, "plan": plan}
+                    "partitions_written": txn.partitions_written,
+                    "routed": counters["rows_in"], **counters}

@@ -1,9 +1,10 @@
 """Flagship pipeline: LSN-ordered CDC change-log replay → Parquet lake.
 
-Two plans over the same two kernels, chosen by the bytes an epoch
-processes (``ops._util.local_plan``: change files plus the touched
-partitions' committed state smaller than one ``BLOCK_BYTES`` read block
-→ in-process)::
+Every lake writer runs one plan, ``partition_apply``: a per-block
+kernel tags rows with a partition id, rows group by it, and a
+per-partition reducer commits each group. Its size rule
+(``ops._util.local_plan``: the files plus the touched partitions'
+committed state smaller than one ``BLOCK_BYTES`` read block) picks how::
 
     Normalize (conform to the unified schema, validate ops, per-block
                partial LWW compaction, hash partition)
@@ -11,16 +12,18 @@ partitions' committed state smaller than one ``BLOCK_BYTES`` read block
       → commit_partition (merge prior state (LWW) → sort → 2PC partition write)
       → publish epoch (_COMMIT + _LATEST pointer flip)
 
-- ``local``: ``Normalize`` per change file, group by part on the driver,
-  then ``commit_partition`` per touched partition — no Ray Data plan;
-  at micro-batch sizes that plan's exchange, scheduling and IO cost
-  more than the merge and write themselves;
+- ``local``: the kernel per file, group by part on the driver, then the
+  reducer per touched partition — no Ray Data plan; at micro-batch
+  sizes that plan's exchange, scheduling and IO cost more than the
+  merge and write themselves;
 - ``exchange``: ``read_parquet`` (grouped by on-disk schema) →
-  ``map_batches(Normalize)`` → ``groupby("part").map_groups`` whose
-  reducer is ``commit_partition`` — the one all-to-all shuffle.
+  ``map_batches(kernel)`` → ``groupby("part").map_groups(reducer)`` —
+  the one all-to-all shuffle.
 
-``IncrementalIngestor.ingest`` (the watcher's writer) applies its
-micro-batches through the same ``_apply_changes``.
+Writers: ``replay`` (above), ``IncrementalIngestor.ingest`` (the
+watcher, through the same ``_apply_changes``), ``replay_late`` (two
+``partition_apply`` phases inside ``replay``'s epoch body) and
+``compact_lake`` (kernel re-tags committed rows, reducer writes them).
 
 Correctness contract (BASELINE.json north rule): final table equals the
 sequential oracle's rank-1 LWW compaction (reference
@@ -50,6 +53,8 @@ from __future__ import annotations
 import glob
 import os
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -64,30 +69,6 @@ from ..core.schema_evolution import conform, unify_schemas
 from ..ops._util import local_plan, read_blocks
 from ..schemas import VALID_OPS
 from . import sink
-
-MANIFEST_ROW_SCHEMA = pa.schema(
-    [
-        pa.field("part", pa.int64()),
-        pa.field("kind", pa.string()),  # always 'data'
-        pa.field("file", pa.string()),
-        pa.field("rows", pa.int64()),
-        pa.field("rows_in", pa.int64()),
-        pa.field("tombstones", pa.int64()),
-        pa.field("max_lsn", pa.int64()),
-        # LOWER BOUND on the lsn of every row NEWLY STORED by this
-        # epoch in this partition (min over the arriving change rows —
-        # the map-side partial compaction may have dropped lower-lsn
-        # LOSERS, but a loser never lands in stored state or a feed, so
-        # the bound covers exactly what consumers compare against).
-        # -1 = unknown (manifests written before this field existed).
-        # The commit-level min proves stored-lsn-ordered epochs
-        # (commit(b).min_lsn > commit(a).max_lsn) for the changefeed
-        # tombstone-collision check (ops/tokens._lsn_ordered_span).
-        pa.field("min_lsn", pa.int64()),
-        pa.field("bytes", pa.int64()),
-    ]
-)
-
 
 @dataclass
 class ReplayResult:
@@ -196,9 +177,19 @@ def by_part(t: pa.Table, col: str = "part"):
 
 def commit_partition(lake_dir: str, epoch: int, part: int, changes: pa.Table,
                      state_path: str | None) -> dict:
-    """The per-partition commit kernel of both plans: merge ``changes``
-    onto the partition's committed state (LWW), sort by doc_id and
-    2PC-write it. Returns the partition manifest."""
+    """The per-partition commit kernel of every change-applying writer:
+    merge ``changes`` onto the partition's committed state (LWW), sort
+    by doc_id and 2PC-write it. Returns the partition manifest.
+
+    ``min_lsn`` is a LOWER BOUND on the lsn of every row NEWLY STORED by
+    this epoch in this partition (min over the arriving change rows —
+    the partial compaction may have dropped lower-lsn LOSERS, and late's
+    Bloom filter may let stale rows through, but a loser never lands in
+    stored state or a feed, so the bound covers exactly what consumers
+    compare against). The commit-level min proves stored-lsn-ordered
+    epochs (commit(b).min_lsn > commit(a).max_lsn): the changefeed's
+    tombstone-collision check (``emit_changefeed``) reads it, and
+    ``ops/tokens._lsn_ordered_span`` checks it over a span."""
     state = pq.read_table(state_path) if state_path else None
     new_state = M.merge_state(state, changes).sort_by("doc_id")
     return sink.write_partition(
@@ -210,23 +201,69 @@ def commit_partition(lake_dir: str, epoch: int, part: int, changes: pa.Table,
     )
 
 
-def _manifest_row(m: dict) -> pa.Table:
-    """A partition manifest as one ``MANIFEST_ROW_SCHEMA`` row (the
-    exchange plan's reducer output)."""
-    return pa.table(
-        {
-            "part": [m["part"]],
-            "kind": [m["kind"]],
-            "file": [m["file"]],
-            "rows": [m["rows"]],
-            "rows_in": [m["rows_in"]],
-            "tombstones": [m.get("tombstones", 0)],
-            "max_lsn": [m.get("max_lsn", -1)],
-            "min_lsn": [m.get("min_lsn", -1)],
-            "bytes": [m["bytes"]],
-        },
-        schema=MANIFEST_ROW_SCHEMA,
-    )
+def partition_apply(
+    files: list[str],
+    kernel: Callable[[pa.Table], pa.Table],
+    reducer: Callable[[int, pa.Table, str | None], dict],
+    state: dict[int, str],
+    *,
+    columns: list[str] | None = None,
+    num_blocks: int | None = None,
+    coalesce_blocks: int | None = 0,
+) -> tuple[list[dict], str]:
+    """The plan of every lake writer: ``kernel`` maps each read block of
+    ``files`` (``columns`` only, if given) to rows with a ``part``
+    column; the rows group by it, and ``reducer(part, rows,
+    state.get(part))`` runs once per touched partition, where ``state``
+    maps a part to the committed file the reducer rewrites. Returns the
+    reducer outputs (dicts of scalars) and the plan that ran:
+
+    - ``local`` when the files plus the touched partitions' state fit in
+      one read block (``ops._util.local_plan``): the kernel per file
+      (each file is one block), ``by_part`` on the driver, the reducer
+      per part. No Ray Data execution starts;
+    - ``exchange`` otherwise: ``read_parquet`` per on-disk schema group
+      with blocks proportional to its files (``num_blocks`` in all,
+      default ``read_blocks`` of the bytes), ``map_batches(kernel)`` on
+      whole blocks, ``union``, an optional ``repartition``
+      (``coalesce_blocks``: ≤ 0 = none, None = ``_auto_coalesce_target``),
+      then ``groupby("part").map_groups(reducer)``.
+
+    The kernel and reducer ship to Ray Data inside its one-time put of
+    the stage, so a large read-only value they close over (late's
+    winning-lsn filter) is shared by reference, not copied per task."""
+    if not files:
+        return [], "local"
+    total = sum(os.path.getsize(f) for f in files)
+    if local_plan(total):
+        rows = pa.concat_tables([kernel(pq.read_table(f, columns=columns)) for f in files])
+        groups = list(by_part(rows))
+        touched = sum(os.path.getsize(state[p]) for p, _ in groups if p in state)
+        if local_plan(total + touched):
+            return [reducer(p, g, state.get(p)) for p, g in groups], "local"
+
+    if num_blocks is None:
+        num_blocks = read_blocks(total)
+    ds, read_total = None, 0
+    for _, fl in _schema_groups(files):
+        blocks = max(1, int(num_blocks * len(fl) / len(files)))
+        read_total += blocks
+        g = (rd.read_parquet(fl, columns=columns, override_num_blocks=blocks)
+             # whole blocks: replay's per-block compaction is its skew bound
+             .map_batches(kernel, batch_size=None, batch_format="pyarrow"))
+        ds = g if ds is None else ds.union(g)
+    if coalesce_blocks is None:
+        coalesce_blocks = _auto_coalesce_target(read_total, total)
+    if coalesce_blocks and coalesce_blocks > 0:
+        ds = ds.repartition(coalesce_blocks)
+
+    def reduce(group: pa.Table) -> pa.Table:
+        part = int(group["part"][0].as_py())
+        return pa.Table.from_pylist([reducer(part, group.drop_columns(["part"]), state.get(part))])
+
+    out = ds.groupby("part").map_groups(reduce, batch_format="pyarrow")
+    return [r for b in out.iter_batches(batch_size=None, batch_format="pyarrow")
+            for r in b.to_pylist()], "exchange"
 
 
 def _auto_coalesce_target(
@@ -315,13 +352,29 @@ def replay(
     disable coalescing entirely (``replay_late`` bounds exchange bytes
     instead).
 
-    Plan: an epoch that processes less than one read block
-    (``ops._util.BLOCK_BYTES``) — change files plus the committed state
-    of the partitions they touch — commits in-process (``local``) and
-    ignores ``override_num_blocks`` and ``coalesce_shuffle_blocks``;
-    those two shape only the Ray Data exchange that runs above that
-    size. ``counters["plan"]`` records which plan ran.
+    Plan (``partition_apply``): an epoch that processes less than one
+    read block (``ops._util.BLOCK_BYTES``) — change files plus the
+    committed state of the partitions they touch — commits in-process
+    (``local``) and ignores ``override_num_blocks`` and
+    ``coalesce_shuffle_blocks``; those two shape only the Ray Data
+    exchange that runs above that size. ``counters`` holds ``rows_in``,
+    ``tombstones`` and the ``plan`` that ran.
     """
+    return _replay_epoch(
+        changes, lake_dir, num_partitions, resume, only_parts,
+        partial(_apply_changes, excluded_doc_ids=excluded_doc_ids,
+                override_num_blocks=override_num_blocks,
+                coalesce_shuffle_blocks=coalesce_shuffle_blocks))
+
+
+def _replay_epoch(changes: str | list[str], lake_dir: str, num_partitions: int,
+                  resume: bool, only_parts: frozenset[int] | None, apply,
+                  **meta) -> ReplayResult:
+    """The epoch body of ``replay`` and ``replay_late``: pin the head,
+    run phase 1 — ``apply(files, lake_dir, txn, num_partitions,
+    skip_parts=..., only_parts=...)`` returning the written manifests by
+    part, the state schema and the plan that ran — then publish (or,
+    with ``only_parts``, only build) the commit with ``meta``."""
     from .._pickle import ensure_portable
 
     ensure_portable()
@@ -335,17 +388,14 @@ def replay(
         # hashes to the same partition, so a committed partition already
         # holds every row of this log routed to it
         committed = sink.staged_manifests(lake_dir, txn.epoch) if resume else {}
-        manifests, state_schema, plan = _apply_changes(
+        manifests, state_schema, counters = apply(
             files, lake_dir, txn, num_partitions,
             skip_parts=frozenset(m["part"] for m in committed.values()),
-            only_parts=only_parts, excluded_doc_ids=excluded_doc_ids,
-            override_num_blocks=override_num_blocks,
-            coalesce_shuffle_blocks=coalesce_shuffle_blocks,
-        )
+            only_parts=only_parts)
         manifests.update((m["part"], m) for m in committed.values())
 
-        meta = {"num_partitions": num_partitions, "plan": plan,
-                "inputs": [os.path.basename(f) for f in files]}
+        meta.update(num_partitions=num_partitions, plan=counters["plan"],
+                    inputs=[os.path.basename(f) for f in files])
         published = only_parts is None
         commit = (txn.publish(manifests, state_schema, **meta) if published
                   else txn.build(manifests, **meta))
@@ -358,12 +408,17 @@ def replay(
             max_lsn=commit["max_lsn"],
             partitions_written=txn.partitions_written,
             partitions_inherited=txn.partitions_inherited,
-            counters={
-                "rows_in": int(sum(m["rows_in"] for m in manifests.values())),
-                "tombstones": int(sum(m["tombstones"] for m in manifests.values())),
-                "plan": plan,
-            },
+            counters=epoch_counters(manifests, **counters),
         )
+
+
+def epoch_counters(manifests: dict[int, dict], **extra) -> dict:
+    """The counters every change-applying epoch reports: change rows
+    that reached a partition merge (``rows_in``), tombstones among them,
+    then ``extra`` (``plan``; late adds ``winning_keys``)."""
+    return {"rows_in": sum(m["rows_in"] for m in manifests.values()),
+            "tombstones": sum(m["tombstones"] for m in manifests.values()),
+            **extra}
 
 
 def _apply_changes(
@@ -377,77 +432,42 @@ def _apply_changes(
     excluded_doc_ids: frozenset[str] | None = None,
     override_num_blocks: int | None = None,
     coalesce_shuffle_blocks: int | None = None,
-) -> tuple[dict[int, dict], pa.Schema, str]:
+) -> tuple[dict[int, dict], pa.Schema, dict]:
     """Phase 1 of a change-applying epoch: ``Normalize`` the change
     files and ``commit_partition`` every partition they touch, onto
     ``txn``'s committed head. Returns the written manifests by part,
-    the state schema and the plan that ran (``local`` below one read
-    block of changes plus touched state, else ``exchange``)."""
-    by_schema, unified, state_schema = _change_schema(files, lake_dir, txn.prev_epoch)
-    norm = Normalize(unified, num_partitions, skip_parts, only_parts, excluded_doc_ids)
-    prev_state = sink.state_path_map(lake_dir, txn.prev_epoch)
-    total_bytes = sum(os.path.getsize(f) for f in files)
-    if local_plan(total_bytes):
-        # each file is one block: Normalize's per-block compaction holds
-        changes = pa.concat_tables([norm(pq.read_table(f)) for f in files])
-        groups = list(by_part(changes))
-        # the epoch also reads and rewrites every touched partition's state
-        state_bytes = sum(os.path.getsize(prev_state[p]) for p, _ in groups if p in prev_state)
-        if local_plan(total_bytes + state_bytes):
-            written = [commit_partition(lake_dir, txn.epoch, part, rows, prev_state.get(part))
-                       for part, rows in groups]
-            return {m["part"]: m for m in written}, state_schema, "local"
-
-    if override_num_blocks is None:
-        override_num_blocks = read_blocks(total_bytes)
-    groups = []
-    total_read_blocks = 0
-    for fl in by_schema:
-        blocks = max(1, int(override_num_blocks * len(fl) / len(files)))
-        total_read_blocks += blocks
-        groups.append(
-            rd.read_parquet(fl, override_num_blocks=blocks)
-            # whole blocks: the per-block compaction is the skew bound
-            .map_batches(norm, batch_size=None, batch_format="pyarrow"))
-    ds = groups[0]
-    for g in groups[1:]:
-        ds = ds.union(g)
-    if coalesce_shuffle_blocks is None:
-        coalesce_shuffle_blocks = _auto_coalesce_target(total_read_blocks, total_bytes)
-    if coalesce_shuffle_blocks and coalesce_shuffle_blocks > 0:
-        ds = ds.repartition(coalesce_shuffle_blocks)
-
-    epoch = txn.epoch
-
-    def apply_partition(group: pa.Table) -> pa.Table:
-        part = int(group["part"][0].as_py())
-        return _manifest_row(commit_partition(
-            lake_dir, epoch, part, group.drop_columns(["part"]), prev_state.get(part)))
-
-    rows = ds.groupby("part").map_groups(apply_partition, batch_format="pyarrow").take_all()
-    written = {int(r["part"]): {k: (str(v) if isinstance(v, str) else int(v))
-                                for k, v in r.items()} for r in rows}
-    return written, state_schema, "exchange"
+    the state schema and ``{"plan": ...}``."""
+    unified, state_schema = _change_schema(files, lake_dir, txn.prev_epoch)
+    written, plan = partition_apply(
+        files, Normalize(unified, num_partitions, skip_parts, only_parts, excluded_doc_ids),
+        partial(commit_partition, lake_dir, txn.epoch),
+        sink.state_path_map(lake_dir, txn.prev_epoch),
+        num_blocks=override_num_blocks, coalesce_blocks=coalesce_shuffle_blocks)
+    return {m["part"]: m for m in written}, state_schema, {"plan": plan}
 
 
-def _change_schema(
-    files: list[str], lake_dir: str, prev_epoch: int | None
-) -> tuple[list[list[str]], pa.Schema, pa.Schema]:
-    """The change schema every writer conforms to: ``files`` grouped by
-    on-disk schema, the unified change schema (the previous lake schema
-    included, so state columns survive even if this epoch's shards
-    dropped one) and the state schema it persists (no ``op``/``ts_ms``)."""
-    by_schema: dict[bytes, tuple[pa.Schema, list[str]]] = {}
+def _schema_groups(files: list[str]) -> list[tuple[pa.Schema, list[str]]]:
+    """``files`` grouped by on-disk schema: ``(schema, files)`` pairs."""
+    groups: dict[bytes, tuple[pa.Schema, list[str]]] = {}
     for f in files:
         s = pq.read_schema(f)
-        by_schema.setdefault(s.serialize().to_pybytes(), (s, []))[1].append(f)
-    schemas = [s for s, _ in by_schema.values()]
+        groups.setdefault(s.serialize().to_pybytes(), (s, []))[1].append(f)
+    return list(groups.values())
+
+
+def _change_schema(files: list[str], lake_dir: str,
+                   prev_epoch: int | None) -> tuple[pa.Schema, pa.Schema]:
+    """The change schema every writer conforms to: the unified schema
+    of ``files`` (the previous lake schema included, so state columns
+    survive even if this epoch's shards dropped one) and the state
+    schema it persists (no ``op``/``ts_ms``)."""
+    schemas = [s for s, _ in _schema_groups(files)]
     if prev_epoch is not None:
         prev = sink.lake_schema(lake_dir, prev_epoch)
         schemas.append(pa.schema([f for f in prev if f.name != "lsn"]))
     unified = unify_schemas(schemas)
     state_schema = pa.schema([f for f in unified if f.name not in ("op", "ts_ms")])
-    return [fl for _, fl in by_schema.values()], unified, state_schema
+    return unified, state_schema
 
 
 def read_lake(lake_dir: str, epoch: int | None = None) -> "rd.Dataset":

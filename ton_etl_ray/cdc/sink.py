@@ -5,7 +5,7 @@ The reference achieves durability by ordering: write Avro file → upload
 an EXCEPT dedup — reference datalake/main.py:157-186,
 datalake_daily_sync.py:298-328). We instead make the sink exactly-once:
 
-phase 1: each partition applier writes ``part-NNNNN.parquet`` via a tmp
+phase 1: each partition reducer writes ``part-NNNNN.parquet`` via a tmp
          file + atomic rename, then its ``*.manifest.json`` (fsynced) —
          a partition is durably done iff its manifest exists;
 phase 2: the driver writes the epoch ``_COMMIT.json`` naming every
@@ -32,11 +32,17 @@ primitives (``acquire_epoch_lock``, ``clear_staging``,
   ``min_lsn``, the phase-1 ``plan`` (``local`` or ``exchange``), then
   ``publish_epoch``.
 
-The writer keeps what is specific to it: its phase-1 pipeline, the
-partition count and whether untouched partitions are inherited
-(compaction re-shards and rewrites everything), extra commit keys
-(late's ``strategy``, ingest's ``derived``), ingest's re-shard guard
-and pre-publish ``derive`` hook, and whether to publish at all
+Phase 1 of every writer is one plan, ``replay.partition_apply`` (a
+per-block kernel, group by partition, a per-partition reducer that
+calls ``write_partition``; in-process below ``ops._util.BLOCK_BYTES``,
+a Ray Data exchange above it): ``replay`` and ``ingest`` run it once,
+``replay_late`` twice (narrow winner decision, then payload fetch +
+``replay.commit_partition``), ``compact_lake`` once over the committed
+files. The writer keeps what is specific to it: its kernel and
+reducer, the partition count and whether untouched partitions are
+inherited (compaction re-shards and rewrites everything), extra commit
+keys (late's ``strategy``, ingest's ``derived``), ingest's re-shard
+guard and pre-publish ``derive`` hook, and whether to publish at all
 (``replay(only_parts=...)`` leaves staging for ``resume``).
 
 Layout::
@@ -382,7 +388,7 @@ def clear_staging(lake_dir: str, epoch: int) -> None:
     """Discard an abandoned, uncommitted epoch's staged files — everything
     EXCEPT the ``_LOCK``. Must only be called while HOLDING the epoch
     lock: an rmtree of the whole dir before acquiring would delete a live
-    writer's lock and staged part/carry files (the single-writer guard
+    writer's lock and staged part files (the single-writer guard
     would then never fire)."""
     d = epoch_dir(lake_dir, epoch)
     if not os.path.isdir(d):
@@ -484,8 +490,9 @@ class EpochTxn:
             partitions[str(p)] = ent
             max_lsn = max(max_lsn, int(ent["max_lsn"]))
         # min over the epoch's OWN incoming events (inherited partitions
-        # carry none); -1 = unknown. The ordered-epoch proof consumers
-        # check: min_lsn > prev max_lsn (ops/tokens._lsn_ordered_span).
+        # carry none); -1 = unknown (compaction, which stores old lsns).
+        # The ordered-epoch proof: min_lsn > prev max_lsn
+        # (ops/tokens._lsn_ordered_span).
         min_lsns = [int(m.get("min_lsn", -1)) for m in written.values()]
         return {
             "num_partitions": num_partitions,

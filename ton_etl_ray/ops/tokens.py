@@ -263,13 +263,15 @@ def _lsn_ordered_span(lake_dir: str, epoch_a: int, epoch_b: int) -> tuple[bool, 
     of the LSN-ordered-stream contract (loser events dropped by LWW
     never reach stored state or a feed, so they are out of scope by
     construction). Each commit records ``min_lsn`` as a lower bound on
-    its own newly-stored lsns (-1 = unknown: a pre-field lake, a
-    ``replay_late``/``compact`` epoch, or a crash-resumed epoch mixing
-    old manifests). A no-op epoch (nothing written under its own dir)
-    stores nothing and cannot violate ordering. Consumers: the
-    changefeed exporter's tombstone-lsn collision check
-    (``emit_changefeed``) and stream contract verification in tests.
-    Returns ``(ordered, watermark)``."""
+    its own newly-stored lsns: every change-applying writer (``replay``,
+    ``replay_late``, ``ingest``) writes it through
+    ``replay.commit_partition``; -1 = unknown (a pre-field lake, a
+    ``compact`` epoch, which re-stores old lsns, or a crash-resumed
+    epoch mixing pre-field manifests). A no-op epoch (nothing written
+    under its own dir) stores nothing and cannot violate ordering.
+    Consumer: stream contract verification in tests; the changefeed
+    exporter (``emit_changefeed``) reads ``min_lsn`` itself and does
+    not call this. Returns ``(ordered, watermark)``."""
     from ..cdc import sink
 
     wm = int(sink.read_commit(lake_dir, epoch_a)["max_lsn"])
