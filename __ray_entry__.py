@@ -313,7 +313,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # incremental view maintenance of the FULL vocabulary histogram
         # across the two-epoch lake — oracled against the analytic
         # recompute at epoch 1 (incremental == full recompute is also
-        # pinned in tests/test_ivm.py on both delta paths)
+        # pinned in tests/test_ivm.py, across re-shard compactions too)
         "incremental_histogram": _incremental_histogram_q,
         "source_token_budget": tokens.source_token_budget,
         # iterative spherical k-means over embeddings (rows-only:

@@ -70,3 +70,30 @@ class LakeWriter:
 @pytest.fixture(params=["replay", "replay_late", "ingest", "compact"])
 def lake_writer(request) -> LakeWriter:
     return LakeWriter(request.param)
+
+
+def lsn_ordered_span(lake_dir: str, epoch_a: int, epoch_b: int) -> tuple[bool, int]:
+    """Prove from commit metadata that every row NEWLY STORED in epochs
+    (a, b] carries ``lsn > commit(a).max_lsn`` — the stored-side face
+    of the LSN-ordered-stream contract (loser events dropped by LWW
+    never reach stored state or a feed, so they are out of scope by
+    construction). Each commit records ``min_lsn`` as a lower bound on
+    its own newly-stored lsns: every change-applying writer (``replay``,
+    ``replay_late``, ``ingest``) writes it through
+    ``replay.commit_partition``; -1 = unknown (a pre-field lake, a
+    ``compact`` epoch, which re-stores old lsns, or a crash-resumed
+    epoch mixing pre-field manifests). A no-op epoch (nothing written
+    under its own dir) stores nothing and cannot violate ordering.
+    The changefeed exporter (``emit_changefeed``) makes the one-epoch
+    check itself. Returns ``(ordered, watermark)``."""
+    from ton_etl_ray.cdc import sink
+
+    wm = int(sink.read_commit(lake_dir, epoch_a)["max_lsn"])
+    for k in range(epoch_a + 1, epoch_b + 1):
+        c = sink.read_commit(lake_dir, k)
+        if int(c.get("min_lsn", -1)) > wm:
+            continue
+        tag = f"epoch-{k:06d}"
+        if any((ent.get("path") or "").startswith(tag) for ent in c["partitions"].values()):
+            return False, wm
+    return True, wm

@@ -1,6 +1,9 @@
-"""Incremental view maintenance: the per-source budget view maintained
-from an epoch diff must equal a full recompute over the target epoch —
-exactly, on both the broadcast and the semi-join delta paths."""
+"""Incremental view maintenance: the budget and token-histogram views
+maintained from the per-partition epoch delta must equal a full
+recompute over the target epoch — exactly, same-width spans and spans
+across a re-shard compaction alike (such a span is split at the
+compaction: only compaction changes the layout, and it preserves
+state)."""
 
 import glob
 import os
@@ -55,17 +58,6 @@ def test_incremental_matches_full_recompute(two_epoch_lake):
     assert _as_map(base) != _as_map(want)
 
 
-def test_incremental_semijoin_path_matches(two_epoch_lake):
-    """broadcast_threshold=0 forces the hash semi-join delta path."""
-    from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
-
-    base = source_budget_at(two_epoch_lake, 0)
-    got = incremental_source_budget(two_epoch_lake, base, 0, 1,
-                                    broadcast_threshold=0)
-    want = source_budget_at(two_epoch_lake, 1)
-    assert _as_map(got) == _as_map(want)
-
-
 def test_incremental_source_disappears(tmp_path, ray_session):
     """Deleting every doc of one source drops it from the view."""
     from ton_etl_ray.cdc.replay import replay
@@ -106,26 +98,6 @@ def test_incremental_source_disappears(tmp_path, ray_session):
     assert m["web"] == (2, 4, 2.0)  # a1 now 3 toks, a2 1 tok
 
 
-def test_semijoin_path_never_pulls_keys_to_driver(two_epoch_lake, monkeypatch):
-    """VERDICT r4 Wrong #1: above broadcast_threshold the diff key set
-    must stay distributed. ``_collect_diff_keys`` is the ONLY seam that
-    builds a driver-side key table — poison it and prove the large-diff
-    path still produces the exact maintained view."""
-    from ton_etl_ray.ops import tokens
-    from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
-
-    def boom(_diff):
-        raise AssertionError(
-            "large-diff path materialized the diff key set on the driver")
-
-    monkeypatch.setattr(tokens, "_collect_diff_keys", boom)
-    base = source_budget_at(two_epoch_lake, 0)
-    got = incremental_source_budget(two_epoch_lake, base, 0, 1,
-                                    broadcast_threshold=0)
-    want = source_budget_at(two_epoch_lake, 1)
-    assert _as_map(got) == _as_map(want)
-
-
 def test_incremental_histogram_matches_full(two_epoch_lake):
     from ton_etl_ray.ops.tokens import (
         incremental_token_histogram, token_histogram_at,
@@ -136,18 +108,6 @@ def test_incremental_histogram_matches_full(two_epoch_lake):
     want = token_histogram_at(two_epoch_lake, 1)
     assert got.to_pydict() == want.to_pydict()
     assert base.to_pydict() != want.to_pydict()
-
-
-def test_incremental_histogram_semijoin_path(two_epoch_lake):
-    from ton_etl_ray.ops.tokens import (
-        incremental_token_histogram, token_histogram_at,
-    )
-
-    base = token_histogram_at(two_epoch_lake, 0)
-    got = incremental_token_histogram(two_epoch_lake, base, 0, 1,
-                                      broadcast_threshold=0)
-    want = token_histogram_at(two_epoch_lake, 1)
-    assert got.to_pydict() == want.to_pydict()
 
 
 def test_histogram_at_matches_duckdb(two_epoch_lake):
@@ -170,7 +130,7 @@ def test_histogram_at_matches_duckdb(two_epoch_lake):
 
 def test_ivm_across_compaction_is_noop(two_epoch_lake):
     """Compaction re-materializes identical state as a fresh epoch, so
-    maintaining a view across it must change nothing (diff is empty)."""
+    maintaining a view across it must change nothing (the delta is empty)."""
     from ton_etl_ray.cdc.compact import compact_lake
     from ton_etl_ray.cdc.sink import latest_epoch
     from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
@@ -220,25 +180,16 @@ def test_ivm_property_random_logs(tmp_path, ray_session):
 
 
 def test_delta_sources_agree(two_epoch_lake):
-    """The aligned (per-partition sorted-merge, shuffle-free) and diff
-    derivations produce identical maintained views; commits also carry
-    the min_lsn stream-ordering proof."""
-    from ton_etl_ray.ops.tokens import (
-        _lsn_ordered_span, incremental_source_budget, source_budget_at)
+    """The maintained view equals the full recompute; commits also
+    carry the min_lsn stream-ordering proof."""
+    from conftest import lsn_ordered_span
+    from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
 
-    ordered, _ = _lsn_ordered_span(two_epoch_lake, 0, 1)
+    ordered, _ = lsn_ordered_span(two_epoch_lake, 0, 1)
     assert ordered  # commits carry the min_lsn proof
     base = source_budget_at(two_epoch_lake, 0)
-    want = _as_map(source_budget_at(two_epoch_lake, 1))
-    for src in ("aligned", "diff", "auto"):
-        got = incremental_source_budget(two_epoch_lake, base, 0, 1,
-                                        delta_source=src)
-        assert _as_map(got) == want, src
-    # the diff derivation's semi-join variant
-    got = incremental_source_budget(two_epoch_lake, base, 0, 1,
-                                    delta_source="diff",
-                                    broadcast_threshold=0)
-    assert _as_map(got) == want
+    got = incremental_source_budget(two_epoch_lake, base, 0, 1)
+    assert _as_map(got) == _as_map(source_budget_at(two_epoch_lake, 1))
 
 
 @pytest.fixture(scope="module")
@@ -246,8 +197,7 @@ def retouch_lake(tmp_path_factory, ray_session):
     """Keys that cross the tombstone boundary between epochs: X dead at
     epoch 0 and re-created in epoch 1 (its epoch-0 stored row is a
     TOMBSTONE), W live at 0 and deleted in 1, V re-deleted in 1 while
-    already dead — the watermark derivation's −1 side must skip stored
-    tombstones exactly like the diff derivation does."""
+    already dead — the delta's −1 side must skip stored tombstones."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -299,58 +249,79 @@ def test_retouched_tombstones_agree(retouch_lake):
     base_h = token_histogram_at(retouch_lake, epoch=0)
     want_h = {r["token"]: r["n_occurrences"]
               for r in token_histogram_at(retouch_lake, epoch=1).to_pylist()}
-    for src in ("aligned", "diff"):
-        for thr in (2_000_000, 0):
-            got_b = incremental_source_budget(
-                retouch_lake, base_b, 0, 1, delta_source=src,
-                broadcast_threshold=thr)
-            assert _as_map(got_b) == want_b, (src, thr)
-            got_h = incremental_token_histogram(
-                retouch_lake, base_h, 0, 1, delta_source=src,
-                broadcast_threshold=thr)
-            assert {r["token"]: r["n_occurrences"]
-                    for r in got_h.to_pylist()} == want_h, (src, thr)
+    got_b = incremental_source_budget(retouch_lake, base_b, 0, 1)
+    assert _as_map(got_b) == want_b
+    got_h = incremental_token_histogram(retouch_lake, base_h, 0, 1)
+    assert {r["token"]: r["n_occurrences"] for r in got_h.to_pylist()} == want_h
 
 
-def test_reshard_breaks_alignment(two_epoch_lake, tmp_path):
-    """A compaction re-shard between the epochs breaks partition
-    alignment: 'auto' falls back to the diff derivation (still exact),
-    'aligned' raises. Also: commits stripped of min_lsn (older engine)
-    lose the stream-ordering proof."""
+def test_reshard_breaks_alignment(tmp_path, ray_session):
+    """A compaction re-shard breaks partition alignment between the
+    epochs around it; the maintained views split such a span at the
+    compaction and stay exact. The lake runs replay at width 16, then
+    compactions to 7, back to 16 and to 5 with a replay after each, so
+    the spans cover one re-shard (16→7), a round trip with equal
+    endpoint widths (16→7→16) and 7→5. Every span (a, b] of both views
+    equals the full recompute at b. Also: a width change outside a
+    compaction is refused, and commits stripped of min_lsn (older
+    engine) lose the stream-ordering proof."""
     import json
-    import shutil
 
-    from ton_etl_ray.cdc.compact import compact_lake
-    from ton_etl_ray.ops.tokens import (
-        _lsn_ordered_span, incremental_source_budget, source_budget_at)
-
+    from conftest import lsn_ordered_span
     from ton_etl_ray.cdc import sink
+    from ton_etl_ray.cdc.compact import compact_lake
+    from ton_etl_ray.cdc.replay import replay
+    from ton_etl_ray.gen import write_change_log
+    from ton_etl_ray.ops.tokens import (
+        incremental_source_budget, incremental_token_histogram,
+        source_budget_at, token_histogram_at)
 
-    lake = str(tmp_path / "lake_reshard")
-    # the shared fixture may have grown epochs (another test compacts it
-    # in place) — compact the COPY to a new layout and target whatever
-    # epoch that lands on
-    shutil.copytree(two_epoch_lake, lake)
-    compact_lake(lake, num_partitions=7)
-    eb = sink.latest_epoch(lake)
-    assert int(sink.read_commit(lake, eb)["num_partitions"]) == 7
+    chg, lake = str(tmp_path / "chg"), str(tmp_path / "lake")
+    write_change_log(chg, num_events=5000, num_keys=400, seed=37, num_shards=4, max_tok=12)
+    slices = [str(tmp_path / f"s{i}") for i in range(4)]
+    for d in slices:
+        os.makedirs(d)
+    for p in sorted(glob.glob(os.path.join(chg, "*.parquet"))):
+        t = pq.read_table(p)
+        part = t["lsn"].to_numpy() * len(slices) // 5000
+        for i, d in enumerate(slices):
+            pq.write_table(t.filter(pa.array(part == i)), os.path.join(d, os.path.basename(p)))
+    replay(slices[0], lake, num_partitions=16)
+    for d, width in zip(slices[1:], (7, 16, 5)):
+        compact_lake(lake, num_partitions=width)
+        replay(d, lake)
+    head = sink.latest_epoch(lake)
+    widths = [int(sink.read_commit(lake, e)["num_partitions"]) for e in range(head + 1)]
+    assert widths == [16, 7, 7, 16, 16, 5, 5]
 
-    base = source_budget_at(lake, 0)
-    want = _as_map(source_budget_at(lake, eb))
-    got = incremental_source_budget(lake, base, 0, eb)  # auto -> diff
-    assert _as_map(got) == want
-    with pytest.raises(ValueError, match="alignment"):
-        incremental_source_budget(lake, base, 0, eb, delta_source="aligned")
+    budget = [source_budget_at(lake, e) for e in range(head + 1)]
+    hist = [token_histogram_at(lake, e) for e in range(head + 1)]
+    for b in range(1, head + 1):
+        for a in range(b):
+            got = incremental_source_budget(lake, budget[a], a, b)
+            assert got.to_pydict() == budget[b].to_pydict(), (a, b)
+            got = incremental_token_histogram(lake, hist[a], a, b)
+            assert got.to_pydict() == hist[b].to_pydict(), (a, b)
+
+    # a layout change that is not a compaction cannot be split
+    cpath = os.path.join(lake, f"epoch-{head:06d}", "_COMMIT.json")
+    with open(cpath) as f:
+        c = json.load(f)
+    with open(cpath, "w") as f:
+        json.dump(dict(c, num_partitions=9), f)
+    with pytest.raises(ValueError, match="compact_lake"):
+        incremental_source_budget(lake, budget[3], 3, head)
 
     # min_lsn proof: stripping the field makes the span unprovable
-    cpath = os.path.join(lake, "epoch-000001", "_COMMIT.json")
+    assert lsn_ordered_span(lake, 0, 1)[0] is False  # epoch 1 is a compaction
+    cpath = os.path.join(lake, "epoch-000002", "_COMMIT.json")
+    assert lsn_ordered_span(lake, 1, 2)[0]
     with open(cpath) as f:
         c = json.load(f)
     c.pop("min_lsn", None)
     with open(cpath, "w") as f:
         json.dump(c, f)
-    ordered, _ = _lsn_ordered_span(lake, 0, 1)
-    assert not ordered
+    assert not lsn_ordered_span(lake, 1, 2)[0]
 
 
 def _write_log(path, rows, n_tok_type=pa.int32()):
@@ -401,6 +372,28 @@ def test_incremental_exact_past_2_53(tmp_path, ray_session):
     assert m["huge"] > 1 << 53 and m["huge"] % 2 == 1
 
 
+def test_incremental_histogram_exact_past_2_53(tmp_path, ray_session):
+    """The histogram folds base + delta in int64: a base count above
+    2^53 (where a float64 detour drops low bits) stays exact."""
+    from ton_etl_ray.ops.tokens import incremental_token_histogram, token_histogram_at
+
+    lake = _two_epoch(tmp_path, [
+        (1, "c", "a", [1, 1, 2], 3, "web"),
+        (2, "c", "b", [2], 1, "web"),
+    ], [
+        (10, "u", "a", [1], 1, "web"),
+        (11, "c", "c", [3, 3], 2, "web"),
+    ], num_partitions=4)
+    big = 1 << 53
+    base = token_histogram_at(lake, 0)
+    assert base.to_pydict() == {"token": [1, 2], "n_occurrences": [2, 2]}
+    base = base.set_column(1, "n_occurrences", pa.array([2 + big, 2], pa.int64()))
+
+    got = incremental_token_histogram(lake, base, 0, 1)
+    assert got.to_pydict() == {"token": [1, 2, 3], "n_occurrences": [1 + big, 1, 2]}
+    assert got["n_occurrences"][0].as_py() % 2 == 1
+
+
 def test_incremental_partition_born_and_emptied(tmp_path, ray_session):
     """Spans where one partition gains its first row and another loses
     its last. Replay keeps a 0-row file for the emptied partition;
@@ -431,7 +424,7 @@ def test_incremental_partition_born_and_emptied(tmp_path, ray_session):
 
     base = source_budget_at(lake, 0)
     for eb in (1, 2):
-        got = incremental_source_budget(lake, base, 0, eb, delta_source="aligned")
+        got = incremental_source_budget(lake, base, 0, eb)
         assert got.to_pydict() == source_budget_at(lake, eb).to_pydict(), eb
         assert _as_map(got) == {"web": (1, 1, 1.0), "books": (1, 3, 3.0)}
 

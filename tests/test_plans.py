@@ -37,6 +37,7 @@ ORACLE_TESTS = {
     "compact": lambda p: test_compact.test_compact_preserves_state_and_enables_gc(None, p),
     "compact_reshard": lambda p: test_compact.test_compact_reshard_and_incremental_on_top(None, p),
     "ivm": lambda p: test_ivm.test_ivm_property_random_logs(p, None),
+    "ivm_reshard": lambda p: test_ivm.test_reshard_breaks_alignment(p, None),
     "late": test_replay_late.test_late_equals_eager_and_oracle,
     "late_on_eager": test_replay_late.test_late_incremental_on_eager_lake,
     "late_resume": test_replay_late.test_late_resume_after_partial_commit,
@@ -51,31 +52,31 @@ def test_oracle_under_exchange_plan(name, tmp_path, exchange_plan):
 
 
 def _writers(tmp_path):
-    """Commit epoch 0 by replay, epoch 1 by replay_late, epoch 2 by the
-    watcher, then refresh the budget view across them and compact
-    (epoch 3). Returns the lake and the plan each epoch's writer
-    reported."""
+    """Commit epoch 0 by replay (width 8), epoch 1 by replay_late,
+    epoch 2 by a compaction that re-shards to 5 and epoch 3 by the
+    watcher, then refresh the budget view across the re-shard. Returns
+    the lake and the plan each epoch's writer reported."""
     chg, lake, watch = (str(tmp_path / d) for d in ("chg", "lake", "watch"))
     write_change_log(chg, num_events=4000, num_keys=300, seed=81, num_shards=4, max_tok=8)
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
     res = replay(files[:1], lake, num_partitions=8)
     late = replay_late(files[1:2], lake)
+    compact = compact_lake(lake, num_partitions=5)
     os.makedirs(watch)
     for f in files[2:]:
         shutil.copy(f, watch)
     w = DirectoryWatcher(watch, lake, stable_polls=0, idle_flush_sec=0)
     ing = w.step()
-    view = incremental_source_budget(lake, source_budget_at(lake, 0), 0, 2)
-    assert view.equals(source_budget_at(lake, 2))
-    return lake, [res.counters["plan"], late.counters["plan"], ing["plan"],
-                  compact_lake(lake)["plan"]]
+    view = incremental_source_budget(lake, source_budget_at(lake, 0), 0, 3)
+    assert view.equals(source_budget_at(lake, 3))
+    return lake, [res.counters["plan"], late.counters["plan"], compact["plan"], ing["plan"]]
 
 
 def test_small_inputs_start_no_ray_data_execution(tmp_path, monkeypatch):
-    """A small replay, replay_late, watcher epoch, view refresh, view
-    recompute and compaction never start a Ray Data execution nor put
-    an object into the object store (late's winning-lsn filter is
-    passed directly), and record it."""
+    """A small replay, replay_late, re-shard compaction, watcher epoch,
+    view refresh across the re-shard and view recompute never start a
+    Ray Data execution nor put an object into the object store (late's
+    winning-lsn filter is passed directly), and record it."""
     import ray
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 

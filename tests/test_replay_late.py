@@ -115,8 +115,8 @@ def test_late_epoch_commits_real_manifests(tmp_path):
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
+    from conftest import lsn_ordered_span
     from ton_etl_ray.cdc import sink
-    from ton_etl_ray.ops.tokens import _lsn_ordered_span
 
     chg, lake = str(tmp_path / "chg"), str(tmp_path / "lake")
     write_change_log(chg, num_events=8000, num_keys=600, seed=65, num_shards=4, max_tok=8)
@@ -133,7 +133,7 @@ def test_late_epoch_commits_real_manifests(tmp_path):
 
     c0, c1 = sink.read_commit(lake, 0), sink.read_commit(lake, 1)
     assert c1["min_lsn"] > c0["max_lsn"]
-    assert _lsn_ordered_span(lake, 0, 1) == (True, c0["max_lsn"])
+    assert lsn_ordered_span(lake, 0, 1) == (True, c0["max_lsn"])
     # every epoch-1 key wins over epoch 0: one fetched row per key
     keys, deletes = duckdb.sql(
         f"""

@@ -188,8 +188,8 @@ def commit_partition(lake_dir: str, epoch: int, part: int, changes: pa.Table,
     stored state or a feed, so the bound covers exactly what consumers
     compare against). The commit-level min proves stored-lsn-ordered
     epochs (commit(b).min_lsn > commit(a).max_lsn): the changefeed's
-    tombstone-collision check (``emit_changefeed``) reads it, and
-    ``ops/tokens._lsn_ordered_span`` checks it over a span."""
+    tombstone-collision check (``emit_changefeed``) reads it, and the
+    tests' ``lsn_ordered_span`` helper checks it over a span."""
     state = pq.read_table(state_path) if state_path else None
     new_state = M.merge_state(state, changes).sort_by("doc_id")
     return sink.write_partition(

@@ -491,8 +491,8 @@ class EpochTxn:
             max_lsn = max(max_lsn, int(ent["max_lsn"]))
         # min over the epoch's OWN incoming events (inherited partitions
         # carry none); -1 = unknown (compaction, which stores old lsns).
-        # The ordered-epoch proof: min_lsn > prev max_lsn
-        # (ops/tokens._lsn_ordered_span).
+        # The ordered-epoch proof: min_lsn > prev max_lsn (checked by
+        # emit_changefeed; tests/conftest.lsn_ordered_span over a span).
         min_lsns = [int(m.get("min_lsn", -1)) for m in written.values()]
         return {
             "num_partitions": num_partitions,
