@@ -451,3 +451,105 @@ def test_aligned_pair_stage_sized_by_bytes(two_epoch_lake, exchange_plan):
                           stream.stats()).group(1))
     assert pairs > 2 * cpus  # the bound is below one task per pair
     assert tasks <= min(pairs, max(2 * cpus, 1))
+
+
+def test_budget_partials_null_source_and_n_tok():
+    """A null source is a group of its own; a null ``n_tok`` counts as
+    a doc and adds 0 tokens, also in a group whose every ``n_tok`` is
+    null."""
+    from ton_etl_ray.ops.tokens import _DELTA_SCHEMA, _budget_partials
+
+    t = pa.table({"source": pa.array(["a", None, "a", None, "b", "c"]),
+                  "n_tok": pa.array([1, 2, None, None, 5, None], pa.int32())})
+    for sign in (1, -1):
+        got = _budget_partials(t, sign)
+        assert got.schema == _DELTA_SCHEMA
+        assert {r["source"]: (r["docs"], r["toks"]) for r in got.to_pylist()} == {
+            "a": (2 * sign, sign), None: (2 * sign, 2 * sign), "b": (sign, 5 * sign), "c": (sign, 0)}
+    assert _budget_partials(t.slice(0, 0)).equals(_DELTA_SCHEMA.empty_table())
+
+
+def test_budget_exact_over_int32_and_int64_files(tmp_path, ray_session):
+    """Schema evolution widens ``n_tok`` to int64 in the partitions an
+    epoch rewrites while inherited ones keep int32 files: the base's
+    concatenated files and each sign of the pair stage mix both widths,
+    and every view stays exact past the int32 range."""
+    from ton_etl_ray.cdc import sink
+    from ton_etl_ray.cdc.replay import replay
+    from ton_etl_ray.core.partition import assign_partitions
+    from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
+
+    keys = [f"k{i}" for i in range(100)]
+    parts = assign_partitions(pa.array(keys), 4).tolist()
+    k = {p: [key for key, q in zip(keys, parts) if q == p][:2] for p in range(4)}
+    top, big = (1 << 31) - 1, (1 << 40) + 1
+    epochs = [
+        ([(i + 1, "c", key, [1], top - i, "web")
+          for i, key in enumerate(k[0] + k[1] + k[2] + k[3])], pa.int32()),
+        # rewrites partitions 0 and 1 only, as int64
+        ([(100, "u", k[0][0], [2], big, "books"), (101, "u", k[1][0], [2], big, "web")], pa.int64()),
+        # the old side holds int64 (partition 1) and int32 files (2, 3)
+        ([(200, "u", k[1][1], [3], big, "books"), (201, "u", k[2][0], [3], 7, "web"),
+          (202, "d", k[3][0], None, None, None)], pa.int64()),
+    ]
+    lake, state, want = str(tmp_path / "lake"), {}, []
+    for e, (rows, n_tok_type) in enumerate(epochs):
+        d = str(tmp_path / f"e{e}")
+        os.makedirs(d)
+        _write_log(os.path.join(d, "s.parquet"), rows, n_tok_type)
+        replay(d, lake, num_partitions=4)
+        for _, op, key, _, n_tok, src in rows:
+            if op == "d":
+                del state[key]
+            else:
+                state[key] = (src, n_tok)
+        sums = {}
+        for src, n_tok in state.values():
+            docs, toks = sums.get(src, (0, 0))
+            sums[src] = (docs + 1, toks + n_tok)
+        want.append({s: (docs, toks, round(toks / docs, 4)) for s, (docs, toks) in sums.items()})
+    widths = {f: pq.read_schema(f).field("n_tok").type for f in sink.lake_files(lake, 1)}
+    assert set(widths.values()) == {pa.int32(), pa.int64()}
+    for e in range(3):
+        assert _as_map(source_budget_at(lake, e)) == want[e], e
+    for a, b in ((0, 1), (1, 2), (0, 2)):
+        got = incremental_source_budget(lake, source_budget_at(lake, a), a, b)
+        assert _as_map(got) == want[b], (a, b)
+
+
+def test_zipper_returns_exactly_the_changed_rows():
+    """On a pair with an unchanged (u), updated (p), deleted (d) and
+    added (n) key, the zipper returns a's rows of p and d and b's rows
+    of p and n, in each side's own types."""
+    from ton_etl_ray.ops.tokens import _zip_changed
+
+    ta = pa.table({"doc_id": ["d", "p", "u"], "lsn": pa.array([1, 2, 3], pa.int64()),
+                   "n_tok": pa.array([1, 2, 1], pa.int32()),
+                   "tokens": pa.array([[1], [2, 2], [3]], pa.list_(pa.int32()))})
+    tb = pa.table({"doc_id": ["n", "p", "u"], "lsn": pa.array([9, 8, 3], pa.int64()),
+                   "n_tok": pa.array([3, 1, 1], pa.int64()),
+                   "tokens": pa.array([[4, 4, 4], [5], [3]], pa.list_(pa.int32()))})
+    old, new = _zip_changed(ta, tb)
+    assert old.equals(ta.slice(0, 2))
+    assert new.equals(tb.slice(0, 2))
+    unchanged = _zip_changed(ta, ta)
+    assert [t.num_rows for t in unchanged] == [0, 0]
+
+
+def test_null_source_view(tmp_path, ray_session):
+    """A doc with a null source is a view row of its own (sorted last),
+    in the recompute and the maintained view alike."""
+    from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
+
+    lake = _two_epoch(tmp_path, [
+        (1, "c", "a", [1], 1, "web"),
+        (2, "c", "b", [2, 2], 2, None),
+    ], [
+        (10, "c", "c", [3, 3, 3], 3, None),
+        (11, "u", "a", [4], 1, None),
+    ], num_partitions=4)
+    want = source_budget_at(lake, 1)
+    assert want.to_pydict() == {"source": [None], "n_docs": [3], "total_tokens": [6],
+                                "mean_tokens": [2.0]}
+    assert incremental_source_budget(lake, source_budget_at(lake, 0), 0, 1).equals(want)
+    assert source_budget_at(lake, 0)["source"].to_pylist() == ["web", None]

@@ -1,7 +1,8 @@
 """The two commit plans. Below one read block of input
 (``ops._util.BLOCK_BYTES``) replay, replay_late, the watcher,
 compaction and the budget views run in-process (``local``); above it
-they run a Ray Data plan (``exchange``). The oracle tests elsewhere use
+they run a Ray Data plan (``exchange``); so do both views' bases. The
+oracle tests elsewhere use
 small inputs, so they run the local plan; each runs again here under
 the forced exchange."""
 
@@ -24,7 +25,10 @@ from ton_etl_ray.cdc.replay import final_state_table, replay
 from ton_etl_ray.cdc.replay_late import replay_late
 from ton_etl_ray.cdc.streaming import DirectoryWatcher
 from ton_etl_ray.gen import write_change_log
-from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
+from ton_etl_ray.ops.tokens import (
+    incremental_source_budget, incremental_token_histogram, source_budget_at,
+    token_histogram_at,
+)
 
 ORACLE_TESTS = {
     "replay": test_replay.test_replay_matches_oracle,
@@ -54,8 +58,9 @@ def test_oracle_under_exchange_plan(name, tmp_path, exchange_plan):
 def _writers(tmp_path):
     """Commit epoch 0 by replay (width 8), epoch 1 by replay_late,
     epoch 2 by a compaction that re-shards to 5 and epoch 3 by the
-    watcher, then refresh the budget view across the re-shard. Returns
-    the lake and the plan each epoch's writer reported."""
+    watcher, then refresh the budget view and the token histogram
+    across the re-shard. Returns the lake and the plan each epoch's
+    writer reported."""
     chg, lake, watch = (str(tmp_path / d) for d in ("chg", "lake", "watch"))
     write_change_log(chg, num_events=4000, num_keys=300, seed=81, num_shards=4, max_tok=8)
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
@@ -69,14 +74,17 @@ def _writers(tmp_path):
     ing = w.step()
     view = incremental_source_budget(lake, source_budget_at(lake, 0), 0, 3)
     assert view.equals(source_budget_at(lake, 3))
+    hist = incremental_token_histogram(lake, token_histogram_at(lake, 0), 0, 3)
+    assert hist.equals(token_histogram_at(lake, 3))
     return lake, [res.counters["plan"], late.counters["plan"], compact["plan"], ing["plan"]]
 
 
 def test_small_inputs_start_no_ray_data_execution(tmp_path, monkeypatch):
     """A small replay, replay_late, re-shard compaction, watcher epoch,
-    view refresh across the re-shard and view recompute never start a
-    Ray Data execution nor put an object into the object store (late's
-    winning-lsn filter is passed directly), and record it."""
+    and both views' base, refresh across the re-shard and recompute
+    never start a Ray Data execution nor put an object into the object
+    store (late's winning-lsn filter is passed directly), and record
+    it."""
     import ray
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
@@ -126,6 +134,32 @@ def test_writer_plan_lives_in_partition_apply():
     assert not offenders, offenders
     # the scan sees the plan function itself
     assert {(c, "partition_apply") for c in allowed} <= found
+
+
+def test_in_process_reads_go_through_read_file():
+    """Every in-process read of a partition file or change shard in
+    the lake writers and the token views is one ``sink.read_file``: no
+    other function of ``ton_etl_ray/cdc/*.py`` or ``ops/tokens.py``
+    calls ``read_table``."""
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "ton_etl_ray")
+    paths = sorted(glob.glob(os.path.join(root, "cdc", "*.py")))
+    paths.append(os.path.join(root, "ops", "tokens.py"))
+    offenders = []
+    for path in paths:
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        for top in tree.body:
+            if path.endswith(os.path.join("cdc", "sink.py")) and getattr(top, "name", "") == "read_file":
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    call = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                    if call == "read_table":
+                        offenders.append(f"{os.path.relpath(path, root)}:{node.lineno}")
+    assert len(paths) > 10  # the scan sees the package
+    assert not offenders, offenders
 
 
 def test_touched_state_counts_toward_the_size_rule(tmp_path, monkeypatch):

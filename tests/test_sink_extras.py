@@ -358,3 +358,34 @@ def test_commit_protocol_lives_in_sink_only():
             if name in primitives:
                 offenders.append(f"{os.path.relpath(path, pkg)}:{node.lineno} {name}")
     assert not offenders, offenders
+
+
+def test_read_file_closes_its_handle(tmp_path):
+    """500 ``sink.read_file`` calls leave the process's open file
+    descriptors unchanged: the watcher is a long-running process. Runs
+    in a fresh interpreter so no other thread opens or closes a
+    descriptor meanwhile."""
+    import subprocess
+    import sys
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import pytest
+
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+    path = str(tmp_path / "part.parquet")
+    pq.write_table(pa.table({"doc_id": ["a", "b"], "lsn": [1, 2]}), path)
+    code = f"""
+import os
+from ton_etl_ray.cdc import sink
+sink.read_file({path!r})
+before = len(os.listdir("/proc/self/fd"))
+for i in range(500):
+    sink.read_file({path!r}, ["lsn"] if i % 2 else None)
+print(before, len(os.listdir("/proc/self/fd")))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[0] == out[1], out

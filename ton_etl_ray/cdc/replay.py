@@ -190,7 +190,7 @@ def commit_partition(lake_dir: str, epoch: int, part: int, changes: pa.Table,
     epochs (commit(b).min_lsn > commit(a).max_lsn): the changefeed's
     tombstone-collision check (``emit_changefeed``) reads it, and the
     tests' ``lsn_ordered_span`` helper checks it over a span."""
-    state = pq.read_table(state_path) if state_path else None
+    state = sink.read_file(state_path) if state_path else None
     new_state = M.merge_state(state, changes).sort_by("doc_id")
     return sink.write_partition(
         lake_dir, epoch, sink.part_file(part), new_state,
@@ -236,7 +236,7 @@ def partition_apply(
         return [], "local"
     total = sum(os.path.getsize(f) for f in files)
     if local_plan(total):
-        rows = pa.concat_tables([kernel(pq.read_table(f, columns=columns)) for f in files])
+        rows = pa.concat_tables([kernel(sink.read_file(f, columns)) for f in files])
         groups = list(by_part(rows))
         touched = sum(os.path.getsize(state[p]) for p, _ in groups if p in state)
         if local_plan(total + touched):
@@ -476,10 +476,12 @@ def read_lake(lake_dir: str, epoch: int | None = None) -> "rd.Dataset":
 
 
 def final_state_table(lake_dir: str, epoch: int | None = None) -> pa.Table:
-    """Driver-side full read — tests/small lakes only."""
-    fs = sink.lake_files(lake_dir, epoch)
-    tables = [pq.read_table(f) for f in fs]
-    return pa.concat_tables(tables, promote_options="permissive")
+    """The committed state as one driver-side table — tests and small
+    lakes only: each partition file through ``sink.read_file``, then one
+    permissive concat (files from before a schema evolution gain its
+    columns as nulls and widen to its types)."""
+    return pa.concat_tables([sink.read_file(f) for f in sink.lake_files(lake_dir, epoch)],
+                            promote_options="permissive")
 
 
 def epoch_diff(lake_dir: str, epoch_a: int, epoch_b: int | None = None,

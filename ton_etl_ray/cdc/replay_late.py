@@ -42,7 +42,6 @@ from functools import partial
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from ..core import merge as M
 from ..core.bloom import BloomFilter
@@ -129,7 +128,7 @@ def _decide(part: int, rows: pa.Table, state_path: str | None) -> dict:
     committed row of their key, packed as int64 bytes."""
     wins = M.compact(rows, keep_tombstones=True)
     if state_path:
-        st = pq.read_table(state_path, columns=["doc_id", "lsn"])
+        st = sink.read_file(state_path, ["doc_id", "lsn"])
         wins = wins.join(st.rename_columns(["doc_id", "state_lsn"]), "doc_id")
         wins = wins.filter(pc.fill_null(pc.greater(wins["lsn"], wins["state_lsn"]), True))
     return {"lsns": wins["lsn"].to_numpy().astype(np.int64).tobytes()}

@@ -266,6 +266,16 @@ def lake_schema(lake_dir: str, epoch: int | None = None) -> pa.Schema:
     return pa.ipc.read_schema(pa.py_buffer(base64.b64decode(commit["schema_b64"])))
 
 
+def read_file(path: str, columns: list[str] | None = None) -> pa.Table:
+    """One Parquet file (``columns`` only, in that order, if given) —
+    the in-process reader of every lake partition file and change
+    shard. A single-file ``ParquetFile`` read skips the dataset scanner
+    ``pq.read_table`` sets up per call, which costs more than decoding
+    a small partition file; the handle is closed on return."""
+    with pq.ParquetFile(path) as pf:
+        return pf.read(columns=columns)
+
+
 def lake_files(lake_dir: str, epoch: int | None = None) -> list[str]:
     """Absolute paths of the committed lake's partition files."""
     e = latest_epoch(lake_dir) if epoch is None else epoch

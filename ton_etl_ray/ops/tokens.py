@@ -12,6 +12,16 @@ partials inside each map task bound the shuffle to
 O(V) per block regardless of corpus size, so the exchange stays tiny at
 100 TB while the flatten work scales embarrassingly parallel.
 
+The epoch-pinned views (``source_budget_at``, ``token_histogram_at``)
+and their maintained forms (``incremental_*``) run in-process below one
+read block (``ops._util.BLOCK_BYTES``): each file is one
+``sink.read_file`` decode, and each result one Arrow kernel — a hash
+``group_by`` for the budget, ``value_counts`` for the histogram. The
+epoch delta compares each rewritten partition pair with a hash-lookup
+zipper (``index_in`` on doc_id plus an lsn compare) and calls the
+partial once per sign per task; above one read block the same kernels
+run as Ray Data tasks.
+
 Full SQL oracles: the change log's token values are md5-seeded-LCG per
 (doc, version) (pipelines.docs_to_change_log), so DuckDB reproduces the
 exact final-state token stream with ``unnest(range(0, n_tok))`` — the
@@ -113,26 +123,14 @@ _DELTA_SCHEMA = pa.schema(
 
 
 def _budget_partials(t: pa.Table, sign: int = 1) -> pa.Table:
-    """Per-source signed (docs, toks) partial for one Arrow batch."""
-    import polars as pl
-
-    if not t.num_rows:
-        return _DELTA_SCHEMA.empty_table()
-    g = (
-        pl.DataFrame(
-            {"source": t["source"].to_pylist(),
-             "n_tok": t["n_tok"].to_numpy(zero_copy_only=False).astype(np.int64)}
-        )
-        .group_by("source")
-        .agg(pl.len().cast(pl.Int64).alias("docs"),
-             pl.col("n_tok").sum().alias("toks"))
-    )
-    return pa.table(
-        {"source": pa.array(g["source"].to_list(), pa.string()),
-         "docs": pa.array(sign * g["docs"].to_numpy(), pa.int64()),
-         "toks": pa.array(sign * g["toks"].to_numpy(), pa.int64())},
-        schema=_DELTA_SCHEMA,
-    )
+    """Per-source signed (docs, toks) partial for one Arrow batch: one
+    hash ``group_by``. A null source is a group of its own; a null
+    ``n_tok`` counts as a doc with 0 tokens."""
+    g = t.group_by("source").aggregate(
+        [([], "count_all"), ("n_tok", "sum", pc.ScalarAggregateOptions(min_count=0))])
+    s = pa.scalar(sign, pa.int64())
+    return pa.table([g["source"], pc.multiply(g["count_all"], s),
+                     pc.multiply(g["n_tok_sum"].cast(pa.int64()), s)], schema=_DELTA_SCHEMA)
 
 
 def _fold(partials, acc: pa.Table) -> pa.Table:
@@ -153,25 +151,32 @@ def _fold(partials, acc: pa.Table) -> pa.Table:
     return acc
 
 
-def source_budget_at(lake_dir: str, epoch: int | None = None) -> pa.Table:
-    """The per-source budget VIEW over one committed epoch's state —
-    the base a maintained view starts from. Same partial-sum shape as
-    ``source_token_budget`` but epoch-pinned and returned as the tiny
-    per-source table (the view itself is O(sources)). A lake smaller
-    than one read block folds its per-file partials in-process."""
+def _base_partials(lake_dir: str, epoch: int | None, columns: list[str], partial_fn):
+    """The partials of one committed epoch's state — a view's base. A
+    lake smaller than one read block runs ONE ``partial_fn`` over its
+    concatenated files (read through ``sink.read_file``) in-process;
+    a larger one runs a Ray Data read → ``map_batches(partial_fn)``.
+    Returns a list of tables or a Dataset (``_fold``'s input)."""
     ensure_portable()
-    import pyarrow.parquet as pq
     import ray.data as rd
 
     from ..cdc import sink
 
     files = sink.lake_files(lake_dir, epoch)
-    cols = ["source", "n_tok"]
-    if not files or local_plan(sum(os.path.getsize(f) for f in files)):
-        partials = [_budget_partials(pq.read_table(f, columns=cols)) for f in files]
-    else:
-        partials = (rd.read_parquet(files, columns=cols)
-                    .map_batches(_budget_partials, batch_format="pyarrow"))
+    if not files:
+        return []
+    if local_plan(sum(os.path.getsize(f) for f in files)):
+        return [partial_fn(pa.concat_tables([sink.read_file(f, columns) for f in files],
+                                            promote_options="permissive"))]
+    return rd.read_parquet(files, columns=columns).map_batches(partial_fn, batch_format="pyarrow")
+
+
+def source_budget_at(lake_dir: str, epoch: int | None = None) -> pa.Table:
+    """The per-source budget VIEW over one committed epoch's state —
+    the base a maintained view starts from. Same partial-sum shape as
+    ``source_token_budget`` but epoch-pinned and returned as the tiny
+    per-source table (the view itself is O(sources))."""
+    partials = _base_partials(lake_dir, epoch, ["source", "n_tok"], _budget_partials)
     return _finish_budget(_fold(partials, _DELTA_SCHEMA.empty_table()))
 
 
@@ -179,19 +184,10 @@ def _finish_budget(delta: pa.Table) -> pa.Table:
     """(source, docs, toks) → the published view schema, sources with
     zero surviving docs dropped, mean rounded at 4 (matches
     ``source_token_budget`` / the SQL oracle)."""
-    keep = pc.greater(delta["docs"], 0)
-    delta = delta.filter(keep)
-    docs = delta["docs"].to_numpy(zero_copy_only=False)
-    toks = delta["toks"].to_numpy(zero_copy_only=False)
-    order = np.argsort(delta["source"].to_numpy(zero_copy_only=False), kind="stable")
-    return pa.table(
-        {"source": delta["source"].take(pa.array(order)),
-         "n_docs": pa.array(docs[order], pa.int64()),
-         "total_tokens": pa.array(toks[order], pa.int64()),
-         "mean_tokens": pa.array(
-             np.round(toks[order] / docs[order], 4), pa.float64())},
-        schema=_BUDGET_SCHEMA,
-    )
+    delta = delta.filter(pc.greater(delta["docs"], 0)).sort_by("source")
+    docs, toks = (delta[c].to_numpy(zero_copy_only=False) for c in ("docs", "toks"))
+    return pa.table([delta["source"], delta["docs"], delta["toks"],
+                     pa.array(np.round(toks / docs, 4), pa.float64())], schema=_BUDGET_SCHEMA)
 
 
 def _span_pairs(lake_dir: str, epoch_a: int, epoch_b: int) -> list[dict]:
@@ -238,6 +234,20 @@ def _span_pairs(lake_dir: str, epoch_a: int, epoch_b: int) -> list[dict]:
     return pairs
 
 
+def _zip_changed(ta: pa.Table, tb: pa.Table) -> tuple[pa.Table, pa.Table]:
+    """The changed rows of one partition pair, each side unique by
+    doc_id: the rows of ``ta`` whose key is gone from ``tb`` or won
+    there at another lsn (deleted or updated: old rows), and the same
+    for ``tb`` against ``ta`` (added or updated: new rows). One hash
+    lookup (``index_in``) and one lsn compare per direction; the rows
+    keep their types."""
+    def changed(t: pa.Table, other: pa.Table) -> pa.Table:
+        at = pc.take(other["lsn"], pc.index_in(t["doc_id"], value_set=other["doc_id"]))
+        return t.filter(pc.invert(pc.fill_null(pc.equal(t["lsn"], at), False)))
+
+    return changed(ta, tb), changed(tb, ta)
+
+
 def _aligned_delta_stream(
     lake_dir: str,
     epoch_a: int,
@@ -246,24 +256,25 @@ def _aligned_delta_stream(
     partial_fn,
     empty_schema: pa.Schema,
 ):
-    """The one IVM delta derivation: a per-partition sorted-merge state
-    comparison over the pairs of ``_span_pairs``, with no shuffle, no
-    join, no broadcast key set. Each pair is merged in isolation (pairs
-    are packed into ``read_blocks(paired bytes)`` tasks): both files are
-    sorted by doc_id, so a vectorized zipper classifies every key as
-    unchanged (same winning lsn — skipped), updated (old row → −1
-    partial, new row → +1), deleted (only in a → −1), or added (only in
-    b → +1), and both signed partials come out of the SAME pass.
+    """The one IVM delta derivation: a per-partition state comparison
+    over the pairs of ``_span_pairs``, with no shuffle, no join, no
+    broadcast key set. Each pair is compared in isolation (pairs are
+    packed into ``read_blocks(paired bytes)`` tasks) by a hash-lookup
+    zipper (``_zip_changed``): a key is unchanged (same winning lsn —
+    skipped), updated (old row → −1, new row → +1), deleted (only in a
+    → −1) or added (only in b → +1). A task concatenates the changed
+    rows of all its pairs per sign and calls ``partial_fn`` once per
+    sign.
 
-    ``partial_fn(table, sign) -> pa.Table`` turns the changed rows of
-    one batch into signed per-group partials (conforming to
-    ``empty_schema``). The work is one column-pruned read of each
-    REWRITTEN partition per side, the minimum any signed-delta
-    maintenance can do without an auxiliary index. Pure state
-    comparison — no LSN-ordering assumption, late cross-epoch data
-    included. Pairs smaller than one read block in total merge
-    in-process. Returns the partials: a Dataset, or a list of tables
-    from the in-process plan (empty when nothing changed)."""
+    ``partial_fn(table, sign) -> pa.Table`` turns changed rows into
+    signed per-group partials (conforming to ``empty_schema``). The work
+    is one column-pruned ``sink.read_file`` of each REWRITTEN partition
+    per side, the minimum any signed-delta maintenance can do without
+    an auxiliary index. Pure state comparison — no LSN-ordering
+    assumption, late cross-epoch data included. Pairs smaller than one
+    read block in total compare in-process. Returns the partials: a
+    Dataset, or a list of tables from the in-process plan (empty when
+    nothing changed)."""
     ensure_portable()
     import ray.data as rd
 
@@ -274,49 +285,21 @@ def _aligned_delta_stream(
     if not pairs:
         return []
     read_cols = ["doc_id"] + [c for c in columns if c != "doc_id"]
+    cols = read_cols + ["lsn"]
 
     def pair_partials(batch: pa.Table) -> pa.Table:
-        import os as _os
-
-        import polars as pl
-        import pyarrow.parquet as _pq
-
-        outs = []
-        cols = ["doc_id", "lsn"] + read_cols[1:]
+        sides: dict[int, list[pa.Table]] = {-1: [], 1: []}
         for a_rel, b_rel in zip(batch["a"].to_pylist(), batch["b"].to_pylist()):
-            ta = (_pq.read_table(_os.path.join(lake_dir, a_rel), columns=cols)
-                  if a_rel else None)
-            tb = (_pq.read_table(_os.path.join(lake_dir, b_rel), columns=cols)
-                  if b_rel else None)
+            ta, tb = (sink.read_file(os.path.join(lake_dir, rel), cols) if rel else None
+                      for rel in (a_rel, b_rel))
             if ta is not None and tb is not None:
-                # vectorized zipper over the two sorted-by-doc_id files:
-                # full outer on the key, winners compared by lsn
-                ja = pl.from_arrow(ta).rename({c: f"{c}__a" for c in cols[1:]})
-                jb = pl.from_arrow(tb).rename({c: f"{c}__b" for c in cols[1:]})
-                m = ja.join(jb, on="doc_id", how="full", coalesce=True)
-                changed = m.filter(
-                    pl.col("lsn__a").is_null() | pl.col("lsn__b").is_null()
-                    | (pl.col("lsn__a") != pl.col("lsn__b")))
-                old = changed.filter(pl.col("lsn__a").is_not_null())
-                new = changed.filter(pl.col("lsn__b").is_not_null())
-                old_t = pa.table(
-                    {"doc_id": old["doc_id"].to_arrow(),
-                     **{c: old[f"{c}__a"].to_arrow().cast(ta.schema.field(c).type)
-                        for c in read_cols[1:]}})
-                new_t = pa.table(
-                    {"doc_id": new["doc_id"].to_arrow(),
-                     **{c: new[f"{c}__b"].to_arrow().cast(tb.schema.field(c).type)
-                        for c in read_cols[1:]}})
-            elif tb is not None:     # partition born in the span: all adds
-                old_t, new_t = None, tb.select(read_cols)
-            elif ta is not None:     # partition emptied: all deletes
-                old_t, new_t = ta.select(read_cols), None
-            else:
-                continue
-            if old_t is not None and old_t.num_rows:
-                outs.append(partial_fn(old_t, -1))
-            if new_t is not None and new_t.num_rows:
-                outs.append(partial_fn(new_t, 1))
+                ta, tb = _zip_changed(ta, tb)
+            # a partition born in the span is all adds, an emptied one all deletes
+            for sign, t in ((-1, ta), (1, tb)):
+                if t is not None and t.num_rows:
+                    sides[sign].append(t.select(read_cols))
+        outs = [partial_fn(pa.concat_tables(ts, promote_options="permissive"), sign)
+                for sign, ts in sides.items() if ts]
         if not outs:
             return empty_schema.empty_table()
         return pa.concat_tables([t.cast(empty_schema) for t in outs])
@@ -381,34 +364,26 @@ def _hist_partials(t: pa.Table, sign: int = 1) -> pa.Table:
     )
 
 
+def _fold_hist(stream, base: pa.Table) -> pa.Table:
+    """Fold token-count partials into ``base``: the exchange plan's
+    partials run up to O(vocab) rows per block, so a Dataset is reduced
+    distributed before the driver fold. Tokens at count 0 leave the
+    view."""
+    from ray.data.aggregate import Sum
+
+    if not isinstance(stream, list):
+        stream = stream.groupby("token").aggregate(
+            Sum("n_occurrences", alias_name="n_occurrences"))
+    hist = _fold(stream, base.select(_HIST_FULL_SCHEMA.names).cast(_HIST_FULL_SCHEMA))
+    return hist.filter(pc.greater(hist["n_occurrences"], 0)).sort_by("token")
+
+
 def token_histogram_at(lake_dir: str, epoch: int | None = None) -> pa.Table:
     """The FULL token histogram over one committed epoch's state — the
     maintained-view base (O(vocabulary) rows: bounded model state, the
     same shape kmeans centroids / BPE vocab take on the driver)."""
-    ensure_portable()
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from ..cdc import sink
-
-    files = sink.lake_files(lake_dir, epoch)
-    if not files:
-        return _HIST_FULL_SCHEMA.empty_table()
-    out = (
-        rd.read_parquet(files, columns=["tokens"])
-        .map_batches(_hist_partials, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("n_occurrences", alias_name="n_occurrences"))
-        .to_pandas()
-    )
-    if "n_occurrences" not in out.columns:
-        return _HIST_FULL_SCHEMA.empty_table()
-    out = out.sort_values("token")
-    return pa.table(
-        {"token": pa.array(out["token"].astype("int32")),
-         "n_occurrences": pa.array(out["n_occurrences"].astype("int64"))},
-        schema=_HIST_FULL_SCHEMA,
-    )
+    return _fold_hist(_base_partials(lake_dir, epoch, ["tokens"], _hist_partials),
+                      _HIST_FULL_SCHEMA.empty_table())
 
 
 def incremental_token_histogram(
@@ -424,15 +399,6 @@ def incremental_token_histogram(
     Same signed delta as the budget view, folded into ``base`` the same
     way (int64, exact past 2^53); tokens whose count drops to 0 leave
     the view. Exactness vs ``token_histogram_at`` is pinned in pytest."""
-    from ray.data.aggregate import Sum
-
     stream = _aligned_delta_stream(
         lake_dir, epoch_a, epoch_b, ["tokens"], _hist_partials, _HIST_FULL_SCHEMA)
-    if not isinstance(stream, list):
-        # the exchange plan's partials run up to O(vocab) rows per block:
-        # reduce them distributed before the driver fold
-        stream = stream.groupby("token").aggregate(
-            Sum("n_occurrences", alias_name="n_occurrences"))
-    base_t = base.select(_HIST_FULL_SCHEMA.names).cast(_HIST_FULL_SCHEMA)
-    hist = _fold(stream, base_t)
-    return hist.filter(pc.greater(hist["n_occurrences"], 0)).sort_by("token")
+    return _fold_hist(stream, base)
