@@ -206,12 +206,13 @@ def run_bench() -> dict:
         "linear_probe",
         # ordered funnel + day-cohort retention (one user shuffle each)
         "funnel_counts", "retention_cohorts",
-        # two-epoch lake build + committed-state diff (narrow full-outer)
+        # committed-state diff over the cached two-epoch lake (the
+        # epoch delta on doc_id, lsn: partition pairs, no join)
         "epoch_diff",
-        # incremental view maintenance from the epoch diff (shares the
-        # cached two-epoch lake; times diff + delta passes + merge)
+        # incremental view maintenance from the same epoch delta (shares
+        # the cached two-epoch lake; times delta + fold)
         "incremental_budget", "incremental_histogram",
-        # changefeed export (diff → replayable change log, one hash join)
+        # changefeed export (epoch delta → one change shard per task)
         "changefeed_export",
         # referential-integrity gate (anti-join on key partials)
         "fk_orphans",

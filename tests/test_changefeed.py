@@ -13,10 +13,15 @@ import pytest
 
 @pytest.fixture(scope="module")
 def primary(tmp_path_factory, ray_session):
+    return two_epoch_primary(tmp_path_factory.mktemp("cf"))
+
+
+def two_epoch_primary(base):
+    """A 16-partition lake with two replayed epochs (lsn halves of one
+    log); returns the lake dir."""
     from ton_etl_ray.cdc.replay import replay
     from ton_etl_ray.gen import write_change_log
 
-    base = tmp_path_factory.mktemp("cf")
     chg, lake = str(base / "chg"), str(base / "lake")
     write_change_log(chg, num_events=50_000, num_keys=4_000, seed=47,
                      num_shards=8, max_tok=16)
@@ -186,14 +191,17 @@ def test_apply_feeds_chain(primary, tmp_path):
 
 @pytest.fixture(scope="module")
 def primary3(tmp_path_factory, ray_session):
+    return three_epoch_chain(tmp_path_factory.mktemp("cf3"))
+
+
+def three_epoch_chain(base):
     """A 3-epoch primary lake plus its published feed chain (snapshot +
     two changefeeds), feed dirs produced by the watcher's own atomic
-    catch-up publisher."""
+    catch-up publisher. Returns ``(lake, feed_root)``."""
     from ton_etl_ray.cdc.replay import replay
     from ton_etl_ray.cdc.streaming import DirectoryWatcher
     from ton_etl_ray.gen import write_change_log
 
-    base = tmp_path_factory.mktemp("cf3")
     chg, lake = str(base / "chg"), str(base / "lake")
     write_change_log(chg, num_events=60_000, num_keys=5_000, seed=53,
                      num_shards=9, max_tok=16)
@@ -564,3 +572,144 @@ def test_maintain_feed_export_refuses_leftover_stamp(tmp_path):
     with pytest.raises(SystemExit, match="export into a fresh directory"):
         _atomic_feed_export(str(out), built.append)
     assert built == [] and os.listdir(out) == ["_feed.json"]
+
+
+def reshard_lake(base):
+    """A lake re-sharded 16→7→16→8 by compactions, with a replay after
+    each: epoch widths 16, 16, 7, 7, 16, 16, 8, 8, 8. Returns the lake."""
+    from ton_etl_ray.cdc import sink
+    from ton_etl_ray.cdc.compact import compact_lake
+    from ton_etl_ray.cdc.replay import replay
+    from ton_etl_ray.gen import write_change_log
+
+    chg, lake = str(base / "chg"), str(base / "lake")
+    write_change_log(chg, num_events=6000, num_keys=400, seed=59, num_shards=4, max_tok=8)
+    slices = [str(base / f"s{i}") for i in range(6)]
+    for d in slices:
+        os.makedirs(d)
+    for p in sorted(glob.glob(os.path.join(chg, "*.parquet"))):
+        t = pq.read_table(p)
+        part = t["lsn"].to_numpy() * len(slices) // 6000
+        for i, d in enumerate(slices):
+            pq.write_table(t.filter(pa.array(part == i)), os.path.join(d, os.path.basename(p)))
+    replay(slices[0], lake, num_partitions=16)
+    replay(slices[1], lake)
+    for d, width in zip(slices[2:5], (7, 16, 8)):
+        compact_lake(lake, num_partitions=width)
+        replay(d, lake)
+    replay(slices[5], lake)
+    widths = [int(sink.read_commit(lake, e)["num_partitions"])
+              for e in range(sink.latest_epoch(lake) + 1)]
+    assert widths == [16, 16, 7, 7, 16, 16, 8, 8, 8]
+    return lake
+
+
+def _rows(lake, epoch=None):
+    from ton_etl_ray.cdc.replay import final_state_table
+
+    t = final_state_table(lake, epoch).select(["doc_id", "lsn", "tokens", "n_tok", "source"])
+    return t.sort_by("doc_id").to_pylist()
+
+
+def test_reshard_spans_diff_and_feed_exact(tmp_path, ray_session):
+    """Every span (a, b] of a lake re-sharded 16→7→16→8: ``epoch_diff``
+    equals a full-outer compare of the two states on (doc_id, lsn), and
+    ``snapshot(a)`` then ``changefeed(a→b)`` replayed into a fresh
+    replica gives state(b). A key that changes on both sides of a
+    re-shard sits in pairs of two runs: only the gcd grouping and the
+    netting classify it once."""
+    import shutil as _sh
+
+    from ton_etl_ray.cdc import sink
+    from ton_etl_ray.cdc.changefeed import emit_changefeed, emit_snapshot
+    from ton_etl_ray.cdc.replay import epoch_diff, final_state_table, replay
+
+    lake = reshard_lake(tmp_path)
+    head = sink.latest_epoch(lake)
+    lsns = [dict(zip(*(final_state_table(lake, e)[c].to_pylist() for c in ("doc_id", "lsn"))))
+            for e in range(head + 1)]
+    for a in range(head):
+        snap, seeded = str(tmp_path / f"snap{a}"), str(tmp_path / f"seeded{a}")
+        emit_snapshot(lake, snap, epoch=a)
+        replay(snap, seeded, num_partitions=4)
+        assert _rows(seeded) == _rows(lake, a), a
+        for b in range(a + 1, head + 1):
+            old, new = lsns[a], lsns[b]
+            want = sorted(
+                [(k, "updated" if k in old else "added", old.get(k), v)
+                 for k, v in new.items() if old.get(k) != v]
+                + [(k, "deleted", v, None) for k, v in old.items() if k not in new])
+            got = sorted(tuple(r.values()) for r in epoch_diff(lake, a, b).take_all())
+            assert got == want, (a, b)
+            feed, replica = str(tmp_path / f"feed{a}-{b}"), str(tmp_path / f"replica{a}-{b}")
+            emit_changefeed(lake, feed, a, b)
+            _sh.copytree(seeded, replica)
+            replay(feed, replica)
+            assert _rows(replica) == _rows(lake, b), (a, b)
+            _sh.rmtree(replica)
+
+
+def test_collected_pair_file_raises_before_any_read(tmp_path, ray_session, monkeypatch):
+    """A span whose pairs name a collected file — an endpoint's, or the
+    pre-image of a re-shard inside the span — raises the
+    "garbage-collected" ValueError from ``epoch_diff`` and both
+    exporters before any file is read; the watcher's feed catch-up
+    skips exactly the epochs it cannot derive."""
+    from ton_etl_ray.cdc import sink
+    from ton_etl_ray.cdc.changefeed import emit_changefeed, emit_snapshot
+    from ton_etl_ray.cdc.replay import epoch_diff
+    from ton_etl_ray.cdc.streaming import DirectoryWatcher
+
+    lake = reshard_lake(tmp_path)
+    # collect what epoch 8 no longer holds of epochs 1 (the pre-image of
+    # the 16→7 compaction at epoch 2) and 7 (a replay at width 8)
+    live = {ent["path"] for ent in sink.read_commit(lake, 8)["partitions"].values()}
+    for e in (1, 7):
+        for f in glob.glob(os.path.join(lake, f"epoch-{e:06d}", "*.parquet")):
+            if os.path.relpath(f, lake) not in live:
+                os.remove(f)
+
+    def no_read(*a, **k):
+        raise AssertionError("a file was read")
+
+    with monkeypatch.context() as m:
+        m.setattr(sink, "read_file", no_read)
+        for a, b in ((0, 3), (7, 8), (0, 1)):  # inside the span, endpoint a, endpoint b
+            with pytest.raises(ValueError, match="garbage-collected"):
+                epoch_diff(lake, a, b)
+            out = str(tmp_path / f"feed{a}-{b}")
+            with pytest.raises(ValueError, match="garbage-collected"):
+                emit_changefeed(lake, out, a, b)
+            assert not os.path.exists(out)
+        with pytest.raises(ValueError, match="garbage-collected"):
+            emit_snapshot(lake, str(tmp_path / "snap"), epoch=1)
+    # a span from a re-shard's pre-image starts at the compaction: (1, 3] is (2, 3]
+    assert sorted(map(str, epoch_diff(lake, 1, 3).take_all())) == sorted(
+        map(str, epoch_diff(lake, 2, 3).take_all()))
+
+    watch, feeds = str(tmp_path / "watch"), str(tmp_path / "feeds")
+    os.makedirs(watch)
+    DirectoryWatcher(watch, lake, feed_dir=feeds).close()
+    assert sorted(os.listdir(feeds)) == [f"epoch-{e:06d}" for e in (0, 2, 3, 4, 5, 6)]
+
+
+def test_feed_stamps_are_durable_writes(primary, tmp_path, monkeypatch):
+    """``_feed.json`` and ``_follower.json`` are written by
+    ``sink.atomic_write_bytes`` (fsynced temp file, rename, directory
+    fsync), the writer every durable lake write goes through."""
+    from ton_etl_ray.cdc import sink
+    from ton_etl_ray.cdc.changefeed import FeedFollower, emit_changefeed, emit_snapshot
+
+    real, written = sink.atomic_write_bytes, []
+
+    def recording(path, data):
+        written.append(os.path.basename(path))
+        real(path, data)
+
+    monkeypatch.setattr(sink, "atomic_write_bytes", recording)
+    root = str(tmp_path / "feeds")
+    emit_snapshot(primary, os.path.join(root, "epoch-000000"), epoch=0)
+    emit_changefeed(primary, os.path.join(root, "epoch-000001"), 0, 1)
+    assert written == ["_feed.json", "_feed.json"]
+    assert FeedFollower(root, str(tmp_path / "replica"), num_partitions=8).step() == 0
+    assert written.count("_follower.json") == 1

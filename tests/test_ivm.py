@@ -438,16 +438,16 @@ def test_aligned_pair_stage_sized_by_bytes(two_epoch_lake, exchange_plan):
     import ray
 
     from ton_etl_ray.cdc import sink
-    from ton_etl_ray.ops.tokens import (
-        _DELTA_SCHEMA, _aligned_delta_stream, _budget_partials)
+    from ton_etl_ray.cdc.delta import delta_stream
+    from ton_etl_ray.ops.tokens import _budget_partials, _signed
 
     cpus = int(ray.cluster_resources()["CPU"])
     c0, c1 = (sink.read_commit(two_epoch_lake, e)["partitions"] for e in (0, 1))
     pairs = sum(c0.get(p, {}).get("path") != c1.get(p, {}).get("path")
                 for p in c0.keys() | c1.keys())
-    stream = _aligned_delta_stream(two_epoch_lake, 0, 1, ["source", "n_tok"],
-                                   _budget_partials, _DELTA_SCHEMA).materialize()
-    tasks = int(re.search(r"MapBatches\(pair_partials\): (\d+) tasks executed",
+    stream = delta_stream(two_epoch_lake, 0, 1, ["source", "n_tok"],
+                          _signed(_budget_partials)).materialize()
+    tasks = int(re.search(r"MapBatches\(changed_rows\): (\d+) tasks executed",
                           stream.stats()).group(1))
     assert pairs > 2 * cpus  # the bound is below one task per pair
     assert tasks <= min(pairs, max(2 * cpus, 1))
@@ -521,7 +521,7 @@ def test_zipper_returns_exactly_the_changed_rows():
     """On a pair with an unchanged (u), updated (p), deleted (d) and
     added (n) key, the zipper returns a's rows of p and d and b's rows
     of p and n, in each side's own types."""
-    from ton_etl_ray.ops.tokens import _zip_changed
+    from ton_etl_ray.cdc.delta import zip_changed
 
     ta = pa.table({"doc_id": ["d", "p", "u"], "lsn": pa.array([1, 2, 3], pa.int64()),
                    "n_tok": pa.array([1, 2, 1], pa.int32()),
@@ -529,10 +529,10 @@ def test_zipper_returns_exactly_the_changed_rows():
     tb = pa.table({"doc_id": ["n", "p", "u"], "lsn": pa.array([9, 8, 3], pa.int64()),
                    "n_tok": pa.array([3, 1, 1], pa.int64()),
                    "tokens": pa.array([[4, 4, 4], [5], [3]], pa.list_(pa.int32()))})
-    old, new = _zip_changed(ta, tb)
+    old, new = zip_changed(ta, tb)
     assert old.equals(ta.slice(0, 2))
     assert new.equals(tb.slice(0, 2))
-    unchanged = _zip_changed(ta, ta)
+    unchanged = zip_changed(ta, ta)
     assert [t.num_rows for t in unchanged] == [0, 0]
 
 
@@ -553,3 +553,24 @@ def test_null_source_view(tmp_path, ray_session):
                                 "mean_tokens": [2.0]}
     assert incremental_source_budget(lake, source_budget_at(lake, 0), 0, 1).equals(want)
     assert source_budget_at(lake, 0)["source"].to_pylist() == ["web", None]
+
+
+def test_emptied_lake_reads_empty(tmp_path, ray_session):
+    """A create then a delete of the only doc leaves a committed lake
+    without a live row: ``final_state_table`` is an empty table with the
+    lake schema, both views are empty, and the epoch delta reports the
+    one deleted key."""
+    from ton_etl_ray.cdc import sink
+    from ton_etl_ray.cdc.replay import epoch_diff, final_state_table
+    from ton_etl_ray.ops.tokens import (
+        incremental_source_budget, source_budget_at, token_histogram_at)
+
+    lake = _two_epoch(tmp_path, [(1, "c", "only", [1, 2], 2, "web")],
+                      [(2, "d", "only", None, None, None)], num_partitions=2)
+    state = final_state_table(lake)
+    assert state.num_rows == 0 and state.schema == sink.lake_schema(lake)
+    assert final_state_table(lake, 0).num_rows == 1
+    assert source_budget_at(lake).num_rows == 0 and token_histogram_at(lake).num_rows == 0
+    assert incremental_source_budget(lake, source_budget_at(lake, 0), 0).num_rows == 0
+    assert epoch_diff(lake, 0).take_all() == [
+        {"doc_id": "only", "change": "deleted", "lsn_from": 1, "lsn_to": None}]

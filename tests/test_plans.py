@@ -1,10 +1,9 @@
 """The two commit plans. Below one read block of input
 (``ops._util.BLOCK_BYTES``) replay, replay_late, the watcher,
-compaction and the budget views run in-process (``local``); above it
-they run a Ray Data plan (``exchange``); so do both views' bases. The
-oracle tests elsewhere use
-small inputs, so they run the local plan; each runs again here under
-the forced exchange."""
+compaction, the views, ``epoch_diff`` and the changefeed run in-process
+(``local``); above it they run a Ray Data plan (``exchange``). The
+oracle tests elsewhere use small inputs, so they run the local plan;
+each runs again here under the forced exchange."""
 
 import ast
 import glob
@@ -12,14 +11,17 @@ import os
 import shutil
 
 import pytest
+import test_changefeed
 import test_compact
 import test_incremental
 import test_ivm
 import test_replay
 import test_replay_late
 import test_streaming
+import test_time_travel
 
 from ton_etl_ray.cdc import sink
+from ton_etl_ray.cdc.changefeed import FeedFollower
 from ton_etl_ray.cdc.compact import compact_lake
 from ton_etl_ray.cdc.replay import final_state_table, replay
 from ton_etl_ray.cdc.replay_late import replay_late
@@ -47,6 +49,17 @@ ORACLE_TESTS = {
     "late_resume": test_replay_late.test_late_resume_after_partial_commit,
     "late_bloom": test_replay_late.test_bloom_filter_mode_equals_exact,
     "late_manifests": test_replay_late.test_late_epoch_commits_real_manifests,
+    "epoch_diff": lambda p: test_time_travel.test_epoch_diff_classifies_all_three(None, p),
+    "epoch_diff_gc_guard": lambda p: test_compact.test_compact_refuses_nothing_and_epoch_diff_gc_guard(None, p),
+    "feed_replica": lambda p: test_changefeed.test_snapshot_plus_feed_reproduces_primary(
+        test_changefeed.two_epoch_primary(p), p),
+    "feed_ops": lambda p: test_changefeed.test_feed_carries_classified_ops(
+        test_changefeed.two_epoch_primary(p), p),
+    "feed_empty": lambda p: test_changefeed.test_empty_changefeed_is_replayable(
+        test_changefeed.two_epoch_primary(p), p),
+    "feed_prune": lambda p: test_changefeed.test_prune_feeds_reseeds_head_snapshot(
+        test_changefeed.three_epoch_chain(p), p),
+    "feed_reshard": lambda p: test_changefeed.test_reshard_spans_diff_and_feed_exact(p, None),
 }
 
 
@@ -58,9 +71,11 @@ def test_oracle_under_exchange_plan(name, tmp_path, exchange_plan):
 def _writers(tmp_path):
     """Commit epoch 0 by replay (width 8), epoch 1 by replay_late,
     epoch 2 by a compaction that re-shards to 5 and epoch 3 by the
-    watcher, then refresh the budget view and the token histogram
-    across the re-shard. Returns the lake and the plan each epoch's
-    writer reported."""
+    watcher, which publishes the feed of every epoch (a snapshot, then
+    changefeeds, one across the re-shard); a follower applies the
+    snapshot to a replica. Then refresh the budget view and the token
+    histogram across the re-shard. Returns the lake and the plan each
+    epoch's writer reported, then the replica's."""
     chg, lake, watch = (str(tmp_path / d) for d in ("chg", "lake", "watch"))
     write_change_log(chg, num_events=4000, num_keys=300, seed=81, num_shards=4, max_tok=8)
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
@@ -70,21 +85,27 @@ def _writers(tmp_path):
     os.makedirs(watch)
     for f in files[2:]:
         shutil.copy(f, watch)
-    w = DirectoryWatcher(watch, lake, stable_polls=0, idle_flush_sec=0)
+    feeds, replica = str(tmp_path / "feeds"), str(tmp_path / "replica")
+    w = DirectoryWatcher(watch, lake, stable_polls=0, idle_flush_sec=0, feed_dir=feeds)
     ing = w.step()
+    assert sorted(os.listdir(feeds)) == [f"epoch-{e:06d}" for e in range(4)]
+    assert FeedFollower(feeds, replica, num_partitions=4).step() == 0
+    assert final_state_table(replica).sort_by("doc_id").equals(
+        final_state_table(lake, 0).sort_by("doc_id"))
     view = incremental_source_budget(lake, source_budget_at(lake, 0), 0, 3)
     assert view.equals(source_budget_at(lake, 3))
     hist = incremental_token_histogram(lake, token_histogram_at(lake, 0), 0, 3)
     assert hist.equals(token_histogram_at(lake, 3))
-    return lake, [res.counters["plan"], late.counters["plan"], compact["plan"], ing["plan"]]
+    return lake, [res.counters["plan"], late.counters["plan"], compact["plan"], ing["plan"],
+                  sink.read_commit(replica, 0)["plan"]]
 
 
 def test_small_inputs_start_no_ray_data_execution(tmp_path, monkeypatch):
-    """A small replay, replay_late, re-shard compaction, watcher epoch,
-    and both views' base, refresh across the re-shard and recompute
-    never start a Ray Data execution nor put an object into the object
-    store (late's winning-lsn filter is passed directly), and record
-    it."""
+    """A small replay, replay_late, re-shard compaction, watcher epoch
+    with its feeds, follower step, and both views' base, refresh across
+    the re-shard and recompute never start a Ray Data execution nor put
+    an object into the object store (late's winning-lsn filter is
+    passed directly), and record it."""
     import ray
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
@@ -94,14 +115,14 @@ def test_small_inputs_start_no_ray_data_execution(tmp_path, monkeypatch):
     monkeypatch.setattr(StreamingExecutor, "execute", refuse)
     monkeypatch.setattr(ray, "put", refuse)
     lake, plans = _writers(tmp_path)
-    assert plans == ["local"] * 4
-    assert [sink.read_commit(lake, e)["plan"] for e in range(4)] == plans
+    assert plans == ["local"] * 5
+    assert [sink.read_commit(lake, e)["plan"] for e in range(4)] == plans[:4]
 
 
 def test_forced_exchange_records_plan(tmp_path, exchange_plan):
     lake, plans = _writers(tmp_path)
-    assert plans == ["exchange"] * 4
-    assert [sink.read_commit(lake, e)["plan"] for e in range(4)] == plans
+    assert plans == ["exchange"] * 5
+    assert [sink.read_commit(lake, e)["plan"] for e in range(4)] == plans[:4]
 
 
 def test_writer_plan_lives_in_partition_apply():
@@ -109,12 +130,12 @@ def test_writer_plan_lives_in_partition_apply():
     plumbing of every lake writer exist once, in
     ``replay.partition_apply``: no other function of the writer modules
     calls ``local_plan``, ``map_groups`` or ``read_parquet`` — except
-    the committed-lake readers ``read_lake`` and ``epoch_diff``, which
-    read a lake and write nothing."""
+    the committed-lake reader ``read_lake``, which reads a lake and
+    writes nothing."""
     pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "ton_etl_ray", "cdc")
     allowed = {"local_plan": {"partition_apply"}, "map_groups": {"partition_apply"},
-               "read_parquet": {"partition_apply", "read_lake", "epoch_diff"}}
+               "read_parquet": {"partition_apply", "read_lake"}}
     offenders, found = [], set()
     for name in ("replay.py", "replay_late.py", "compact.py"):
         with open(os.path.join(pkg, name)) as f:
@@ -134,6 +155,26 @@ def test_writer_plan_lives_in_partition_apply():
     assert not offenders, offenders
     # the scan sees the plan function itself
     assert {(c, "partition_apply") for c in allowed} <= found
+
+
+def test_cdc_runs_no_shuffle_join():
+    """The epoch delta is one hash-lookup derivation (``cdc.delta``):
+    no module of ``ton_etl_ray/cdc/`` calls ``shuffle_join``."""
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "ton_etl_ray", "cdc")
+    paths = sorted(glob.glob(os.path.join(root, "*.py")))
+    offenders = []
+    for path in paths:
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                call = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if call == "shuffle_join":
+                    offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert len(paths) > 10  # the scan sees the package
+    assert not offenders, offenders
 
 
 def test_in_process_reads_go_through_read_file():

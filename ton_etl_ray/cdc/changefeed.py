@@ -16,10 +16,14 @@ replication without shipping the full table.
   replicated lsn, so the delete wins LWW on the replica exactly as it
   won on the primary).
 
-Scale shape: the diff is O(change set); payloads are picked up by ONE
-hash-partitioned inner join of the epoch-b state against the diff keys
-(epoch-pinned, column-complete read — the payload ships once, to the
-feed). Output is sharded Parquet in the engine's own change schema, so
+Scale shape: both are the span's epoch delta (``delta.delta_stream``,
+the derivation the maintained views and ``epoch_diff`` share): a
+snapshot is the span from nothing, so every row of its epoch is new. No
+join and no shuffle: each task of the delta reads the rewritten
+partitions of its key-closed groups and writes ONE shard of change rows
+(fsynced, ``sink.atomic_write_table``); the ``_feed.json`` stamp goes
+last. In-process below one read block, Ray Data tasks above it. Output
+is sharded Parquet in the engine's own change schema, so
 ``replay(feed_dir, replica)`` applies it with full exactly-once /
 crash-resume semantics.
 
@@ -42,34 +46,13 @@ globbing feed shards together.
 from __future__ import annotations
 
 import os
+import uuid
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data as rd
-
-from .._pickle import ensure_portable
 from . import sink
-from .replay import epoch_diff
-
-
-def _live_rows(lake_dir: str, epoch: int | None):
-    files = sink.lake_files(lake_dir, epoch)
-    # same GC contract as epoch_diff: a commit JSON outlives its data
-    # files, so a collected epoch must raise the ValueError callers
-    # (Watcher.catch_up_feeds) treat as "outside the replayable window"
-    # — not a mid-pipeline read failure in emit_snapshot
-    missing = [f for f in files if not os.path.exists(f)]
-    if missing:
-        raise ValueError(
-            f"changefeed: epoch {epoch}'s data files have been "
-            f"garbage-collected ({len(missing)} missing, e.g. "
-            f"{os.path.basename(missing[0])}); export an epoch inside "
-            "the GC keep window"
-        )
-    if not files:
-        return None
-    return rd.read_parquet(files)
+from .delta import classify, delta_stream
 
 
 def _fresh_out_dir(out_dir: str) -> None:
@@ -93,8 +76,7 @@ FEED_META = "_feed.json"
 def _write_feed_meta(out_dir: str, meta: dict) -> None:
     import json
 
-    with open(os.path.join(out_dir, FEED_META), "w") as f:
-        json.dump(meta, f)
+    sink.atomic_write_bytes(os.path.join(out_dir, FEED_META), json.dumps(meta).encode())
 
 
 def read_feed_meta(feed_dir: str) -> dict | None:
@@ -277,57 +259,59 @@ def prune_feeds(lake_dir: str, feed_root: str, *, keep_feeds: int) -> list[int]:
     return [int(os.path.basename(d).split("-")[1]) for d in keep]
 
 
+def _export(lake_dir: str, out_dir: str, epoch_a: int | None, epoch_b: int,
+            meta: dict) -> str:
+    """Write the span (epoch_a, epoch_b] as a replayable change log,
+    stamped with ``meta`` once every shard is durable. Each epoch-delta
+    task writes one shard: its new rows as ``c`` (key without an old
+    row) or ``u`` at their stored lsn, and its old-only keys as
+    tombstones at ``meta["delete_lsn"]``. A span without changes writes
+    one empty shard in the change schema, so the feed replays as a
+    no-op epoch (consumers map one feed to one replica epoch)."""
+    _fresh_out_dir(out_dir)
+    payload = [f for f in sink.lake_schema(lake_dir, epoch_b) if f.name != "lsn"]
+    out_schema = pa.schema([pa.field("lsn", pa.int64()), pa.field("op", pa.string())] + payload)
+    delete_lsn = meta["delete_lsn"]
+
+    def write_shard(old: pa.Table, new: pa.Table) -> pa.Table:
+        at, gone = classify(old, new)
+        n = gone.num_rows
+        upserts = pa.table([new["lsn"], pc.if_else(pc.is_null(at), "c", "u")]
+                           + [new[f.name] for f in payload], names=out_schema.names)
+        deletes = pa.table([pa.array([delete_lsn] * n, pa.int64()), pa.array(["d"] * n)]
+                           + [gone["doc_id"] if f.name == "doc_id" else pa.nulls(n, f.type)
+                              for f in payload], names=out_schema.names)
+        shard = pa.concat_tables([upserts.cast(out_schema), deletes.cast(out_schema)])
+        os.makedirs(out_dir, exist_ok=True)
+        sink.atomic_write_table(os.path.join(out_dir, f"part-{uuid.uuid4().hex}.parquet"), shard)
+        return pa.table({"rows": [shard.num_rows]})
+
+    out = delta_stream(lake_dir, epoch_a, epoch_b, None, write_shard)
+    if not isinstance(out, list):
+        out.take_all()  # runs the Ray Data tasks, which write the shards
+    _write_feed_meta(out_dir, meta)
+    return out_dir
+
+
 def emit_snapshot(lake_dir: str, out_dir: str, *, epoch: int | None = None) -> str:
     """Export one committed epoch's live rows as an insert-only change
-    log (op='c', stored winning lsn) — the replica seed."""
-    ensure_portable()
-    ds = _live_rows(lake_dir, epoch)
-    os.makedirs(out_dir, exist_ok=True)
-    _fresh_out_dir(out_dir)
+    log (op='c', stored winning lsn) — the replica seed: the span from
+    nothing to ``epoch``."""
     e = sink.latest_epoch(lake_dir) if epoch is None else epoch
     # max_lsn: the source epoch's watermark — consumers use it to tell
     # an idempotent re-apply (replica watermark >= it) from a replica
     # that is BEHIND this snapshot (< it), which would lose the deletes
     # between its state and the snapshot epoch (prune_feeds guard)
-    _write_feed_meta(out_dir, {"kind": "snapshot", "epoch_a": None,
-                               "epoch_b": e, "delete_lsn": None,
-                               "max_lsn": int(sink.read_commit(lake_dir, e)["max_lsn"])})
-    if ds is None:
-        # fully-tombstoned epoch: seed with ONE empty shard in the change
-        # schema so replay() of the feed is a valid no-op epoch instead
-        # of FileNotFoundError('no change shards') — an empty-but-valid
-        # epoch must still be able to seed a replica
-        import pyarrow.parquet as pq
-
-        payload = sink.lake_schema(lake_dir, epoch)
-        fields = [pa.field("lsn", pa.int64()), pa.field("op", pa.string())]
-        fields += [f for f in payload if f.name not in ("lsn",)]
-        pq.write_table(pa.schema(fields).empty_table(),
-                       os.path.join(out_dir, "snapshot-empty.parquet"))
-        return out_dir
-
-    def to_changes(t: pa.Table) -> pa.Table:
-        cols = {"lsn": t["lsn"].cast(pa.int64()),
-                "op": pa.array(["c"] * t.num_rows, pa.string())}
-        for name in t.column_names:
-            if name not in ("lsn",):
-                cols[name] = t[name]
-        return pa.table(cols)
-
-    ds.map_batches(to_changes, batch_format="pyarrow").write_parquet(out_dir)
-    return out_dir
+    return _export(lake_dir, out_dir, None, e, {
+        "kind": "snapshot", "epoch_a": None, "epoch_b": e, "delete_lsn": None,
+        "max_lsn": int(sink.read_commit(lake_dir, e)["max_lsn"])})
 
 
 def emit_changefeed(lake_dir: str, out_dir: str, epoch_a: int,
-                    epoch_b: int | None = None,
-                    num_partitions: int | None = None) -> str:
+                    epoch_b: int | None = None) -> str:
     """Export the epoch_a→epoch_b diff as a replayable change log."""
-    ensure_portable()
-    from ..ops.relational import shuffle_join
-
     e_b = sink.latest_epoch(lake_dir) if epoch_b is None else epoch_b
-    commit_b = sink.read_commit(lake_dir, e_b)
-    delete_lsn = int(commit_b["max_lsn"]) + 1
+    delete_lsn = int(sink.read_commit(lake_dir, e_b)["max_lsn"]) + 1
     # tombstone-lsn collision check: tombstones ride at max_lsn(b)+1,
     # which the NEXT epoch's real lsns may legitimately reuse (harmless
     # under the one-feed-per-replay contract, module doc). When epoch
@@ -347,91 +331,8 @@ def emit_changefeed(lake_dir: str, out_dir: str, epoch_a: int,
             "replay invocation (apply_feeds/FeedFollower do) or a "
             "delete can tie against a later re-create",
             e_b + 1, int(nxt.get("min_lsn", -1)), delete_lsn)
-    os.makedirs(out_dir, exist_ok=True)
-    _fresh_out_dir(out_dir)
-    _write_feed_meta(out_dir, {"kind": "changefeed", "epoch_a": epoch_a,
-                               "epoch_b": e_b, "delete_lsn": delete_lsn})
-
-    diff = epoch_diff(lake_dir, epoch_a, e_b,
-                      num_partitions=num_partitions).materialize()
-
-    # upserts: epoch-b winners for added/updated keys, one hash join
-    def upsert_keys(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["change"],
-                              pa.array(["added", "updated"], pa.string())))
-        return pa.table({"doc_id": t["doc_id"],
-                         "op": pc.if_else(pc.equal(t["change"], pa.scalar("added")),
-                                          pa.scalar("c"), pa.scalar("u"))})
-
-    keys = diff.map_batches(upsert_keys, batch_format="pyarrow")
-    state_b = _live_rows(lake_dir, e_b)
-    wrote_upserts = False
-    if state_b is not None and keys.count() > 0:
-        # force_portable: the payload carries tokens (list<int32>) —
-        # the native join's acero backend rejects list non-key fields
-        joined = shuffle_join(
-            state_b, keys, on="doc_id", how="inner", force_portable=True,
-            left_schema=sink.lake_schema(lake_dir, e_b),
-            right_schema=pa.schema([("doc_id", pa.string()), ("op", pa.string())]),
-        )
-
-        def to_changes(t: pa.Table) -> pa.Table:
-            if not t.num_rows:
-                return t
-            cols = {"lsn": t["lsn"].cast(pa.int64()), "op": t["op"]}
-            for name in t.column_names:
-                if name not in ("lsn", "op"):
-                    cols[name] = t[name]
-            return pa.table(cols)
-
-        joined.map_batches(to_changes, batch_format="pyarrow").write_parquet(out_dir)
-        wrote_upserts = True
-
-    # tombstones: deleted keys at a feed lsn above every replicated lsn.
-    # The payload schema is resolved ONCE on the driver — resolving it
-    # inside the batch fn would re-read the commit JSON + parquet footer
-    # per batch on every worker (and require workers to see the lake path).
-    payload = sink.lake_schema(lake_dir, e_b)
-
-    def delete_rows(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["change"], pa.scalar("deleted")))
-        n = t.num_rows
-        cols = {"lsn": pa.array([delete_lsn] * n, pa.int64()),
-                "op": pa.array(["d"] * n, pa.string()),
-                "doc_id": t["doc_id"]}
-        for f in payload:
-            if f.name not in cols:
-                cols[f.name] = pa.nulls(n, f.type)
-        return pa.table(cols)
-
-    deletes = diff.map_batches(delete_rows, batch_format="pyarrow")
-    if deletes.count() > 0:
-        # a second write_parquet into the same dir could collide shard
-        # names with the upsert files; stage in a subdir, then promote
-        # the shards with a distinct prefix (rename only — no data moves,
-        # and replay's shard discovery is non-recursive by design)
-        ddir = os.path.join(out_dir, "_deletes_staging")
-        os.makedirs(ddir, exist_ok=True)
-        deletes.write_parquet(ddir)
-        import glob as _glob
-        import shutil as _shutil
-
-        for f in _glob.glob(os.path.join(ddir, "*.parquet")):
-            os.replace(f, os.path.join(out_dir, "deletes-" + os.path.basename(f)))
-        _shutil.rmtree(ddir, ignore_errors=True)
-    elif not wrote_upserts:
-        # empty diff (e.g. an idempotent re-apply committed an epoch
-        # that changed nothing): publish ONE empty shard in the change
-        # schema so the feed stays replayable as a no-op epoch —
-        # consumers map one feed to one replica epoch, and a shard-less
-        # dir would crash replay's discovery instead
-        import pyarrow.parquet as pq
-
-        fields = [pa.field("lsn", pa.int64()), pa.field("op", pa.string())]
-        fields += [f for f in payload if f.name not in ("lsn",)]
-        pq.write_table(pa.schema(fields).empty_table(),
-                       os.path.join(out_dir, "changefeed-empty.parquet"))
-    return out_dir
+    return _export(lake_dir, out_dir, epoch_a, e_b, {
+        "kind": "changefeed", "epoch_a": epoch_a, "epoch_b": e_b, "delete_lsn": delete_lsn})
 
 FOLLOWER_META = "_follower.json"
 
@@ -542,10 +443,8 @@ class FeedFollower:
     def _stamp(self, f0: int) -> None:
         import json
 
-        tmp = self._meta_path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump({"first_feed_epoch": int(f0)}, f)
-        os.replace(tmp, self._meta_path)
+        sink.atomic_write_bytes(self._meta_path,
+                                json.dumps({"first_feed_epoch": int(f0)}).encode())
         self.first_feed = int(f0)
 
     def step(self) -> int | None:

@@ -69,6 +69,7 @@ from ..core.schema_evolution import conform, unify_schemas
 from ..ops._util import local_plan, read_blocks
 from ..schemas import VALID_OPS
 from . import sink
+from .delta import classify, delta_stream
 
 @dataclass
 class ReplayResult:
@@ -479,95 +480,49 @@ def final_state_table(lake_dir: str, epoch: int | None = None) -> pa.Table:
     """The committed state as one driver-side table — tests and small
     lakes only: each partition file through ``sink.read_file``, then one
     permissive concat (files from before a schema evolution gain its
-    columns as nulls and widen to its types)."""
-    return pa.concat_tables([sink.read_file(f) for f in sink.lake_files(lake_dir, epoch)],
-                            promote_options="permissive")
+    columns as nulls and widen to its types). A state without a live
+    row is an empty table with the lake schema."""
+    files = sink.lake_files(lake_dir, epoch)
+    if not files:
+        return sink.lake_schema(lake_dir, epoch).empty_table()
+    return pa.concat_tables([sink.read_file(f) for f in files], promote_options="permissive")
 
 
-def epoch_diff(lake_dir: str, epoch_a: int, epoch_b: int | None = None,
-               num_partitions: int | None = None) -> "rd.Dataset":
+_DIFF_SCHEMA = pa.schema([("doc_id", pa.string()), ("change", pa.string()),
+                          ("lsn_from", pa.int64()), ("lsn_to", pa.int64())])
+
+
+def _diff_rows(old: pa.Table, new: pa.Table) -> pa.Table:
+    """The diff rows of one epoch-delta task (``delta.classify``)."""
+    at, gone = classify(old, new)
+    changed = pa.table([new["doc_id"], pc.if_else(pc.is_null(at), "added", "updated"),
+                        pc.take(old["lsn"], at), new["lsn"]], names=_DIFF_SCHEMA.names)
+    n = gone.num_rows
+    deleted = pa.table([gone["doc_id"], pa.array(["deleted"] * n), gone["lsn"],
+                        pa.nulls(n, pa.int64())], names=_DIFF_SCHEMA.names)
+    return pa.concat_tables([changed.cast(_DIFF_SCHEMA), deleted.cast(_DIFF_SCHEMA)])
+
+
+def epoch_diff(lake_dir: str, epoch_a: int, epoch_b: int | None = None) -> "rd.Dataset":
     """Committed-state diff between two lake epochs — "what changed
     since epoch a": one row per key that was added, updated (winning
-    lsn moved), or deleted between the two commits. The CDC engine's
-    audit/downstream-sync primitive, built on the epoch-pinned reads
-    (``sink.lake_files(lake, epoch)``).
+    lsn moved), or deleted between the two commits (``doc_id``,
+    ``change``, ``lsn_from``, ``lsn_to``). The CDC engine's
+    audit/downstream-sync primitive.
+
+    One derivation with the maintained views and the changefeed:
+    ``delta.delta_stream`` reads only ``doc_id`` and ``lsn`` of the
+    rewritten partitions of the span — pairs of same-width partitions,
+    split at re-sharding compactions and netted per key-closed group —
+    so the work is proportional to the rewritten partitions and the
+    output to the true change set. In-process below one read block (the
+    rows then become a Dataset), a Ray Data map above it.
 
     GC caveat: ``gc_epochs`` keeps every commit JSON as lineage but
-    COLLECTS superseded data files, so a diff is only possible against
-    epochs whose files still exist (inside the GC keep window, or any
-    epoch if GC has not run). A collected epoch raises a clear
-    ValueError here rather than a mid-pipeline read failure.
-
-    Scale shape: both sides are read NARROW (doc_id + lsn only — the
-    payload never moves), then one hash-partitioned FULL OUTER
-    ``shuffle_join`` on doc_id classifies membership; unchanged keys
-    (same winning lsn) are dropped inside the map stage, so the output
-    is proportional to the true change set, not the lake.
-
-    ``num_partitions=None`` (default) sizes the join from the two
-    epochs' ON-DISK bytes (≈64 MiB per partition, clamped [4, 512]) —
-    the native join's aggregator pool costs seconds of fixed latency
-    per partition batch, so a small diff must not pay for 32 reducers
-    while a 100 TB lake still fans out."""
-    from ..ops.relational import shuffle_join
-
-    def side(epoch, alias):
-        files = sink.lake_files(lake_dir, epoch)
-        missing = [f for f in files if not os.path.exists(f)]
-        if missing:
-            raise ValueError(
-                f"epoch_diff: epoch {epoch}'s data files have been "
-                f"garbage-collected ({len(missing)} missing, e.g. "
-                f"{os.path.basename(missing[0])}); diff against an epoch "
-                "inside the GC keep window"
-            )
-        if not files:  # fully-tombstoned state: an empty, typed side
-            ds = rd.from_arrow(pa.schema(
-                [("doc_id", pa.string()), ("lsn", pa.int64())]).empty_table())
-        else:
-            ds = rd.read_parquet(files, columns=["doc_id", "lsn"])
-        return ds.map_batches(
-            lambda t, _a=alias: pa.table({"doc_id": t["doc_id"],
-                                          _a: t["lsn"].cast(pa.int64())}),
-            batch_format="pyarrow",
-        )
-
-    if num_partitions is None:
-        total_bytes = sum(
-            os.path.getsize(f)
-            for e in (epoch_a, epoch_b)
-            for f in sink.lake_files(lake_dir, e)
-            if os.path.exists(f)
-        )
-        num_partitions = int(min(512, max(4, total_bytes // (64 << 20) + 4)))
-
-    joined = shuffle_join(
-        side(epoch_a, "lsn_from"), side(epoch_b, "lsn_to"),
-        on="doc_id", how="full_outer", num_partitions=num_partitions,
-    )
-
-    out_schema = pa.schema(
-        [("doc_id", pa.string()), ("change", pa.string()),
-         ("lsn_from", pa.int64()), ("lsn_to", pa.int64())]
-    )
-
-    def classify(t: pa.Table) -> pa.Table:
-        if "lsn_from" not in t.column_names or not len(t):
-            return out_schema.empty_table()
-        a = t["lsn_from"].to_numpy(zero_copy_only=False)
-        b = t["lsn_to"].to_numpy(zero_copy_only=False)
-        a_null = pc.is_null(t["lsn_from"]).to_numpy(zero_copy_only=False)
-        b_null = pc.is_null(t["lsn_to"]).to_numpy(zero_copy_only=False)
-        change = np.where(a_null, "added", np.where(b_null, "deleted", "updated"))
-        keep = a_null | b_null | (a != b)
-        t = t.filter(pa.array(keep))
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "change": pa.array(change[keep], pa.string()),
-                "lsn_from": t["lsn_from"].cast(pa.int64()),
-                "lsn_to": t["lsn_to"].cast(pa.int64()),
-            }
-        )
-
-    return joined.map_batches(classify, batch_format="pyarrow")
+    COLLECTS superseded data files, so a diff is only possible while
+    the files it compares still exist (inside the GC keep window, or
+    any epoch if GC has not run). A collected file — at an endpoint or
+    as the pre-image of a re-shard inside the span — raises a
+    "garbage-collected" ValueError before any read."""
+    out = delta_stream(lake_dir, epoch_a, epoch_b, [], _diff_rows)
+    return rd.from_arrow(out) if isinstance(out, list) else out

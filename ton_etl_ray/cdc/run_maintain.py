@@ -28,12 +28,12 @@ import time
 
 
 def _atomic_feed_export(out_dir: str, emit) -> None:
-    """Build-then-rename for CLI feed exports: ``emit_snapshot`` /
-    ``emit_changefeed`` stamp ``_feed.json`` BEFORE streaming the data
-    shards, and consumers (``apply_feeds`` / ``FeedFollower``) treat a
-    feed directory as complete the instant it exists — so a crash
-    mid-export must never leave a stamped partial feed at the published
-    path. Same discipline as ``DirectoryWatcher._publish_feed``."""
+    """Build-then-rename for CLI feed exports: consumers
+    (``apply_feeds`` / ``FeedFollower``) treat a feed directory as
+    complete the instant it exists, and ``emit_snapshot`` /
+    ``emit_changefeed`` write their shards one by one — so a crash
+    mid-export must never leave a partial feed at the published path.
+    Same discipline as ``DirectoryWatcher._publish_feed``."""
     import shutil
 
     out_dir = out_dir.rstrip("/")
@@ -101,6 +101,8 @@ def main(argv: list[str] | None = None) -> int:
 
         init_driver(args.num_cpus)
 
+    import pyarrow.compute as pc
+
     from . import sink
     from .compact import compact_lake
     from .replay import epoch_diff
@@ -109,11 +111,16 @@ def main(argv: list[str] | None = None) -> int:
         a = args.diff[0]
         b = args.diff[1] if len(args.diff) > 1 else None
         t0 = time.perf_counter()
-        counts = epoch_diff(args.lake, a, b).groupby("change").count().to_pandas()
+        # at most three classes: count them per batch, no shuffle
+        counts: dict[str, int] = {}
+        for batch in epoch_diff(args.lake, a, b).iter_batches(batch_format="pyarrow",
+                                                               batch_size=None):
+            for vc in pc.value_counts(batch["change"]).to_pylist():
+                counts[vc["values"]] = counts.get(vc["values"], 0) + vc["counts"]
         print(json.dumps({
             "action": "diff", "from_epoch": a,
             "to_epoch": b if b is not None else sink.latest_epoch(args.lake),
-            "counts": dict(zip(counts["change"], counts["count()"].astype(int))),
+            "counts": dict(sorted(counts.items())),
             "sec": round(time.perf_counter() - t0, 3),
         }))
     if args.snapshot is not None:

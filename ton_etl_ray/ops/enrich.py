@@ -281,7 +281,7 @@ def metadata_refresh_feed(
     import ray
 
     from ..cdc import sink
-    from ..cdc.changefeed import _fresh_out_dir, _live_rows, _write_feed_meta
+    from ..cdc.changefeed import _fresh_out_dir, _write_feed_meta
     from ..functions import normalize_json
 
     ensure_portable()
@@ -302,8 +302,9 @@ def metadata_refresh_feed(
         out_fields.append(pa.field(meta_col, pa.string()))
     out_schema = pa.schema(out_fields)
 
-    live = _live_rows(lake_dir, base_epoch)
-    if live is not None:
+    files = sink.lake_files(lake_dir, base_epoch)
+    if files:
+        live = rd.read_parquet(files)
         # distinct keys: per-block unique partials, then a driver set —
         # dim-sized by contract (the fetch targets masters/collections,
         # never the event stream)

@@ -17,10 +17,10 @@ and their maintained forms (``incremental_*``) run in-process below one
 read block (``ops._util.BLOCK_BYTES``): each file is one
 ``sink.read_file`` decode, and each result one Arrow kernel — a hash
 ``group_by`` for the budget, ``value_counts`` for the histogram. The
-epoch delta compares each rewritten partition pair with a hash-lookup
-zipper (``index_in`` on doc_id plus an lsn compare) and calls the
-partial once per sign per task; above one read block the same kernels
-run as Ray Data tasks.
+epoch delta is ``cdc.delta.delta_stream`` — the derivation
+``epoch_diff`` and the changefeed share — and each of its tasks hands
+the changed rows to the view once, which calls its partial once per
+sign; above one read block the same kernels run as Ray Data tasks.
 
 Full SQL oracles: the change log's token values are md5-seeded-LCG per
 (doc, version) (pipelines.docs_to_change_log), so DuckDB reproduces the
@@ -40,7 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .._pickle import ensure_portable
-from ._util import local_plan, read_blocks
+from ._util import local_plan
 
 def _lake(sf_dir: str):
     # cached committed flagship lake: one replay serves every
@@ -190,129 +190,11 @@ def _finish_budget(delta: pa.Table) -> pa.Table:
                      pa.array(np.round(toks / docs, 4), pa.float64())], schema=_BUDGET_SCHEMA)
 
 
-def _span_pairs(lake_dir: str, epoch_a: int, epoch_b: int) -> list[dict]:
-    """The (old, new) partition file pairs whose signed partials sum to
-    the state change of the span (a, b].
-
-    Partition p holds the same key domain in every epoch of one width,
-    so a same-width span pairs each partition with itself and drops
-    INHERITED partitions (same file path on both sides: no change). If
-    the endpoint widths are equal the span is aligned whatever ran in
-    between, and no commit in between is read. Otherwise the span is
-    split at each layout change: only ``compact_lake`` changes
-    ``num_partitions`` (replay and replay_late adopt the head's width,
-    ingest refuses a mismatch), and a compaction re-stores its head's
-    state unchanged, so state(c) = state(c−1) and (a, b] is the sum of
-    the aligned runs (a, c−1] and (c, b]."""
-    from ..cdc import sink
-
-    def width(c: dict) -> int:
-        return int(c["num_partitions"])
-
-    first, last = sink.read_commit(lake_dir, epoch_a), sink.read_commit(lake_dir, epoch_b)
-    runs = [(first, last)]
-    if width(first) != width(last):
-        runs, start, prev = [], first, first
-        for e in range(epoch_a + 1, epoch_b + 1):
-            c = last if e == epoch_b else sink.read_commit(lake_dir, e)
-            if width(c) != width(prev):
-                if not str((c.get("inputs") or [""])[0]).startswith("<compact:"):
-                    raise ValueError(
-                        f"epoch {e} changed num_partitions without compact_lake; "
-                        "the span cannot be split into aligned runs")
-                runs.append((start, prev))
-                start = c
-            prev = c
-        runs.append((start, last))
-    pairs = []
-    for ca, cb in runs:
-        for p in sorted(ca["partitions"].keys() | cb["partitions"].keys(), key=int):
-            path_a = ca["partitions"].get(p, {}).get("path") or ""
-            path_b = cb["partitions"].get(p, {}).get("path") or ""
-            if path_a != path_b:
-                pairs.append({"a": path_a, "b": path_b})
-    return pairs
-
-
-def _zip_changed(ta: pa.Table, tb: pa.Table) -> tuple[pa.Table, pa.Table]:
-    """The changed rows of one partition pair, each side unique by
-    doc_id: the rows of ``ta`` whose key is gone from ``tb`` or won
-    there at another lsn (deleted or updated: old rows), and the same
-    for ``tb`` against ``ta`` (added or updated: new rows). One hash
-    lookup (``index_in``) and one lsn compare per direction; the rows
-    keep their types."""
-    def changed(t: pa.Table, other: pa.Table) -> pa.Table:
-        at = pc.take(other["lsn"], pc.index_in(t["doc_id"], value_set=other["doc_id"]))
-        return t.filter(pc.invert(pc.fill_null(pc.equal(t["lsn"], at), False)))
-
-    return changed(ta, tb), changed(tb, ta)
-
-
-def _aligned_delta_stream(
-    lake_dir: str,
-    epoch_a: int,
-    epoch_b: int | None,
-    columns: list[str],
-    partial_fn,
-    empty_schema: pa.Schema,
-):
-    """The one IVM delta derivation: a per-partition state comparison
-    over the pairs of ``_span_pairs``, with no shuffle, no join, no
-    broadcast key set. Each pair is compared in isolation (pairs are
-    packed into ``read_blocks(paired bytes)`` tasks) by a hash-lookup
-    zipper (``_zip_changed``): a key is unchanged (same winning lsn —
-    skipped), updated (old row → −1, new row → +1), deleted (only in a
-    → −1) or added (only in b → +1). A task concatenates the changed
-    rows of all its pairs per sign and calls ``partial_fn`` once per
-    sign.
-
-    ``partial_fn(table, sign) -> pa.Table`` turns changed rows into
-    signed per-group partials (conforming to ``empty_schema``). The work
-    is one column-pruned ``sink.read_file`` of each REWRITTEN partition
-    per side, the minimum any signed-delta maintenance can do without
-    an auxiliary index. Pure state comparison — no LSN-ordering
-    assumption, late cross-epoch data included. Pairs smaller than one
-    read block in total compare in-process. Returns the partials: a
-    Dataset, or a list of tables from the in-process plan (empty when
-    nothing changed)."""
-    ensure_portable()
-    import ray.data as rd
-
-    from ..cdc import sink
-
-    e_b = sink.latest_epoch(lake_dir) if epoch_b is None else epoch_b
-    pairs = _span_pairs(lake_dir, epoch_a, e_b)
-    if not pairs:
-        return []
-    read_cols = ["doc_id"] + [c for c in columns if c != "doc_id"]
-    cols = read_cols + ["lsn"]
-
-    def pair_partials(batch: pa.Table) -> pa.Table:
-        sides: dict[int, list[pa.Table]] = {-1: [], 1: []}
-        for a_rel, b_rel in zip(batch["a"].to_pylist(), batch["b"].to_pylist()):
-            ta, tb = (sink.read_file(os.path.join(lake_dir, rel), cols) if rel else None
-                      for rel in (a_rel, b_rel))
-            if ta is not None and tb is not None:
-                ta, tb = _zip_changed(ta, tb)
-            # a partition born in the span is all adds, an emptied one all deletes
-            for sign, t in ((-1, ta), (1, tb)):
-                if t is not None and t.num_rows:
-                    sides[sign].append(t.select(read_cols))
-        outs = [partial_fn(pa.concat_tables(ts, promote_options="permissive"), sign)
-                for sign, ts in sides.items() if ts]
-        if not outs:
-            return empty_schema.empty_table()
-        return pa.concat_tables([t.cast(empty_schema) for t in outs])
-
-    # sized by bytes, not one task per pair: a task per ~9 ms pair costs
-    # more to start than the pair takes to merge on a small lake
-    paired_bytes = sum(os.path.getsize(os.path.join(lake_dir, rel))
-                       for pair in pairs for rel in pair.values() if rel)
-    if local_plan(paired_bytes):
-        return [pair_partials(pa.Table.from_pylist(pairs))]
-    blocks = min(len(pairs), read_blocks(paired_bytes))
-    return (rd.from_items(pairs, override_num_blocks=blocks)
-            .map_batches(pair_partials, batch_format="pyarrow", batch_size=None))
+def _signed(partial_fn):
+    """The epoch-delta consumer of a view: one signed partial per side
+    of a ``cdc.delta.delta_stream`` task — old rows count −1, new rows
+    +1 — for the driver's exact int64 fold."""
+    return lambda old, new: pa.concat_tables([partial_fn(old, -1), partial_fn(new, 1)])
 
 
 def incremental_source_budget(
@@ -331,13 +213,15 @@ def incremental_source_budget(
 
     ``base`` is the view at ``epoch_a`` (from ``source_budget_at`` or a
     previous maintenance step). Exact, not approximate: the signed
-    column-pruned delta (see ``_aligned_delta_stream``) and ``base``
+    column-pruned delta (see ``cdc.delta.delta_stream``) and ``base``
     fold into one O(sources) int64 table on the driver.
     ``incremental == full recompute at epoch b`` is pinned in pytest,
     across re-shard compactions too, and by the ``incremental_budget``
     DuckDB value-hash oracle."""
-    stream = _aligned_delta_stream(
-        lake_dir, epoch_a, epoch_b, ["source", "n_tok"], _budget_partials, _DELTA_SCHEMA)
+    from ..cdc.delta import delta_stream
+
+    stream = delta_stream(lake_dir, epoch_a, epoch_b, ["source", "n_tok"],
+                          _signed(_budget_partials))
     base_t = pa.table([base["source"], base["n_docs"], base["total_tokens"]],
                       names=_DELTA_SCHEMA.names).cast(_DELTA_SCHEMA)
     return _finish_budget(_fold(stream, base_t))
@@ -399,6 +283,7 @@ def incremental_token_histogram(
     Same signed delta as the budget view, folded into ``base`` the same
     way (int64, exact past 2^53); tokens whose count drops to 0 leave
     the view. Exactness vs ``token_histogram_at`` is pinned in pytest."""
-    stream = _aligned_delta_stream(
-        lake_dir, epoch_a, epoch_b, ["tokens"], _hist_partials, _HIST_FULL_SCHEMA)
+    from ..cdc.delta import delta_stream
+
+    stream = delta_stream(lake_dir, epoch_a, epoch_b, ["tokens"], _signed(_hist_partials))
     return _fold_hist(stream, base)
