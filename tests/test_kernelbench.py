@@ -1,0 +1,33 @@
+"""Smoke test of the Ray-free kernel micro-bench at a tiny size: it
+runs in a fresh process, round-trips every partition it encodes and
+reports every stage for both lake shapes."""
+
+import json
+import os
+import subprocess
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+STAGES = {"conform", "compact", "assign", "merge_state", "encode_policy",
+          "encode_default", "read_policy", "read_default"}
+
+
+def test_kernelbench_runs_tiny():
+    out = subprocess.run(
+        [sys.executable, os.path.join(REPO, "tools", "kernelbench.py"),
+         "--scale", "0.01", "--reps", "2", "--large", "300"],
+        capture_output=True, text=True, timeout=300, cwd=REPO,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    res = json.loads(out.stdout.strip().splitlines()[-1])
+    assert set(res["shapes"]) == {"upsert", "backfill"}
+    for shape in res["shapes"].values():
+        assert set(shape["cpu_ms"]) == STAGES
+        assert shape["rows_written"] > 0
+        # lsn is unique in every partition, so the policy drops its
+        # dictionary page and writes fewer bytes
+        assert 0 < shape["bytes_policy"] < shape["bytes_default"]
+        for q in shape["cpu_ms"].values():
+            assert q["q1"] <= q["p50"] <= q["q3"]
+    assert set(res["large"]["300"]) == {"uniform", "zipf"}

@@ -4,7 +4,7 @@ import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ton_etl_ray.core.merge import compact, oracle_apply
+from ton_etl_ray.core.merge import compact, merge_state, oracle_apply
 
 
 def _table(events):
@@ -49,6 +49,31 @@ def test_compact_equals_oracle_any_log(events, rnd):
         for r in oracle_apply(t).to_pylist()
     }
     assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=30), unique=True, max_size=20),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=30),
+            st.sampled_from(["c", "u", "d"]),
+            st.integers(min_value=0, max_value=1000),
+        ),
+        max_size=40,
+    ),
+)
+def test_merge_state_output_doc_ids_strictly_increase(state_keys, events):
+    """The partition writer stores ``merge_state``'s output unsorted: it
+    must come out in strictly ascending doc_id order whatever the order
+    of the state and the changes."""
+    state = pa.table({
+        "lsn": pa.array([-1 - i for i in range(len(state_keys))], pa.int64()),
+        "doc_id": pa.array([f"k{k}" for k in state_keys], pa.string()),
+        "tokens": pa.array([[k] for k in state_keys], pa.list_(pa.int32())),
+    })
+    ids = merge_state(state, _table(events))["doc_id"].to_pylist()
+    assert all(a < b for a, b in zip(ids, ids[1:])), ids
 
 
 def test_portable_shuffle_join_matches_pandas_merge():

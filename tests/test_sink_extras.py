@@ -389,3 +389,90 @@ print(before, len(os.listdir("/proc/self/fd")))
     out = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
                          text=True, check=True).stdout.split()
     assert out[0] == out[1], out
+
+
+def _encodings(path):
+    """Parquet column path -> set of encodings of row group 0."""
+    import pyarrow.parquet as pq
+
+    rg = pq.ParquetFile(path).metadata.row_group(0)
+    return {rg.column(i).path_in_schema: set(rg.column(i).encodings)
+            for i in range(rg.num_columns)}
+
+
+def test_small_partition_writes_wide_ints_plain(tmp_path):
+    """In a partition of a few hundred rows, lsn (unique) and the token
+    ids (a few thousand values of a 50k vocabulary) carry no dictionary
+    page; strings and n_tok (1..16, over more than 8 × 16 rows) keep
+    theirs, and the lineage check still passes."""
+    chg = str(tmp_path / "chg")
+    write_change_log(chg, num_events=6000, num_keys=1500, seed=47, num_shards=2, max_tok=16)
+    lake = str(tmp_path / "lake")
+    replay(chg, lake, num_partitions=2)
+    files = sink.lake_files(lake)
+    assert len(files) == 2
+    for f in files:
+        enc = _encodings(f)
+        assert "RLE_DICTIONARY" not in enc["lsn"], enc
+        assert "RLE_DICTIONARY" not in enc["tokens.list.element"], enc
+        assert sink.read_file(f).num_rows > 8 * 16
+        for col in ("doc_id", "source", "n_tok"):
+            assert "RLE_DICTIONARY" in enc[col], (col, enc)
+    assert sink.verify_lake(lake)["partitions_checked"] == 2
+
+
+def test_dense_tokens_keep_their_dictionary(tmp_path):
+    """range · 8 ≤ values: the token leaf keeps the dictionary, lsn
+    (range · 8 > values) goes plain."""
+    import pyarrow as pa
+
+    n = 200
+    t = pa.table({
+        "lsn": pa.array(range(n), pa.int64()),
+        "tokens": pa.array([[(i * 7 + j) % 100 for j in range(5)] for i in range(n)],
+                           pa.list_(pa.int32())),
+    })
+    assert sink.dictionary_columns(t) == ["tokens.list.element"]
+    path = str(tmp_path / "dense.parquet")
+    assert sink.atomic_write_table(path, t) == os.path.getsize(path)
+    enc = _encodings(path)
+    assert "RLE_DICTIONARY" in enc["tokens.list.element"]
+    assert "RLE_DICTIONARY" not in enc["lsn"]
+    assert sink.read_file(path).equals(t)
+
+
+def test_encoding_policy_round_trips_exactly(tmp_path):
+    """Edge shapes the per-leaf decision must survive unchanged: an
+    empty table, an all-null int, int64 min and max together (the range
+    overflows int64), uint64 near its max, large_list and null lists.
+    The writer still returns the file size."""
+    import pyarrow as pa
+
+    i64 = pa.int64()
+    lake_schema = pa.schema([("doc_id", pa.string()), ("tokens", pa.list_(pa.int32())),
+                             ("n_tok", pa.int32()), ("lsn", i64)])
+    cases = {
+        "empty": lake_schema.empty_table(),
+        "all_null": pa.table({"a": pa.array([None] * 5, i64), "s": ["x"] * 5}),
+        "int64_ends": pa.table({"a": pa.array([-2**63, 2**63 - 1, 0], i64)}),
+        "uint64": pa.table({"u": pa.array([0, 2**64 - 1, 2**63], pa.uint64())}),
+        "large_list": pa.table({"t": pa.array([[1, 2**40], None, [], [3]],
+                                              pa.large_list(i64))}),
+        "null_lists": pa.table({"tokens": pa.array([None, None, [5, 6], None],
+                                                   pa.list_(pa.int32()))}),
+        "nested": pa.table({
+            "st": pa.array([{"a": 10**9, "b": "x"}, None, {"a": 1, "b": "y"}]),
+            "m": pa.array([[("k", 1)], None, [("k", 1), ("j", 1)]], pa.map_(pa.string(), pa.int32())),
+        }),
+    }
+    for name, t in cases.items():
+        path = str(tmp_path / f"{name}.parquet")
+        assert sink.atomic_write_table(path, t) == os.path.getsize(path)
+        got = sink.read_file(path)
+        assert got.schema == t.schema and got.equals(t), name
+    assert sink.dictionary_columns(cases["empty"]) is True
+    assert sink.dictionary_columns(cases["all_null"]) is True
+    assert sink.dictionary_columns(cases["nested"]) == ["st.b", "m.key_value.key"]
+    assert "RLE_DICTIONARY" not in _encodings(str(tmp_path / "int64_ends.parquet"))["a"]
+    assert "RLE_DICTIONARY" not in _encodings(str(tmp_path / "uint64.parquet"))["u"]
+    assert "RLE_DICTIONARY" not in _encodings(str(tmp_path / "large_list.parquet"))["t.list.element"]

@@ -69,6 +69,8 @@ def compact_lake(lake_dir: str, *, num_partitions: int | None = None) -> dict:
             return t.append_column("part", pa.array(part.astype("int64"), pa.int64()))
 
         def write_part(part: int, t: pa.Table, _state: None) -> dict:
+            # a new partition gathers rows from several old ones, so it is
+            # not in doc_id order yet
             return sink.write_partition(
                 lake_dir, epoch, sink.part_file(part), t.sort_by("doc_id"),
                 {"kind": "data", "part": part, "rows_in": t.num_rows,

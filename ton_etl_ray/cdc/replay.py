@@ -179,8 +179,9 @@ def by_part(t: pa.Table, col: str = "part"):
 def commit_partition(lake_dir: str, epoch: int, part: int, changes: pa.Table,
                      state_path: str | None) -> dict:
     """The per-partition commit kernel of every change-applying writer:
-    merge ``changes`` onto the partition's committed state (LWW), sort
-    by doc_id and 2PC-write it. Returns the partition manifest.
+    merge ``changes`` onto the partition's committed state (LWW; the
+    merge's output is already doc_id-ascending) and 2PC-write it.
+    Returns the partition manifest.
 
     ``min_lsn`` is a LOWER BOUND on the lsn of every row NEWLY STORED by
     this epoch in this partition (min over the arriving change rows —
@@ -192,7 +193,7 @@ def commit_partition(lake_dir: str, epoch: int, part: int, changes: pa.Table,
     tombstone-collision check (``emit_changefeed``) reads it, and the
     tests' ``lsn_ordered_span`` helper checks it over a span."""
     state = sink.read_file(state_path) if state_path else None
-    new_state = M.merge_state(state, changes).sort_by("doc_id")
+    new_state = M.merge_state(state, changes)
     return sink.write_partition(
         lake_dir, epoch, sink.part_file(part), new_state,
         {"kind": "data", "part": part, "rows_in": changes.num_rows,

@@ -53,6 +53,19 @@ Layout::
         _COMMIT.json               # partition map + totals + schema
         part-00007.parquet
         part-00007.manifest.json   # rows, max_lsn, counters, inputs
+
+Every durable Parquet file — partition files, changefeed shards,
+converted Debezium shards — goes through ``atomic_write_table``: zstd,
+with the dictionary encoding chosen per leaf column from the data
+(``dictionary_columns``). An integer leaf whose value range
+``max − min + 1`` exceeds 1/8 of its value count is written plain;
+every other leaf keeps pyarrow's dictionary. The lake's big columns
+are lsns (unique) and token ids (vocabulary codes, up to ~50k distinct
+values): in a partition of a few thousand rows the dictionary page
+nearly copies the values and pyarrow's 1 MiB fallback never trips, so
+it was about a third of every file and of its encode CPU. A partition
+whose token count is 8× the vocabulary keeps the token dictionary,
+where it pays; a narrow int (``n_tok``) and strings keep theirs.
 """
 
 from __future__ import annotations
@@ -64,6 +77,7 @@ import re
 import time
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 COMMIT_NAME = "_COMMIT.json"
@@ -112,10 +126,56 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     _fsync_dir(os.path.dirname(path))
 
 
+def _leaves(path: str, values):
+    """``(parquet column path, values)`` of every leaf under one column:
+    list elements are ``<path>.list.element``, struct fields
+    ``<path>.<field>``, map entries ``<path>.key_value.key|value``."""
+    t = values.type
+    if pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_fixed_size_list(t):
+        yield from _leaves(f"{path}.list.element", pc.list_flatten(values))
+    elif pa.types.is_map(t):
+        chunks = values.chunks if isinstance(values, pa.ChunkedArray) else [values]
+        yield from _leaves(f"{path}.key_value.key", pa.chunked_array([c.keys for c in chunks], t.key_type))
+        yield from _leaves(f"{path}.key_value.value", pa.chunked_array([c.items for c in chunks], t.item_type))
+    elif pa.types.is_struct(t):
+        for i, f in enumerate(t):
+            yield from _leaves(f"{path}.{f.name}", pc.struct_field(values, [i]))
+    else:
+        yield path, values
+
+
+def _wide_int(values) -> bool:
+    """An integer leaf whose range ``max − min + 1`` exceeds 1/8 of its
+    non-null value count (Python ints: no overflow at the int64 ends)."""
+    if not pa.types.is_integer(values.type):
+        return False
+    mm = pc.min_max(values)
+    if not mm["min"].is_valid:
+        return False  # empty or all null
+    span = mm["max"].as_py() - mm["min"].as_py() + 1
+    return span * 8 > len(values) - values.null_count
+
+
+def dictionary_columns(table: pa.Table) -> bool | list[str]:
+    """``pq.write_table``'s ``use_dictionary`` for ``table``: True (every
+    leaf dictionary-encoded, pyarrow's default) unless some integer leaf
+    has a wide range (``_wide_int``), else the leaf paths that keep the
+    dictionary. One ``pc.min_max`` per integer leaf decides."""
+    keep, plain = [], False
+    for name, col in zip(table.column_names, table.columns):
+        for path, values in _leaves(name, col):
+            if _wide_int(values):
+                plain = True
+            else:
+                keep.append(path)
+    return keep if plain else True
+
+
 def atomic_write_table(path: str, table: pa.Table) -> int:
     """Write a parquet file atomically; returns file size in bytes."""
     tmp = _tmp_name(path)
-    pq.write_table(table, tmp, compression=COMPRESSION)
+    pq.write_table(table, tmp, compression=COMPRESSION,
+                   use_dictionary=dictionary_columns(table))
     with open(tmp, "rb+") as f:
         os.fsync(f.fileno())
     size = os.path.getsize(tmp)

@@ -71,10 +71,12 @@ def merge_state(state: pa.Table | None, changes: pa.Table) -> pa.Table:
 
     ``state`` holds live rows only (payload + ``lsn``); ``changes`` holds
     CDC rows (payload + ``lsn`` + ``op``). Returns the new live state
-    (payload + ``lsn``), tombstones applied and dropped.
+    (payload + ``lsn``), tombstones applied and dropped, in strictly
+    ascending doc_id order (``compact`` takes the winners in its sort
+    order), so a partition writer needs no further sort.
     """
     if state is not None and state.num_rows > 0:
-        live = state.append_column("op", pa.array(["u"] * state.num_rows, pa.string()))
+        live = state.append_column("op", pa.repeat(pa.scalar("u", pa.string()), state.num_rows))
         allrows = pa.concat_tables([live, changes], promote_options="permissive")
     else:
         allrows = changes

@@ -86,7 +86,10 @@ def local_plan(total_bytes: int) -> bool:
     any committed state it rewrites) fit in one read block: the stage
     then runs its per-block kernel in-process. At that size a Ray Data
     plan is mostly exchange, scheduling and IO, not work.
-    ``BLOCK_BYTES = 0`` forces the Ray plan."""
+    ``BLOCK_BYTES = 0`` forces the Ray plan. Callers count on-disk
+    (encoded) bytes, so the sink's encoding moves the line: without
+    dictionary pages on wide integer columns (``sink.dictionary_columns``)
+    about 1.45× more committed state fits the local plan."""
     return total_bytes < BLOCK_BYTES
 
 

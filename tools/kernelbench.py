@@ -1,0 +1,261 @@
+"""Ray-free micro-bench of the engine's per-batch kernels.
+
+Times, in-process and without Ray, the kernels one commit runs, on two
+seeded lake shapes of 16 partitions:
+
+- ``upsert``: a 100k-event zipf-key base log over 10k keys is the
+  committed state; one 5k-event uniform-key epoch is merged onto it and
+  rewrites the partitions it touches (lakebench's ``upsert`` round);
+- ``backfill``: a 300k-event zipf-key log over 30k keys into a fresh
+  lake (lakebench's ``backfill`` round).
+
+Stages: ``conform`` (the epoch's shards to their unified schema, half
+of a base log's shards evolved), ``compact`` (LWW, tombstones kept),
+``assign`` (``assign_partitions``), ``merge_state`` (every touched
+partition), ``encode`` (every written partition to zstd Parquet in
+memory: the sink's per-leaf dictionary policy, ``sink.dictionary_columns``,
+against pyarrow's dictionary-everything default; CPU and bytes) and
+``read`` (``sink.read_file`` of every written partition, for each
+encoding). Times are CPU
+milliseconds of this process per stage and rep; the report gives the
+median and quartiles over ``--reps``. The decoded partitions are
+checked equal to the encoded ones.
+
+``--large N [N ...]`` also encodes single partitions of N rows, with
+uniform and with zipf token ids, under both encodings.
+
+    python tools/kernelbench.py [--reps 15] [--scale 1.0] [--seed 7] [--large 80000 200000]
+
+The last line printed is one JSON object with every figure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+import time
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
+
+from ton_etl_ray.cdc import sink  # noqa: E402
+from ton_etl_ray.core import merge as M  # noqa: E402
+from ton_etl_ray.core import partition as P  # noqa: E402
+from ton_etl_ray.core.schema_evolution import conform, unify_schemas  # noqa: E402
+
+VOCAB = 50257
+MAX_TOK = 32
+NUM_PARTITIONS = 16
+SOURCES = np.array(["web", "code", "books", "wiki", "news", "forum", "social", "docs"], dtype=object)
+LANGS = np.array(["en", "de", "fr", "es", "zh"], dtype=object)
+
+
+def zipf_draw(rng: np.random.Generator, n: int, size: int, s: float = 1.1) -> np.ndarray:
+    """``size`` draws from a zipf(s) law over ``0..n-1`` whose ranks are
+    a seeded permutation, so the hottest values are not the smallest."""
+    cdf = np.cumsum(1.0 / np.arange(1, n + 1, dtype=np.float64) ** s)
+    perm = np.random.default_rng(n).permutation(n)
+    return perm[np.minimum(np.searchsorted(cdf / cdf[-1], rng.random(size)), n - 1)]
+
+
+def tokens_array(rng: np.random.Generator, lengths: np.ndarray, dist: str,
+                 mask: np.ndarray | None = None) -> pa.Array:
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=offsets[1:])
+    total = int(offsets[-1])
+    values = (zipf_draw(rng, VOCAB, total) if dist == "zipf"
+              else rng.integers(0, VOCAB, size=total)).astype(np.int32)
+    return pa.ListArray.from_arrays(pa.array(offsets), pa.array(values),
+                                    mask=None if mask is None else pa.array(mask))
+
+
+def change_shard(rng: np.random.Generator, num_keys: int, n: int, lsn0: int,
+                 key_dist: str, evolved: bool) -> pa.Table:
+    """One change shard shaped like lakebench's: ~50/40/10 c/u/d, deletes
+    with null payloads; ``evolved`` widens n_tok to int64 and adds lang."""
+    op = np.array(["c", "u", "d"], dtype=object)[
+        np.searchsorted([0.5, 0.9], rng.random(n), side="right")]
+    dead = op == "d"
+    lengths = np.where(dead, 0, rng.integers(1, MAX_TOK + 1, size=n))
+    keys = (zipf_draw(rng, num_keys, n) if key_dist == "zipf"
+            else rng.integers(0, num_keys, size=n))
+    lsn = np.arange(lsn0, lsn0 + n, dtype=np.int64)
+    cols = {
+        "lsn": pa.array(lsn),
+        "op": pa.array(op, pa.string()),
+        "doc_id": pa.array([f"doc-{k:08d}" for k in keys], pa.string()),
+        "tokens": tokens_array(rng, lengths, "uniform", dead),
+        "n_tok": pa.array(lengths, pa.int64() if evolved else pa.int32(), mask=dead),
+        "source": pa.array(SOURCES[rng.integers(0, len(SOURCES), n)], pa.string(), mask=dead),
+        "ts_ms": pa.array(1_700_000_000_000 + lsn * 7),
+    }
+    if evolved:
+        cols["lang"] = pa.array(LANGS[rng.integers(0, len(LANGS), n)], pa.string(), mask=dead)
+    return pa.table(cols)
+
+
+def change_log(seed: int, stream: int, num_keys: int, events: int, lsn0: int,
+               key_dist: str, shards: int, evolve_from: int) -> list[pa.Table]:
+    per = events // shards
+    return [change_shard(np.random.default_rng([seed, stream, k]), num_keys,
+                         per if k < shards - 1 else events - per * (shards - 1),
+                         lsn0 + per * k, key_dist, k >= evolve_from)
+            for k in range(shards)]
+
+
+def apply_log(state: dict[int, pa.Table], shards: list[pa.Table], times: dict | None) -> dict[int, pa.Table]:
+    """One commit through the kernels; ``times`` (if given) collects
+    the CPU ms of each stage."""
+    def timed(stage, fn, *a):
+        t0 = time.process_time()
+        out = fn(*a)
+        if times is not None:
+            times.setdefault(stage, []).append((time.process_time() - t0) * 1e3)
+        return out
+
+    schema = unify_schemas([s.schema for s in shards])
+    batch = timed("conform", lambda: pa.concat_tables([conform(s, schema) for s in shards]))
+    won = timed("compact", M.compact, batch).drop_columns(["ts_ms"])
+    part = timed("assign", P.assign_partitions, won["doc_id"], NUM_PARTITIONS)
+    order = np.argsort(part, kind="stable")
+    bounds = np.flatnonzero(np.diff(part[order])) + 1
+    groups = {int(part[idx[0]]): won.take(pa.array(idx)) for idx in np.split(order, bounds) if len(idx)}
+
+    def merge_all():
+        return {p: M.merge_state(state.get(p), rows) for p, rows in groups.items()}
+    return timed("merge_state", merge_all)
+
+
+def encode(t: pa.Table, policy: bool) -> bytes:
+    buf = io.BytesIO()
+    kw = {"use_dictionary": sink.dictionary_columns(t)} if policy else {}
+    pq.write_table(t, buf, compression=sink.COMPRESSION, **kw)
+    return buf.getvalue()
+
+
+MODES = (("policy", True), ("default", False))
+
+
+def time_encodes(tables: list[pa.Table], times: dict, rep: int) -> dict[str, int]:
+    """CPU ms of encoding every table once per mode, the modes in
+    alternating order by ``rep``; returns bytes per mode."""
+    sizes = {}
+    for mode, policy in MODES[::-1] if rep % 2 else MODES:
+        t0 = time.process_time()
+        sizes[mode] = sum(len(encode(t, policy)) for t in tables)
+        times.setdefault(f"encode_{mode}", []).append((time.process_time() - t0) * 1e3)
+    return sizes
+
+
+def quartiles(xs: list[float]) -> dict:
+    q1, q2, q3 = np.percentile(xs, [25, 50, 75])
+    return {"p50": round(float(q2), 3), "q1": round(float(q1), 3), "q3": round(float(q3), 3)}
+
+
+def bench_shape(name: str, seed: int, scale: float, reps: int, work: str) -> dict:
+    def n(x):
+        return max(16, int(x * scale))
+
+    if name == "upsert":
+        base = change_log(seed, 0, n(10_000), n(100_000), 0, "zipf", 8, 4)
+        state = apply_log({}, base, None)
+        epoch = change_log(seed, 1, n(10_000), n(5_000), n(100_000), "uniform", 1, 0)
+    else:
+        state = {}
+        epoch = change_log(seed, 0, n(30_000), n(300_000), 0, "zipf", 8, 4)
+    times: dict[str, list[float]] = {}
+    for rep in range(reps):
+        written = apply_log(state, epoch, times)
+        sizes = time_encodes(list(written.values()), times, rep)
+    paths: dict[str, dict[int, str]] = {}
+    for mode, policy in MODES:
+        d = os.path.join(work, name, mode)
+        os.makedirs(d)
+        paths[mode] = {}
+        for p, t in written.items():
+            paths[mode][p] = os.path.join(d, sink.part_file(p))
+            with open(paths[mode][p], "wb") as f:
+                f.write(encode(t, policy))
+    for rep in range(reps):
+        for mode, _ in MODES[::-1] if rep % 2 else MODES:
+            t0 = time.process_time()
+            back = {p: sink.read_file(path) for p, path in paths[mode].items()}
+            times.setdefault(f"read_{mode}", []).append((time.process_time() - t0) * 1e3)
+            for p, t in written.items():
+                if not back[p].equals(t):
+                    raise AssertionError(f"{name}: partition {p} does not round-trip ({mode})")
+    return {
+        "events": sum(s.num_rows for s in epoch),
+        "partitions_written": len(written),
+        "rows_written": sum(t.num_rows for t in written.values()),
+        "bytes_policy": sizes["policy"],
+        "bytes_default": sizes["default"],
+        "cpu_ms": {k: quartiles(v) for k, v in times.items()},
+    }
+
+
+def bench_large(rows: int, seed: int, reps: int) -> dict:
+    """One state partition of ``rows`` live rows, per token distribution."""
+    out = {}
+    for dist in ("uniform", "zipf"):
+        rng = np.random.default_rng([seed, rows, dist == "zipf"])
+        lengths = rng.integers(1, MAX_TOK + 1, size=rows)
+        t = pa.table({
+            "doc_id": pa.array([f"doc-{k:08d}" for k in range(rows)], pa.string()),
+            "tokens": tokens_array(rng, lengths, dist),
+            "n_tok": pa.array(lengths, pa.int64()),
+            "source": pa.array(SOURCES[rng.integers(0, len(SOURCES), rows)], pa.string()),
+            "lsn": pa.array(rng.permutation(NUM_PARTITIONS * rows)[:rows].astype(np.int64)),
+            "lang": pa.array(LANGS[rng.integers(0, len(LANGS), rows)], pa.string()),
+        })
+        times: dict[str, list[float]] = {}
+        for rep in range(reps):
+            sizes = time_encodes([t], times, rep)
+        out[dist] = {"token_values": int(lengths.sum()), "bytes_policy": sizes["policy"],
+                     "bytes_default": sizes["default"],
+                     "cpu_ms": {k: quartiles(v) for k, v in times.items()}}
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--reps", type=int, default=15)
+    ap.add_argument("--scale", type=float, default=1.0, help="multiplies every event and key count")
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--large", type=int, nargs="*", default=[], metavar="ROWS")
+    args = ap.parse_args()
+    if args.reps < 1:
+        ap.error("--reps must be >= 1")
+    work = tempfile.mkdtemp(prefix="kernelbench-")
+    try:
+        result = {"shapes": {s: bench_shape(s, args.seed, args.scale, args.reps, work)
+                             for s in ("upsert", "backfill")},
+                  "large": {str(r): bench_large(r, args.seed, args.reps) for r in args.large}}
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    for s, r in result["shapes"].items():
+        print(f"{s}: {r['events']} events -> {r['partitions_written']} partitions, "
+              f"{r['rows_written']} rows; bytes policy {r['bytes_policy']} / default {r['bytes_default']}")
+        for stage, q in r["cpu_ms"].items():
+            print(f"  {stage:<16} {q['p50']:>9.3f} ms  [q1 {q['q1']:.3f}, q3 {q['q3']:.3f}]")
+    for rows, r in result["large"].items():
+        for dist, x in r.items():
+            pol, dft = x["cpu_ms"]["encode_policy"], x["cpu_ms"]["encode_default"]
+            print(f"large {rows} rows, {dist} tokens: bytes policy {x['bytes_policy']} / default "
+                  f"{x['bytes_default']} ({x['bytes_policy'] / x['bytes_default'] - 1:+.1%}); encode "
+                  f"{pol['p50']:.1f} / {dft['p50']:.1f} ms")
+    print(json.dumps(result, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
