@@ -203,6 +203,50 @@ def test_in_process_reads_go_through_read_file():
     assert not offenders, offenders
 
 
+def test_serve_round_decodes_no_partition_file(tmp_path, monkeypatch):
+    """One serve-shaped round in one process (replay, the maintained
+    view, its recompute and the snapshot scan) is served every lake
+    partition file it reads from the written-partition memo: it opens
+    none of them. With the memo emptied first, the same round on a copy
+    of the lake decodes them from disk and returns the same results."""
+    import sys
+
+    import pyarrow.parquet as pq
+
+    chg = str(tmp_path / "chg")
+    write_change_log(chg, num_events=6000, num_keys=500, seed=85, num_shards=3, max_tok=8)
+    files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
+    lake, copy = str(tmp_path / "lake"), str(tmp_path / "copy")
+    replay(files[:2], lake, num_partitions=8)
+    shutil.copytree(lake, copy)
+    opened = []
+
+    class Counting(pq.ParquetFile):
+        def __init__(self, source, *a, **kw):
+            opened.append(os.path.abspath(str(source)))
+            super().__init__(source, *a, **kw)
+
+    def serve_round(lk):
+        view = source_budget_at(lk, 0)
+        opened.clear()
+        with monkeypatch.context() as m:
+            m.setattr(pq, "ParquetFile", Counting)
+            assert replay(files[2:], lk).epoch == 1
+            out = (incremental_source_budget(lk, view, 0, 1), source_budget_at(lk, 1),
+                   final_state_table(lk).sort_by("doc_id"))
+        lake_opens = [f for f in opened if f.startswith(os.path.abspath(lk) + os.sep)]
+        return out, lake_opens
+
+    warm, warm_opens = serve_round(lake)
+    assert warm_opens == []
+    monkeypatch.delattr(sys, "_tonray_written", raising=False)
+    cold, cold_opens = serve_round(copy)
+    assert {os.path.relpath(f, copy) for f in cold_opens} >= {
+        os.path.relpath(f, lake) for f in sink.lake_files(lake, 0)}
+    for w, c in zip(warm, cold):
+        assert w.equals(c)
+
+
 def test_touched_state_counts_toward_the_size_rule(tmp_path, monkeypatch):
     """A change batch smaller than one read block still takes the
     exchange when the committed state of the partitions it touches

@@ -4,6 +4,7 @@ import glob
 import os
 
 import duckdb
+import pytest
 
 from ton_etl_ray.cdc import sink
 from ton_etl_ray.cdc.replay import final_state_table, replay
@@ -441,17 +442,17 @@ def test_dense_tokens_keep_their_dictionary(tmp_path):
     assert sink.read_file(path).equals(t)
 
 
-def test_encoding_policy_round_trips_exactly(tmp_path):
-    """Edge shapes the per-leaf decision must survive unchanged: an
-    empty table, an all-null int, int64 min and max together (the range
-    overflows int64), uint64 near its max, large_list and null lists.
-    The writer still returns the file size."""
+def _edge_tables():
+    """Edge shapes for the encoding policy and the written-partition
+    memo: an empty table, an all-null int, int64 min and max together
+    (the range overflows int64), uint64 near its max, large_list, null
+    lists, struct + map leaves."""
     import pyarrow as pa
 
     i64 = pa.int64()
     lake_schema = pa.schema([("doc_id", pa.string()), ("tokens", pa.list_(pa.int32())),
                              ("n_tok", pa.int32()), ("lsn", i64)])
-    cases = {
+    return {
         "empty": lake_schema.empty_table(),
         "all_null": pa.table({"a": pa.array([None] * 5, i64), "s": ["x"] * 5}),
         "int64_ends": pa.table({"a": pa.array([-2**63, 2**63 - 1, 0], i64)}),
@@ -465,6 +466,12 @@ def test_encoding_policy_round_trips_exactly(tmp_path):
             "m": pa.array([[("k", 1)], None, [("k", 1), ("j", 1)]], pa.map_(pa.string(), pa.int32())),
         }),
     }
+
+
+def test_encoding_policy_round_trips_exactly(tmp_path):
+    """The edge shapes (``_edge_tables``) survive the per-leaf decision
+    unchanged. The writer still returns the file size."""
+    cases = _edge_tables()
     for name, t in cases.items():
         path = str(tmp_path / f"{name}.parquet")
         assert sink.atomic_write_table(path, t) == os.path.getsize(path)
@@ -476,3 +483,215 @@ def test_encoding_policy_round_trips_exactly(tmp_path):
     assert "RLE_DICTIONARY" not in _encodings(str(tmp_path / "int64_ends.parquet"))["a"]
     assert "RLE_DICTIONARY" not in _encodings(str(tmp_path / "uint64.parquet"))["u"]
     assert "RLE_DICTIONARY" not in _encodings(str(tmp_path / "large_list.parquet"))["t.list.element"]
+
+
+def _disk(path, columns=None):
+    """A Parquet decode that bypasses the written-partition memo."""
+    import pyarrow.parquet as pq
+
+    with pq.ParquetFile(path) as pf:
+        return pf.read(columns=columns)
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh written-partition memo for the test; the process's own
+    memo is put back afterwards."""
+    import sys
+
+    monkeypatch.delattr(sys, "_tonray_written", raising=False)
+
+
+def _same(got, want):
+    return got.equals(want) and got.schema.equals(want.schema, check_metadata=True)
+
+
+def test_memo_hit_equals_disk_decode(tmp_path, empty_memo):
+    """A written partition read back in the same process is served from
+    the memo, and equals a fresh disk decode in values, types and
+    schema metadata, whole and for every kind of column list: reordered,
+    a subset, repeated names, none, and a missing name (the disk read
+    ignores it; so does the memo, by reading from disk)."""
+    import datetime
+
+    import pyarrow as pa
+
+    lake = str(tmp_path / "lake")
+    cases = _edge_tables()
+    # types the file stores differently: a decode gives int32 dictionary
+    # indices, timestamp[ms], date32-backed date64 and named list fields
+    cases["coerced"] = pa.table({
+        "d": pa.array(["a", "b", "a"]).dictionary_encode().cast(pa.dictionary(pa.int8(), pa.string())),
+        "ts": pa.array([1, 2, 3], pa.timestamp("s")),
+        "day": pa.array([datetime.date(2020, 1, 1)] * 3, pa.date64()),
+        "fsl": pa.array([[1, 2], [5, 6], [3, 4]], pa.list_(pa.int32(), 2)),
+    })
+    for i, (name, t) in enumerate(cases.items()):
+        t = t.replace_schema_metadata({"case": name})
+        sink.write_partition(lake, 0, sink.part_file(i), t, {})
+        path = os.path.join(sink.epoch_dir(lake, 0), sink.part_file(i))
+        hit = sink.read_file(path)
+        assert hit is sink.read_file(path), name  # served from the memo
+        assert _same(hit, _disk(path)) and _same(hit, t.cast(hit.schema)), name
+        cols = t.column_names
+        for sub in (cols[::-1], cols[-1:], cols + cols[:1], [], ["missing", cols[0]], ["missing"]):
+            got = sink.read_file(path, sub)
+            assert _same(got, _disk(path, sub)) and got.num_rows == t.num_rows, (name, sub)
+    # a nested path is not a kept column name: the disk read answers it
+    path = os.path.join(sink.epoch_dir(lake, 0), sink.part_file(list(cases).index("nested")))
+    assert _same(sink.read_file(path, ["st.a"]), _disk(path, ["st.a"]))
+
+
+def test_memo_never_serves_a_replaced_partition(tmp_path, empty_memo):
+    """A partition file replaced at the same path is read from disk:
+    after ``clear_staging`` and a second writer's rewrite (another
+    process), after an in-place overwrite, and after ``gc_epochs``
+    collected it (``FileNotFoundError``, as without the memo)."""
+    import subprocess
+    import sys
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    lake = str(tmp_path / "lake")
+    mine = pa.table({"doc_id": ["a", "b"], "lsn": pa.array([1, 2], pa.int64())})
+    theirs = pa.table({"doc_id": ["c"], "lsn": pa.array([9], pa.int64())})
+    path = os.path.join(sink.epoch_dir(lake, 0), sink.part_file(0))
+
+    # abandoned staging cleared, then rewritten by another process
+    sink.write_partition(lake, 0, sink.part_file(0), mine, {})
+    assert sink.read_file(path) is sink.read_file(path)
+    sink.clear_staging(lake, 0)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = f"""
+import pyarrow as pa
+from ton_etl_ray.cdc import sink
+sink.write_partition({lake!r}, 0, sink.part_file(0),
+                     pa.table({{"doc_id": ["c"], "lsn": pa.array([9], pa.int64())}}), {{}})
+"""
+    subprocess.run([sys.executable, "-c", code], cwd=root, check=True)
+    assert _same(sink.read_file(path), theirs)
+    assert sink.read_file(path, ["lsn"]).column("lsn").to_pylist() == [9]
+
+    # in-place overwrite (same inode): garbage, then another valid file
+    sink.write_partition(lake, 0, sink.part_file(0), mine, {})
+    with open(path, "wb") as f:
+        f.write(b"not parquet")
+    with pytest.raises(Exception) as disk_err:
+        _disk(path)
+    with pytest.raises(type(disk_err.value)):
+        sink.read_file(path)
+    sink.write_partition(lake, 0, sink.part_file(0), mine, {})
+    ino = os.stat(path).st_ino
+    buf = pa.BufferOutputStream()
+    pq.write_table(theirs, buf)
+    with open(path, "wb") as f:
+        f.write(buf.getvalue().to_pybytes())
+    assert os.stat(path).st_ino == ino
+    assert _same(sink.read_file(path), theirs)
+
+    # collected by gc_epochs
+    chg = str(tmp_path / "chg")
+    write_change_log(chg, num_events=3000, num_keys=200, seed=48, num_shards=3, max_tok=8)
+    files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
+    lake2 = str(tmp_path / "lake2")
+    replay(files[:1], lake2, num_partitions=4)
+    first = sink.lake_files(lake2, 0)
+    replay(files[1:2], lake2)
+    old = [f for f in first if f not in sink.lake_files(lake2)]
+    assert old and all(os.path.abspath(f) in sink._memo()["files"] for f in old)
+    assert sink.gc_epochs(lake2, keep_epochs=1)["deleted_files"] >= len(old)
+    for f in old:
+        with pytest.raises(FileNotFoundError):
+            sink.read_file(f)
+
+
+def test_memo_stays_within_its_bounds(tmp_path, empty_memo, monkeypatch):
+    """50 epochs on a 4-partition lake: the memo keeps at most the two
+    newest files of each partition, within ``BLOCK_BYTES`` of decoded
+    bytes, and no slot without a kept file. Under a smaller byte cap
+    the oldest files go first and a table above the cap is not kept."""
+    import pyarrow as pa
+
+    from ton_etl_ray.ops import _util
+
+    chg = str(tmp_path / "chg")
+    write_change_log(chg, num_events=10_000, num_keys=800, seed=49, num_shards=50, max_tok=8)
+    files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
+    lake = str(tmp_path / "lake")
+    replay(files[:1], lake, num_partitions=4)
+    for f in files[1:]:
+        replay([f], lake)
+    assert sink.latest_epoch(lake) == 49
+    m = sink._memo()
+    by_slot = {}
+    for path, ent in m["files"].items():
+        by_slot.setdefault(ent[2], []).append(path)
+    assert len(by_slot) == 4 and all(len(v) == 2 for v in by_slot.values()), by_slot
+    assert {s: sorted(v) for s, v in m["slots"].items()} == {s: sorted(v) for s, v in by_slot.items()}
+    assert m["bytes"] == sum(ent[1].nbytes for ent in m["files"].values()) <= _util.BLOCK_BYTES
+    # both newest epochs' files of every partition are kept
+    kept = set(m["files"])
+    for e in (48, 49):
+        assert {os.path.abspath(f) for f in sink.lake_files(lake, e)} <= kept
+
+    t = pa.table({"x": pa.array(range(1000), pa.int64())})  # 8000 bytes
+    monkeypatch.setattr(_util, "BLOCK_BYTES", 3 * t.nbytes)
+    small = str(tmp_path / "small")
+    for i in range(5):
+        sink.write_partition(small, 0, sink.part_file(i), t, {})
+    m = sink._memo()
+    names = [os.path.basename(p) for p in m["files"]]
+    assert names == [sink.part_file(i) for i in (2, 3, 4)] and m["bytes"] == 3 * t.nbytes
+    assert len(m["slots"]) == 3
+    big = pa.table({"x": pa.array(range(4000), pa.int64())})
+    sink.write_partition(small, 0, sink.part_file(9), big, {})
+    assert os.path.abspath(os.path.join(sink.epoch_dir(small, 0), sink.part_file(9))) not in m["files"]
+    assert m["bytes"] == 3 * t.nbytes
+
+
+def test_reading_process_keeps_the_memo_empty(tmp_path, empty_memo):
+    """Reads never insert: a process that only reads a lake (scan,
+    views, diff) holds nothing in the memo."""
+    from ton_etl_ray.cdc.replay import epoch_diff
+    from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
+
+    chg = str(tmp_path / "chg")
+    write_change_log(chg, num_events=3000, num_keys=300, seed=50, num_shards=2, max_tok=8)
+    files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
+    lake = str(tmp_path / "lake")
+    replay(files[:1], lake, num_partitions=4)
+    replay(files[1:], lake)
+    import sys
+
+    del sys._tonray_written  # the writer's memo; what follows only reads
+    final_state_table(lake)
+    incremental_source_budget(lake, source_budget_at(lake, 0), 0, 1)
+    epoch_diff(lake, 0, 1).count()
+    for f in sink.lake_files(lake):
+        sink.read_file(f, ["doc_id"])
+    assert not sink._memo()["files"] and not sink._memo()["slots"]
+
+
+def test_memo_is_not_pickled_with_tasks(tmp_path, empty_memo):
+    """The memo lives on ``sys``, so a Ray task closure over the
+    by-value-pickled package has the same size with a full memo as
+    with an empty one."""
+    import sys
+    from functools import partial
+
+    from ray import cloudpickle
+
+    from ton_etl_ray._pickle import ensure_portable
+    from ton_etl_ray.cdc import replay as R
+
+    ensure_portable()
+    chg = str(tmp_path / "chg")
+    write_change_log(chg, num_events=20_000, num_keys=2000, seed=51, num_shards=2, max_tok=32)
+    lake = str(tmp_path / "lake")
+    replay(chg, lake, num_partitions=4)
+    assert sink._memo()["bytes"] > 100_000
+    full = len(cloudpickle.dumps(partial(R.commit_partition, lake, 1)))
+    del sys._tonray_written
+    empty = len(cloudpickle.dumps(partial(R.commit_partition, lake, 1)))
+    assert full == empty < 1_000_000

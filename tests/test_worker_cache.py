@@ -61,3 +61,34 @@ def test_bcast_index_unique_flag(ray_session):
                          "v": pa.array(["a", "b"])})
     _, dk3, _, u3 = _bcast_index(ray.put(withnull), "k")
     assert dk3 is None and u3 is False
+
+
+def test_ensure_portable_registers_later_imports():
+    """A ton_etl_ray module imported after a call is registered on the
+    next call; a call with nothing imported since the last one skips
+    the scan of ``sys.modules``, and any growth of it scans again.
+    Runs in a fresh interpreter, so the import really happens between
+    the calls."""
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import sys
+from ton_etl_ray import _pickle as P
+P.ensure_portable()
+assert "ton_etl_ray.core.merge" not in sys.modules
+import ton_etl_ray.core.merge
+P.ensure_portable()
+assert "ton_etl_ray.core.merge" in P._registered
+P._registered.clear()
+P.ensure_portable()
+assert not P._registered, "scanned with nothing imported"
+sys.modules["ton_etl_ray_probe"] = type(sys)("ton_etl_ray_probe")
+P.ensure_portable()
+assert "ton_etl_ray.core.merge" in P._registered
+print("ok")
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr[-2000:]

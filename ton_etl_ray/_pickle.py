@@ -13,16 +13,25 @@ from __future__ import annotations
 import sys
 
 _registered: set[str] = set()
+_scanned = -1  # len(sys.modules) at the last full scan
 
 
 def ensure_portable() -> None:
     """Idempotent per-module: modules imported AFTER a previous call are
-    picked up on the next call (a done-flag would strand them)."""
+    picked up on the next call (a done-flag would strand them). Imports
+    only grow ``sys.modules``, so an unchanged length skips the scan
+    (a full scan splits every loaded module's name: ~0.3 ms with 1.6k
+    modules, and every replay and view calls this)."""
+    global _scanned
+    if len(sys.modules) == _scanned:
+        return
     try:
         from ray import cloudpickle as cp
     except Exception:  # pragma: no cover - ray always present in this env
         import cloudpickle as cp
-    for name, mod in list(sys.modules.items()):
+    loaded = list(sys.modules.items())
+    _scanned = len(loaded)
+    for name, mod in loaded:
         if name.split(".")[0] == "ton_etl_ray" and mod is not None and name not in _registered:
             try:
                 cp.register_pickle_by_value(mod)

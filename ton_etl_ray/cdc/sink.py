@@ -66,6 +66,34 @@ nearly copies the values and pyarrow's 1 MiB fallback never trips, so
 it was about a third of every file and of its encode CPU. A partition
 whose token count is 8× the vocabulary keeps the token dictionary,
 where it pays; a narrow int (``n_tok``) and strings keep theirs.
+
+The process that writes a partition reads it back soon after: the next
+commit merges onto it, the watcher's changefeed and the views' pair
+stage read both sides of the commit, and a co-located reader scans it.
+So ``write_partition`` keeps each table it wrote in a process-local
+memo, and ``read_file`` serves it from there while the file on disk is
+still the file that was written:
+
+- the key is the absolute path; the stamp is ``(st_ino, st_size,
+  st_mtime_ns, st_ctime_ns)``, one ``os.stat`` after the rename and one
+  per read. A tmp+rename replacement has a new inode, an in-place
+  rewrite a new ctime, and a collected file fails the ``stat``; each
+  drops the entry and the read decodes from disk, as it does without
+  the memo;
+- at most two files per ``(lake dir, part-NNNNN.parquet)`` slot, the
+  newest two written: the next commit's state read and both sides of
+  the pair stage's ``(e−1, e]`` span. At most ``ops._util.BLOCK_BYTES``
+  of decoded ``nbytes`` in all, dropped oldest first; a larger table is
+  not kept;
+- only writes insert. Caching reads too would keep every change shard
+  and every file of a read-only process (lakebench ``serve``'s
+  ``peak_rss_mb`` grew about 9 % that way), and a process that only
+  reads has nothing of its own to serve;
+- the memo is hosted on ``sys`` (like ``ops._util.worker_cache``) and
+  fetched at call time: ton_etl_ray modules are pickled by value, and a
+  module global would ship every kept table with every Ray task that
+  references this module. A lock guards it (the exporter runs an HTTP
+  thread).
 """
 
 from __future__ import annotations
@@ -74,11 +102,15 @@ import base64
 import json
 import os
 import re
+import sys
+import threading
 import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+from ..ops import _util
 
 COMMIT_NAME = "_COMMIT.json"
 LATEST_NAME = "_LATEST"
@@ -204,11 +236,15 @@ def write_partition(
 
     The manifest records a content hash (the analogue of the reference's
     sha256 file naming, datalake/main.py:161-164) so lineage can be
-    verified end-to-end (``verify_lake``)."""
+    verified end-to-end (``verify_lake``). ``table`` is kept in the
+    written-partition memo (module docstring) under the slot
+    ``(lake_dir, fname)``, stamped after the rename, so this process's
+    next ``read_file`` of the file decodes nothing."""
     d = epoch_dir(lake_dir, epoch)
     os.makedirs(d, exist_ok=True)
     path = os.path.join(d, fname)
     size = atomic_write_table(path, table)
+    _remember(path, (os.path.abspath(lake_dir), fname), table)
     manifest = {
         "file": fname,
         "rows": table.num_rows,
@@ -326,12 +362,106 @@ def lake_schema(lake_dir: str, epoch: int | None = None) -> pa.Schema:
     return pa.ipc.read_schema(pa.py_buffer(base64.b64decode(commit["schema_b64"])))
 
 
+def _memo() -> dict:
+    """The written-partition memo, hosted on ``sys`` (module docstring):
+    ``files`` maps an absolute path to ``(stamp, table, slot, nbytes)`` in
+    insertion order, ``slots`` a slot to its kept paths, oldest first,
+    and ``bytes`` is the kept tables' ``nbytes``."""
+    m = getattr(sys, "_tonray_written", None)
+    if m is None:
+        m = vars(sys).setdefault("_tonray_written", {
+            "lock": threading.Lock(), "files": {}, "slots": {}, "bytes": 0})
+    return m
+
+
+def _stamp(path: str) -> tuple:
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _forget(m: dict, path: str) -> None:
+    """Drop ``path``'s entry and its slot bookkeeping (lock held)."""
+    ent = m["files"].pop(path, None)
+    if ent is None:
+        return
+    m["bytes"] -= ent[3]
+    kept = m["slots"][ent[2]]
+    kept.remove(path)
+    if not kept:
+        del m["slots"][ent[2]]
+
+
+def _remember(path: str, slot: tuple, table: pa.Table) -> None:
+    """Keep a just-written ``table`` (``write_partition``), evicting the
+    slot's files but the newest two, then the oldest files past
+    ``BLOCK_BYTES`` (read per call: tests set it to force a plan). The
+    kept table takes the file's schema, as a decode would give it (list
+    children are named ``element`` on disk, ``item`` in pyarrow)."""
+    cap = _util.BLOCK_BYTES
+    path = os.path.abspath(path)
+    stamp, schema = _stamp(path), pq.read_schema(path)
+    if not table.schema.equals(schema, check_metadata=True):
+        try:
+            table = table.cast(schema)
+        except pa.ArrowException:
+            return
+    nbytes = table.nbytes
+    m = _memo()
+    with m["lock"]:
+        _forget(m, path)  # a rewrite of the same path
+        if nbytes > cap:
+            return
+        m["files"][path] = (stamp, table, slot, nbytes)
+        m["bytes"] += nbytes
+        kept = m["slots"].setdefault(slot, [])
+        kept.append(path)
+        while len(kept) > 2:
+            _forget(m, kept[0])
+        while m["bytes"] > cap:
+            _forget(m, next(iter(m["files"])))
+
+
+def _recall(path: str) -> pa.Table | None:
+    """The memo's table for ``path`` if the file on disk is still the
+    one written; a stale entry (replaced, rewritten or removed file) is
+    dropped."""
+    m = _memo()
+    if not m["files"]:
+        return None
+    path = os.path.abspath(path)
+    ent = m["files"].get(path)
+    if ent is None:
+        return None
+    try:
+        fresh = _stamp(path) == ent[0]
+    except OSError:
+        fresh = False
+    if fresh:
+        return ent[1]
+    with m["lock"]:
+        if m["files"].get(path) is ent:
+            _forget(m, path)
+    return None
+
+
 def read_file(path: str, columns: list[str] | None = None) -> pa.Table:
     """One Parquet file (``columns`` only, in that order, if given) —
     the in-process reader of every lake partition file and change
-    shard. A single-file ``ParquetFile`` read skips the dataset scanner
-    ``pq.read_table`` sets up per call, which costs more than decoding
-    a small partition file; the handle is closed on return."""
+    shard. A file this process wrote with ``write_partition`` is served
+    from the written-partition memo while its stamp still matches
+    (module docstring); ``table.select`` is zero-copy, and a name the
+    kept table lacks (a missing column, a nested path) goes to the disk
+    read, so results and errors are the disk read's. A single-file
+    ``ParquetFile`` read skips the dataset scanner ``pq.read_table``
+    sets up per call, which costs more than decoding a small partition
+    file; the handle is closed on return."""
+    kept = _recall(path)
+    if kept is not None:
+        if columns is None:
+            return kept
+        names = list(dict.fromkeys(columns))  # the disk read drops repeats
+        if set(names) <= set(kept.column_names):
+            return kept.select(names)
     with pq.ParquetFile(path) as pf:
         return pf.read(columns=columns)
 

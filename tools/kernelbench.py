@@ -14,12 +14,14 @@ of a base log's shards evolved), ``compact`` (LWW, tombstones kept),
 ``assign`` (``assign_partitions``), ``merge_state`` (every touched
 partition), ``encode`` (every written partition to zstd Parquet in
 memory: the sink's per-leaf dictionary policy, ``sink.dictionary_columns``,
-against pyarrow's dictionary-everything default; CPU and bytes) and
+against pyarrow's dictionary-everything default; CPU and bytes),
 ``read`` (``sink.read_file`` of every written partition, for each
-encoding). Times are CPU
-milliseconds of this process per stage and rep; the report gives the
-median and quartiles over ``--reps``. The decoded partitions are
-checked equal to the encoded ones.
+encoding: a disk decode) and ``read_hit`` (``sink.read_file`` of the
+same partitions written by ``sink.write_partition``: served from the
+written-partition memo). Times are CPU milliseconds of this process per
+stage and rep; the report gives the median and quartiles over
+``--reps``. The decoded and the served partitions are checked equal to
+the written ones.
 
 ``--large N [N ...]`` also encodes single partitions of N rows, with
 uniform and with zipf token ids, under both encodings.
@@ -185,14 +187,21 @@ def bench_shape(name: str, seed: int, scale: float, reps: int, work: str) -> dic
             paths[mode][p] = os.path.join(d, sink.part_file(p))
             with open(paths[mode][p], "wb") as f:
                 f.write(encode(t, policy))
+    hit_lake = os.path.join(work, name, "hit")
+    for p, t in written.items():
+        sink.write_partition(hit_lake, 0, sink.part_file(p), t, {})
+    paths["hit"] = {p: os.path.join(sink.epoch_dir(hit_lake, 0), sink.part_file(p)) for p in written}
     for rep in range(reps):
-        for mode, _ in MODES[::-1] if rep % 2 else MODES:
+        for mode in ("hit", *(m for m, _ in (MODES[::-1] if rep % 2 else MODES))):
             t0 = time.process_time()
             back = {p: sink.read_file(path) for p, path in paths[mode].items()}
             times.setdefault(f"read_{mode}", []).append((time.process_time() - t0) * 1e3)
             for p, t in written.items():
                 if not back[p].equals(t):
                     raise AssertionError(f"{name}: partition {p} does not round-trip ({mode})")
+                if mode == "hit" and sink.read_file(paths[mode][p]) is not back[p]:
+                    raise AssertionError(f"{name}: partition {p} was decoded, not served from "
+                                         "the memo (more than BLOCK_BYTES written?)")
     return {
         "events": sum(s.num_rows for s in epoch),
         "partitions_written": len(written),
