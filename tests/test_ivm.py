@@ -47,13 +47,25 @@ def _as_map(t: pa.Table):
     }
 
 
+def _both_plans(view: str, lake: str, base: pa.Table, a: int, b: int | None = None):
+    """The maintained ``view`` ("budget" or "histogram") across (a, b]
+    by the plan the refresh picks, then by the delta plan itself: the
+    pair stage stays covered on spans the refresh recomputes."""
+    from ton_etl_ray.ops import tokens
+
+    fns = {"budget": (tokens.incremental_source_budget, tokens._delta_source_budget),
+           "histogram": (tokens.incremental_token_histogram, tokens._delta_token_histogram)}
+    return [fn(lake, base, a, b) for fn in fns[view]]
+
+
 def test_incremental_matches_full_recompute(two_epoch_lake):
     from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
 
     base = source_budget_at(two_epoch_lake, 0)
-    got = incremental_source_budget(two_epoch_lake, base, 0, 1)
     want = source_budget_at(two_epoch_lake, 1)
-    assert _as_map(got) == _as_map(want)
+    for got in (incremental_source_budget(two_epoch_lake, base, 0, 1),
+                *_both_plans("budget", two_epoch_lake, base, 0, 1)):
+        assert _as_map(got) == _as_map(want)
     # the maintained view is not a no-op: epoch 1 changed the mixture
     assert _as_map(base) != _as_map(want)
 
@@ -92,10 +104,10 @@ def test_incremental_source_disappears(tmp_path, ray_session):
     replay(e1, lake)
 
     base = source_budget_at(lake, 0)
-    got = incremental_source_budget(lake, base, 0, 1)
-    m = _as_map(got)
-    assert "books" not in m
-    assert m["web"] == (2, 4, 2.0)  # a1 now 3 toks, a2 1 tok
+    for got in (incremental_source_budget(lake, base, 0, 1), *_both_plans("budget", lake, base, 0, 1)):
+        m = _as_map(got)
+        assert "books" not in m
+        assert m["web"] == (2, 4, 2.0)  # a1 now 3 toks, a2 1 tok
 
 
 def test_incremental_histogram_matches_full(two_epoch_lake):
@@ -104,9 +116,10 @@ def test_incremental_histogram_matches_full(two_epoch_lake):
     )
 
     base = token_histogram_at(two_epoch_lake, 0)
-    got = incremental_token_histogram(two_epoch_lake, base, 0, 1)
     want = token_histogram_at(two_epoch_lake, 1)
-    assert got.to_pydict() == want.to_pydict()
+    for got in (incremental_token_histogram(two_epoch_lake, base, 0, 1),
+                *_both_plans("histogram", two_epoch_lake, base, 0, 1)):
+        assert got.to_pydict() == want.to_pydict()
     assert base.to_pydict() != want.to_pydict()
 
 
@@ -141,8 +154,9 @@ def test_ivm_across_compaction_is_noop(two_epoch_lake):
     assert after == before + 1
 
     view = source_budget_at(two_epoch_lake, before)
-    got = incremental_source_budget(two_epoch_lake, view, before, after)
-    assert got.to_pydict() == view.to_pydict()
+    for got in (incremental_source_budget(two_epoch_lake, view, before, after),
+                *_both_plans("budget", two_epoch_lake, view, before, after)):
+        assert got.to_pydict() == view.to_pydict()
 
 
 def test_ivm_property_random_logs(tmp_path, ray_session):
@@ -150,7 +164,7 @@ def test_ivm_property_random_logs(tmp_path, ray_session):
     maintained view == full recompute, every time."""
     from ton_etl_ray.cdc.replay import replay
     from ton_etl_ray.gen import write_change_log
-    from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
+    from ton_etl_ray.ops.tokens import source_budget_at
 
     for i, (seed, events, keys, cut_frac) in enumerate(
         [(101, 12_000, 900, 0.3), (202, 20_000, 2_500, 0.7),
@@ -173,10 +187,9 @@ def test_ivm_property_random_logs(tmp_path, ray_session):
                 pq.write_table(hi, os.path.join(e1, os.path.basename(p)))
         replay(e0, lake, num_partitions=8)
         replay(e1, lake)
-        got = incremental_source_budget(
-            lake, source_budget_at(lake, 0), 0, 1)
         want = source_budget_at(lake, 1)
-        assert got.to_pydict() == want.to_pydict(), f"case {i} diverged"
+        for got in _both_plans("budget", lake, source_budget_at(lake, 0), 0, 1):
+            assert got.to_pydict() == want.to_pydict(), f"case {i} diverged"
 
 
 def test_delta_sources_agree(two_epoch_lake):
@@ -249,10 +262,12 @@ def test_retouched_tombstones_agree(retouch_lake):
     base_h = token_histogram_at(retouch_lake, epoch=0)
     want_h = {r["token"]: r["n_occurrences"]
               for r in token_histogram_at(retouch_lake, epoch=1).to_pylist()}
-    got_b = incremental_source_budget(retouch_lake, base_b, 0, 1)
-    assert _as_map(got_b) == want_b
-    got_h = incremental_token_histogram(retouch_lake, base_h, 0, 1)
-    assert {r["token"]: r["n_occurrences"] for r in got_h.to_pylist()} == want_h
+    for got_b in (incremental_source_budget(retouch_lake, base_b, 0, 1),
+                  *_both_plans("budget", retouch_lake, base_b, 0, 1)):
+        assert _as_map(got_b) == want_b
+    for got_h in (incremental_token_histogram(retouch_lake, base_h, 0, 1),
+                  *_both_plans("histogram", retouch_lake, base_h, 0, 1)):
+        assert {r["token"]: r["n_occurrences"] for r in got_h.to_pylist()} == want_h
 
 
 def test_reshard_breaks_alignment(tmp_path, ray_session):
@@ -298,10 +313,10 @@ def test_reshard_breaks_alignment(tmp_path, ray_session):
     hist = [token_histogram_at(lake, e) for e in range(head + 1)]
     for b in range(1, head + 1):
         for a in range(b):
-            got = incremental_source_budget(lake, budget[a], a, b)
-            assert got.to_pydict() == budget[b].to_pydict(), (a, b)
-            got = incremental_token_histogram(lake, hist[a], a, b)
-            assert got.to_pydict() == hist[b].to_pydict(), (a, b)
+            for got in _both_plans("budget", lake, budget[a], a, b):
+                assert got.to_pydict() == budget[b].to_pydict(), (a, b)
+            for got in _both_plans("histogram", lake, hist[a], a, b):
+                assert got.to_pydict() == hist[b].to_pydict(), (a, b)
 
     # a layout change that is not a compaction cannot be split
     cpath = os.path.join(lake, f"epoch-{head:06d}", "_COMMIT.json")
@@ -309,8 +324,9 @@ def test_reshard_breaks_alignment(tmp_path, ray_session):
         c = json.load(f)
     with open(cpath, "w") as f:
         json.dump(dict(c, num_partitions=9), f)
-    with pytest.raises(ValueError, match="compact_lake"):
-        incremental_source_budget(lake, budget[3], 3, head)
+    for got in (incremental_source_budget, incremental_token_histogram):
+        with pytest.raises(ValueError, match="compact_lake"):
+            got(lake, budget[3] if got is incremental_source_budget else hist[3], 3, head)
 
     # min_lsn proof: stripping the field makes the span unprovable
     assert lsn_ordered_span(lake, 0, 1)[0] is False  # epoch 1 is a compaction
@@ -352,7 +368,7 @@ def _two_epoch(tmp_path, rows0, rows1, num_partitions, **kw):
 def test_incremental_exact_past_2_53(tmp_path, ray_session):
     """The driver fold sums in int64: a source whose token total passes
     2^53 (where a float64 detour drops low bits) stays exact."""
-    from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
+    from ton_etl_ray.ops.tokens import source_budget_at
 
     big = 1 << 52
     lake = _two_epoch(tmp_path, [
@@ -364,18 +380,20 @@ def test_incremental_exact_past_2_53(tmp_path, ray_session):
         (11, "c", "d", [5], 9, "huge"),
     ], num_partitions=4, n_tok_type=pa.int64())
 
-    got = incremental_source_budget(lake, source_budget_at(lake, 0), 0, 1)
     want = source_budget_at(lake, 1)
-    assert got.to_pydict() == want.to_pydict()
-    m = {r["source"]: r["total_tokens"] for r in got.to_pylist()}
-    assert m == {"huge": 2 * big + 19, "small": 5}
-    assert m["huge"] > 1 << 53 and m["huge"] % 2 == 1
+    for got in _both_plans("budget", lake, source_budget_at(lake, 0), 0, 1):
+        assert got.to_pydict() == want.to_pydict()
+        m = {r["source"]: r["total_tokens"] for r in got.to_pylist()}
+        assert m == {"huge": 2 * big + 19, "small": 5}
+        assert m["huge"] > 1 << 53 and m["huge"] % 2 == 1
 
 
 def test_incremental_histogram_exact_past_2_53(tmp_path, ray_session):
-    """The histogram folds base + delta in int64: a base count above
-    2^53 (where a float64 detour drops low bits) stays exact."""
-    from ton_etl_ray.ops.tokens import incremental_token_histogram, token_histogram_at
+    """The histogram's delta plan folds base + delta in int64: a base
+    count above 2^53 (where a float64 detour drops low bits) stays
+    exact. The base is not the lake's view at epoch 0, so only the
+    delta plan can show it (a recompute ignores the base)."""
+    from ton_etl_ray.ops.tokens import _delta_token_histogram, token_histogram_at
 
     lake = _two_epoch(tmp_path, [
         (1, "c", "a", [1, 1, 2], 3, "web"),
@@ -389,7 +407,7 @@ def test_incremental_histogram_exact_past_2_53(tmp_path, ray_session):
     assert base.to_pydict() == {"token": [1, 2], "n_occurrences": [2, 2]}
     base = base.set_column(1, "n_occurrences", pa.array([2 + big, 2], pa.int64()))
 
-    got = incremental_token_histogram(lake, base, 0, 1)
+    got = _delta_token_histogram(lake, base, 0, 1)
     assert got.to_pydict() == {"token": [1, 2, 3], "n_occurrences": [1 + big, 1, 2]}
     assert got["n_occurrences"][0].as_py() % 2 == 1
 
@@ -402,7 +420,7 @@ def test_incremental_partition_born_and_emptied(tmp_path, ray_session):
     from ton_etl_ray.cdc import sink
     from ton_etl_ray.cdc.compact import compact_lake
     from ton_etl_ray.core.partition import assign_partitions
-    from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
+    from ton_etl_ray.ops.tokens import source_budget_at
 
     nparts = 8
     keys = [f"k{i}" for i in range(200)]
@@ -424,9 +442,9 @@ def test_incremental_partition_born_and_emptied(tmp_path, ray_session):
 
     base = source_budget_at(lake, 0)
     for eb in (1, 2):
-        got = incremental_source_budget(lake, base, 0, eb)
-        assert got.to_pydict() == source_budget_at(lake, eb).to_pydict(), eb
-        assert _as_map(got) == {"web": (1, 1, 1.0), "books": (1, 3, 3.0)}
+        for got in _both_plans("budget", lake, base, 0, eb):
+            assert got.to_pydict() == source_budget_at(lake, eb).to_pydict(), eb
+            assert _as_map(got) == {"web": (1, 1, 1.0), "books": (1, 3, 3.0)}
 
 
 def test_aligned_pair_stage_sized_by_bytes(two_epoch_lake, exchange_plan):
@@ -477,7 +495,7 @@ def test_budget_exact_over_int32_and_int64_files(tmp_path, ray_session):
     from ton_etl_ray.cdc import sink
     from ton_etl_ray.cdc.replay import replay
     from ton_etl_ray.core.partition import assign_partitions
-    from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
+    from ton_etl_ray.ops.tokens import source_budget_at
 
     keys = [f"k{i}" for i in range(100)]
     parts = assign_partitions(pa.array(keys), 4).tolist()
@@ -513,8 +531,8 @@ def test_budget_exact_over_int32_and_int64_files(tmp_path, ray_session):
     for e in range(3):
         assert _as_map(source_budget_at(lake, e)) == want[e], e
     for a, b in ((0, 1), (1, 2), (0, 2)):
-        got = incremental_source_budget(lake, source_budget_at(lake, a), a, b)
-        assert _as_map(got) == want[b], (a, b)
+        for got in _both_plans("budget", lake, source_budget_at(lake, a), a, b):
+            assert _as_map(got) == want[b], (a, b)
 
 
 def test_zipper_returns_exactly_the_changed_rows():
@@ -539,7 +557,7 @@ def test_zipper_returns_exactly_the_changed_rows():
 def test_null_source_view(tmp_path, ray_session):
     """A doc with a null source is a view row of its own (sorted last),
     in the recompute and the maintained view alike."""
-    from ton_etl_ray.ops.tokens import incremental_source_budget, source_budget_at
+    from ton_etl_ray.ops.tokens import source_budget_at
 
     lake = _two_epoch(tmp_path, [
         (1, "c", "a", [1], 1, "web"),
@@ -551,7 +569,8 @@ def test_null_source_view(tmp_path, ray_session):
     want = source_budget_at(lake, 1)
     assert want.to_pydict() == {"source": [None], "n_docs": [3], "total_tokens": [6],
                                 "mean_tokens": [2.0]}
-    assert incremental_source_budget(lake, source_budget_at(lake, 0), 0, 1).equals(want)
+    for got in _both_plans("budget", lake, source_budget_at(lake, 0), 0, 1):
+        assert got.equals(want)
     assert source_budget_at(lake, 0)["source"].to_pylist() == ["web", None]
 
 
@@ -562,8 +581,7 @@ def test_emptied_lake_reads_empty(tmp_path, ray_session):
     one deleted key."""
     from ton_etl_ray.cdc import sink
     from ton_etl_ray.cdc.replay import epoch_diff, final_state_table
-    from ton_etl_ray.ops.tokens import (
-        incremental_source_budget, source_budget_at, token_histogram_at)
+    from ton_etl_ray.ops.tokens import source_budget_at, token_histogram_at
 
     lake = _two_epoch(tmp_path, [(1, "c", "only", [1, 2], 2, "web")],
                       [(2, "d", "only", None, None, None)], num_partitions=2)
@@ -571,6 +589,79 @@ def test_emptied_lake_reads_empty(tmp_path, ray_session):
     assert state.num_rows == 0 and state.schema == sink.lake_schema(lake)
     assert final_state_table(lake, 0).num_rows == 1
     assert source_budget_at(lake).num_rows == 0 and token_histogram_at(lake).num_rows == 0
-    assert incremental_source_budget(lake, source_budget_at(lake, 0), 0).num_rows == 0
+    assert all(got.num_rows == 0 for got in _both_plans("budget", lake, source_budget_at(lake, 0), 0))
     assert epoch_diff(lake, 0).take_all() == [
         {"doc_id": "only", "change": "deleted", "lsn_from": 1, "lsn_to": None}]
+
+
+def test_refresh_reads_the_cheaper_plan(tmp_path, ray_session, monkeypatch):
+    """The refresh plan is chosen from the commit JSONs before any read.
+    On a 64-partition lake a span that rewrote one partition runs the
+    pair stage and reads exactly that pair; a span that rewrote every
+    partition, and one across a compaction, read no file of epoch a
+    (the recompute at b). Once ``gc_epochs`` collected epoch a's
+    files, the recompute still refreshes the view while the delta plan
+    raises "garbage-collected"."""
+    from ton_etl_ray.cdc import delta, sink
+    from ton_etl_ray.cdc.compact import compact_lake
+    from ton_etl_ray.cdc.replay import replay
+    from ton_etl_ray.core.partition import assign_partitions
+    from ton_etl_ray.ops.tokens import (
+        _delta_source_budget, _delta_token_histogram, incremental_source_budget,
+        incremental_token_histogram, source_budget_at, token_histogram_at)
+
+    nparts, lake = 64, str(tmp_path / "lake")
+    keys = [f"k{i}" for i in range(2000)]
+    first = {}
+    for k, p in zip(keys, assign_partitions(pa.array(keys), nparts).tolist()):
+        first.setdefault(p, k)
+    assert len(first) == nparts
+    epochs = [
+        [(i + 1, "c", k, [i % 7], 1, "web" if i % 3 else "books") for i, k in enumerate(keys)],
+        [(5000, "u", keys[0], [1, 2], 2, "code")],
+        [(6000 + p, "u", k, [3], 1, "wiki") for p, k in sorted(first.items())],
+    ]
+    for e, rows in enumerate(epochs):
+        d = str(tmp_path / f"e{e}")
+        os.makedirs(d)
+        _write_log(os.path.join(d, "s.parquet"), rows)
+        replay(d, lake, num_partitions=nparts)
+    compact_lake(lake)
+    budget = [source_budget_at(lake, e) for e in range(4)]
+    hist = [token_histogram_at(lake, e) for e in range(4)]
+
+    reads = []
+    real_read = sink.read_file
+    monkeypatch.setattr(sink, "read_file", lambda path, columns=None: (
+        reads.append(os.path.abspath(path)), real_read(path, columns))[1])
+
+    def refresh(a, b):
+        """Both views across (a, b], each equal to the recompute at b;
+        returns the set of files the two refreshes read."""
+        reads.clear()
+        assert incremental_source_budget(lake, budget[a], a, b).equals(budget[b])
+        assert incremental_token_histogram(lake, hist[a], a, b).equals(hist[b])
+        return set(reads)
+
+    def files(e):
+        return {os.path.abspath(f) for f in sink.lake_files(lake, e)}
+
+    c0, c1 = (sink.read_commit(lake, e)["partitions"] for e in (0, 1))
+    pair = [p for p in c0 if c0[p]["path"] != c1[p]["path"]]
+    assert len(pair) == 1
+    runs = delta._runs(lake, 0, 1)
+    assert delta.pair_rows(runs) < sink.read_commit(lake, 1)["rows_total"]
+    assert refresh(0, 1) == {os.path.abspath(os.path.join(lake, c[pair[0]]["path"]))
+                             for c in (c0, c1)}
+
+    for a, b in ((1, 2), (2, 3), (0, 3)):  # every partition, a compaction, both
+        assert delta.pair_rows(delta._runs(lake, a, b)) >= sink.read_commit(lake, b)["rows_total"]
+        got = refresh(a, b)
+        assert got <= files(b) and not got & (files(a) - files(b)), (a, b)
+
+    assert sink.gc_epochs(lake, keep_epochs=1)["deleted_files"] > 0
+    assert not any(os.path.exists(f) for f in files(2))
+    refresh(2, 3)
+    for fold, base in ((_delta_source_budget, budget[2]), (_delta_token_histogram, hist[2])):
+        with pytest.raises(ValueError, match="garbage-collected"):
+            fold(lake, base, 2, 3)

@@ -510,9 +510,12 @@ def test_memo_hit_equals_disk_decode(tmp_path, empty_memo):
     """A written partition read back in the same process is served from
     the memo, and equals a fresh disk decode in values, types and
     schema metadata, whole and for every kind of column list: reordered,
-    a subset, repeated names, none, and a missing name (the disk read
-    ignores it; so does the memo, by reading from disk)."""
+    a subset, repeated names and none. A missing name raises
+    ``KeyError`` naming it, from the memo and from a disk read alike
+    (pyarrow's own read would drop it); a nested path into a struct
+    is the disk read's."""
     import datetime
+    import shutil
 
     import pyarrow as pa
 
@@ -534,9 +537,16 @@ def test_memo_hit_equals_disk_decode(tmp_path, empty_memo):
         assert hit is sink.read_file(path), name  # served from the memo
         assert _same(hit, _disk(path)) and _same(hit, t.cast(hit.schema)), name
         cols = t.column_names
-        for sub in (cols[::-1], cols[-1:], cols + cols[:1], [], ["missing", cols[0]], ["missing"]):
+        for sub in (cols[::-1], cols[-1:], cols + cols[:1], []):
             got = sink.read_file(path, sub)
             assert _same(got, _disk(path, sub)) and got.num_rows == t.num_rows, (name, sub)
+        cold = str(tmp_path / f"cold-{i}.parquet")  # not written by write_partition
+        shutil.copy(path, cold)
+        for p in (path, cold):
+            for sub in (["missing", cols[0]], ["missing"], ["missing.x"]):
+                with pytest.raises(KeyError, match="no column missing"):
+                    sink.read_file(p, sub)
+        assert sink.read_file(path) is hit  # the memo still serves the file
     # a nested path is not a kept column name: the disk read answers it
     path = os.path.join(sink.epoch_dir(lake, 0), sink.part_file(list(cases).index("nested")))
     assert _same(sink.read_file(path, ["st.a"]), _disk(path, ["st.a"]))
@@ -695,3 +705,35 @@ def test_memo_is_not_pickled_with_tasks(tmp_path, empty_memo):
     del sys._tonray_written
     empty = len(cloudpickle.dumps(partial(R.commit_partition, lake, 1)))
     assert full == empty < 1_000_000
+
+
+def test_writer_epoch_parses_its_head_commit_once(tmp_path, monkeypatch, lake_writer):
+    """Every writer epoch parses the head's ``_COMMIT.json`` once, when
+    ``EpochTxn`` pins it: the schema, the state files and the layout
+    come from the pinned commit (a 65,536-partition commit is megabytes
+    of JSON). The watcher's metrics row takes the watermark from the
+    ingest result, not from a re-read of the commit it just wrote."""
+    import shutil
+
+    from ton_etl_ray.cdc.streaming import DirectoryWatcher
+
+    chg, lake = str(tmp_path / "chg"), str(tmp_path / "lake")
+    write_change_log(chg, num_events=2000, num_keys=200, seed=91, num_shards=3, max_tok=6)
+    files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
+    replay(files[:1], lake, num_partitions=8)
+    ing = lake_writer.ingestor(lake) if lake_writer.kind == "ingest" else None
+    parsed = []
+    real_read_commit = sink.read_commit
+    monkeypatch.setattr(sink, "read_commit", lambda lk, e: (
+        parsed.append(e), real_read_commit(lk, e))[1])
+    epoch = lake_writer(lake, files[1:2], ingestor=ing)
+    assert epoch == 1 and parsed == [0]
+
+    watch = str(tmp_path / "watch")
+    os.makedirs(watch)
+    w = DirectoryWatcher(watch, lake, stable_polls=0, idle_flush_sec=0)
+    shutil.copy(files[2], watch)
+    parsed.clear()
+    res = w.step()
+    assert res["epoch"] == 2 and parsed == [1]
+    assert w.metrics[-1]["watermark_lsn"] == real_read_commit(lake, 2)["max_lsn"]

@@ -59,7 +59,7 @@ def compact_lake(lake_dir: str, *, num_partitions: int | None = None) -> dict:
         latest, epoch = txn.prev_epoch, txn.epoch
         p_new = int(num_partitions if num_partitions is not None
                     else txn.prev_commit["num_partitions"])
-        schema = sink.lake_schema(lake_dir, latest)
+        schema = sink.commit_schema(txn.prev_commit)
 
         def tag(t: pa.Table) -> pa.Table:
             # inherited old-epoch files may predate schema evolution —
@@ -78,7 +78,8 @@ def compact_lake(lake_dir: str, *, num_partitions: int | None = None) -> dict:
             )
 
         # an all-tombstoned lake has no files: it compacts to an empty epoch
-        written, plan = partition_apply(sink.lake_files(lake_dir, latest), tag, write_part, {})
+        written, plan = partition_apply(
+            list(sink.state_paths(lake_dir, txn.prev_commit).values()), tag, write_part, {})
 
         # a full rewrite: nothing is inherited, and the layout may change
         return txn.publish(

@@ -1,8 +1,8 @@
 """The one epoch-delta derivation: the committed rows that changed
-between two lake epochs. The maintained views (``ops.tokens``),
-``replay.epoch_diff`` and the changefeed (``changefeed.emit_changefeed``
-and ``emit_snapshot``) all consume it — one comparison, no join, no
-shuffle.
+between two lake epochs. The maintained views (``ops.tokens``, when
+``pair_rows`` is below a recompute's rows), ``replay.epoch_diff`` and
+the changefeed (``changefeed.emit_changefeed`` and ``emit_snapshot``)
+all consume it — one comparison, no join, no shuffle.
 
 An epoch stores key k in partition ``hash64(k) % width``, so two epochs
 of one width hold the same key domain in partition p: the span's
@@ -72,24 +72,40 @@ def _runs(lake_dir: str, epoch_a: int | None, epoch_b: int) -> list[tuple[dict, 
     return runs
 
 
-def span_groups(lake_dir: str, epoch_a: int | None, epoch_b: int) -> list[dict]:
-    """The partition file pairs of the span (a, b], packed into
-    key-closed groups (module doc): ``{"a": [old paths], "b": [new
-    paths]}`` with pair i = (a[i], b[i]), paths relative to the lake and
-    "" for a side without a file. Raises the "garbage-collected"
-    ``ValueError`` — before any read — if a pair names a file that
-    ``sink.gc_epochs`` has collected: an endpoint's, or the pre-image
-    of a re-shard inside the span."""
-    runs = _runs(lake_dir, epoch_a, epoch_b)
-    g = math.gcd(*(int(cb["num_partitions"]) for _, cb in runs))
-    groups: dict[int, dict] = {}
+def _rewritten(runs: list[tuple[dict, dict]]):
+    """``(part, old entry, new entry)`` of every partition pair that
+    ``runs`` (``_runs``) rewrote: a side without the partition is
+    ``{}``. An inherited partition names the same file on both sides
+    and is skipped."""
     for ca, cb in runs:
         for p in sorted(ca["partitions"].keys() | cb["partitions"].keys(), key=int):
-            old, new = (c["partitions"].get(p, {}).get("path") or "" for c in (ca, cb))
-            if old != new:
-                group = groups.setdefault(int(p) % g, {"a": [], "b": []})
-                group["a"].append(old)
-                group["b"].append(new)
+            old, new = (c["partitions"].get(p, {}) for c in (ca, cb))
+            if (old.get("path") or "") != (new.get("path") or ""):
+                yield int(p), old, new
+
+
+def pair_rows(runs: list[tuple[dict, dict]]) -> int:
+    """The rows the pair stage reads over ``runs``: both sides of every
+    rewritten pair, from the commits' per-partition ``rows`` — no file
+    is opened."""
+    return sum(int(ent.get("rows", 0)) for _, old, new in _rewritten(runs) for ent in (old, new))
+
+
+def span_groups(lake_dir: str, epoch_a: int | None, epoch_b: int,
+                runs: list[tuple[dict, dict]]) -> list[dict]:
+    """The partition file pairs of the span (a, b], whose ``_runs`` are
+    ``runs``, packed into key-closed groups (module doc): ``{"a": [old
+    paths], "b": [new paths]}`` with pair i = (a[i], b[i]), paths
+    relative to the lake and "" for a side without a file. Raises the
+    "garbage-collected" ``ValueError`` — before any read — if a pair
+    names a file that ``sink.gc_epochs`` has collected: an endpoint's,
+    or the pre-image of a re-shard inside the span."""
+    g = math.gcd(*(int(cb["num_partitions"]) for _, cb in runs))
+    groups: dict[int, dict] = {}
+    for p, old, new in _rewritten(runs):
+        group = groups.setdefault(p % g, {"a": [], "b": []})
+        group["a"].append(old.get("path") or "")
+        group["b"].append(new.get("path") or "")
     missing = [rel for group in groups.values() for rel in group["a"] + group["b"]
                if rel and not os.path.exists(os.path.join(lake_dir, rel))]
     if missing:
@@ -139,7 +155,7 @@ def classify(old: pa.Table, new: pa.Table) -> tuple[pa.ChunkedArray, pa.Table]:
 
 
 def delta_stream(lake_dir: str, epoch_a: int | None, epoch_b: int | None,
-                 columns: list[str] | None, fn):
+                 columns: list[str] | None, fn, *, runs: list[tuple[dict, dict]] | None = None):
     """Run ``fn(old, new)`` over the changed rows of the span (a, b] —
     ``epoch_a`` None is the span from nothing, where every row of b is
     new. ``old`` holds each changed key's row at a (updated or
@@ -156,13 +172,15 @@ def delta_stream(lake_dir: str, epoch_a: int | None, epoch_b: int | None,
     in-process and return a list of ``fn`` results; larger ones run as
     one Ray Data ``map_batches`` over the groups and return its
     Dataset. A span without a rewritten partition calls ``fn`` once on
-    empty sides."""
+    empty sides. ``runs``, the span's ``_runs`` if the caller parsed
+    them already, spares a second parse of its commits."""
     ensure_portable()
     import ray.data as rd
 
     e_b = sink.latest_epoch(lake_dir) if epoch_b is None else epoch_b
-    groups = span_groups(lake_dir, epoch_a, e_b)
-    schema = sink.lake_schema(lake_dir, e_b)
+    runs = _runs(lake_dir, epoch_a, e_b) if runs is None else runs
+    groups = span_groups(lake_dir, epoch_a, e_b, runs)
+    schema = sink.commit_schema(runs[-1][1])
     if columns is not None:
         columns = ["doc_id", "lsn"] + [c for c in columns if c not in ("doc_id", "lsn")]
         schema = pa.schema([schema.field(c) for c in columns])

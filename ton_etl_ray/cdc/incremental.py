@@ -50,7 +50,7 @@ class IncrementalIngestor:
         publish leaves them uncommitted, and the retry re-derives over
         the same shard set.
 
-        Returns ``epoch``, ``rows_total``, ``partitions_written``,
+        Returns ``epoch``, ``rows_total``, ``max_lsn``, ``partitions_written``,
         ``routed`` (change rows that reached a partition merge) and
         ``replay()``'s counters: ``rows_in`` (= ``routed``),
         ``tombstones`` and ``plan``."""
@@ -80,5 +80,6 @@ class IncrementalIngestor:
             )
             counters = epoch_counters(written, **counters)
             return {"epoch": txn.epoch, "rows_total": commit["rows_total"],
+                    "max_lsn": commit["max_lsn"],
                     "partitions_written": txn.partitions_written,
                     "routed": counters["rows_in"], **counters}

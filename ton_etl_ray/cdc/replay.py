@@ -439,11 +439,11 @@ def _apply_changes(
     files and ``commit_partition`` every partition they touch, onto
     ``txn``'s committed head. Returns the written manifests by part,
     the state schema and ``{"plan": ...}``."""
-    unified, state_schema = _change_schema(files, lake_dir, txn.prev_epoch)
+    unified, state_schema = _change_schema(files, txn.prev_commit)
     written, plan = partition_apply(
         files, Normalize(unified, num_partitions, skip_parts, only_parts, excluded_doc_ids),
         partial(commit_partition, lake_dir, txn.epoch),
-        sink.state_path_map(lake_dir, txn.prev_epoch),
+        sink.state_paths(lake_dir, txn.prev_commit),
         num_blocks=override_num_blocks, coalesce_blocks=coalesce_shuffle_blocks)
     return {m["part"]: m for m in written}, state_schema, {"plan": plan}
 
@@ -457,15 +457,15 @@ def _schema_groups(files: list[str]) -> list[tuple[pa.Schema, list[str]]]:
     return list(groups.values())
 
 
-def _change_schema(files: list[str], lake_dir: str,
-                   prev_epoch: int | None) -> tuple[pa.Schema, pa.Schema]:
+def _change_schema(files: list[str], prev_commit: dict | None) -> tuple[pa.Schema, pa.Schema]:
     """The change schema every writer conforms to: the unified schema
-    of ``files`` (the previous lake schema included, so state columns
-    survive even if this epoch's shards dropped one) and the state
-    schema it persists (no ``op``/``ts_ms``)."""
+    of ``files`` (the schema of ``prev_commit``, the pinned head,
+    included, so state columns survive even if this epoch's shards
+    dropped one) and the state schema it persists (no
+    ``op``/``ts_ms``)."""
     schemas = [s for s, _ in _schema_groups(files)]
-    if prev_epoch is not None:
-        prev = sink.lake_schema(lake_dir, prev_epoch)
+    if prev_commit is not None:
+        prev = sink.commit_schema(prev_commit)
         schemas.append(pa.schema([f for f in prev if f.name != "lsn"]))
     unified = unify_schemas(schemas)
     state_schema = pa.schema([f for f in unified if f.name not in ("op", "ts_ms")])

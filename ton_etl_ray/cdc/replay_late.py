@@ -91,8 +91,8 @@ def _apply_late(
 ) -> tuple[dict[int, dict], pa.Schema, dict]:
     """Phases A and B (``replay._apply_changes``' contract). The plan
     recorded is ``exchange`` if either phase ran it."""
-    unified, state_schema = _change_schema(files, lake_dir, txn.prev_epoch)
-    state = sink.state_path_map(lake_dir, txn.prev_epoch)
+    unified, state_schema = _change_schema(files, txn.prev_commit)
+    state = sink.state_paths(lake_dir, txn.prev_commit)
 
     def norm(schema: pa.Schema) -> Normalize:
         return Normalize(schema, num_partitions, skip_parts, only_parts, excluded_doc_ids)

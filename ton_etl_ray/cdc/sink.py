@@ -356,10 +356,33 @@ def _sweep_stale_tmp(d: str) -> None:
             pass  # a racing sweeper got it first
 
 
-def lake_schema(lake_dir: str, epoch: int | None = None) -> pa.Schema:
+def commit_at(lake_dir: str, epoch: int | None = None) -> dict:
+    """Commit ``epoch``, the committed head if None; a lake without a
+    commit raises ``FileNotFoundError``."""
     e = latest_epoch(lake_dir) if epoch is None else epoch
-    commit = read_commit(lake_dir, e)
+    if e is None:
+        raise FileNotFoundError(f"no committed epoch in {lake_dir}")
+    return read_commit(lake_dir, e)
+
+
+def commit_schema(commit: dict) -> pa.Schema:
+    """The state schema a commit records."""
     return pa.ipc.read_schema(pa.py_buffer(base64.b64decode(commit["schema_b64"])))
+
+
+def state_paths(lake_dir: str, commit: dict | None) -> dict[int, str]:
+    """part-id -> absolute path of every partition file with a row in
+    ``commit`` (None: a lake without a commit, no files). A writer
+    passes the head ``EpochTxn`` pinned, so an epoch parses its head's
+    ``_COMMIT.json`` once: it is 6 MB at 65,536 partitions."""
+    if commit is None:
+        return {}
+    return {int(pid): os.path.join(lake_dir, ent["path"])
+            for pid, ent in commit["partitions"].items() if ent["rows"] > 0}
+
+
+def lake_schema(lake_dir: str, epoch: int | None = None) -> pa.Schema:
+    return commit_schema(commit_at(lake_dir, epoch))
 
 
 def _memo() -> dict:
@@ -444,14 +467,25 @@ def _recall(path: str) -> pa.Table | None:
     return None
 
 
+def _check_columns(path: str, columns: list[str], names: list[str]) -> None:
+    """Raise ``KeyError`` naming each requested column whose top-level
+    name is not in ``names`` (a dotted path names a field of its first
+    segment's struct)."""
+    have = set(names)
+    absent = [c for c in columns if c not in have and c.split(".", 1)[0] not in have]
+    if absent:
+        raise KeyError(f"{path}: no column {', '.join(absent)}")
+
+
 def read_file(path: str, columns: list[str] | None = None) -> pa.Table:
     """One Parquet file (``columns`` only, in that order, if given) —
     the in-process reader of every lake partition file and change
-    shard. A file this process wrote with ``write_partition`` is served
-    from the written-partition memo while its stamp still matches
-    (module docstring); ``table.select`` is zero-copy, and a name the
-    kept table lacks (a missing column, a nested path) goes to the disk
-    read, so results and errors are the disk read's. A single-file
+    shard. A requested name whose top-level column the file lacks
+    raises ``KeyError`` (pyarrow's read would drop it silently). A file
+    this process wrote with ``write_partition`` is served from the
+    written-partition memo while its stamp still matches (module
+    docstring); ``table.select`` is zero-copy, and a nested path goes
+    to the disk read, so results are the disk read's. A single-file
     ``ParquetFile`` read skips the dataset scanner ``pq.read_table``
     sets up per call, which costs more than decoding a small partition
     file; the handle is closed on return."""
@@ -459,24 +493,19 @@ def read_file(path: str, columns: list[str] | None = None) -> pa.Table:
     if kept is not None:
         if columns is None:
             return kept
+        _check_columns(path, columns, kept.column_names)
         names = list(dict.fromkeys(columns))  # the disk read drops repeats
         if set(names) <= set(kept.column_names):
             return kept.select(names)
     with pq.ParquetFile(path) as pf:
+        if columns is not None:
+            _check_columns(path, columns, pf.schema_arrow.names)
         return pf.read(columns=columns)
 
 
 def lake_files(lake_dir: str, epoch: int | None = None) -> list[str]:
     """Absolute paths of the committed lake's partition files."""
-    e = latest_epoch(lake_dir) if epoch is None else epoch
-    if e is None:
-        raise FileNotFoundError(f"no committed epoch in {lake_dir}")
-    commit = read_commit(lake_dir, e)
-    return [
-        os.path.join(lake_dir, ent["path"])
-        for ent in commit["partitions"].values()
-        if ent["rows"] > 0
-    ]
+    return list(state_paths(lake_dir, commit_at(lake_dir, epoch)).values())
 
 
 class EpochLockError(RuntimeError):
@@ -821,11 +850,4 @@ def gc_epochs(lake_dir: str, *, keep_epochs: int = 1) -> dict:
 
 def state_path_map(lake_dir: str, epoch: int | None) -> dict[int, str]:
     """part-id -> absolute state file path for the given committed epoch."""
-    if epoch is None:
-        return {}
-    commit = read_commit(lake_dir, epoch)
-    return {
-        int(pid): os.path.join(lake_dir, ent["path"])
-        for pid, ent in commit["partitions"].items()
-        if ent["rows"] > 0
-    }
+    return state_paths(lake_dir, None if epoch is None else read_commit(lake_dir, epoch))

@@ -315,7 +315,7 @@ class DirectoryWatcher:
             "flush_sec": round(wall_sec, 6),
             "events_per_sec": round(res["routed"] / max(wall_sec, 1e-9), 3),
             "window_events_per_sec": round(sum(n for _, n in self._window) / span, 3),
-            "watermark_lsn": sink.read_commit(self.lake_dir, res["epoch"])["max_lsn"],
+            "watermark_lsn": res["max_lsn"],
             "pending_shards": len(self.pending),
         }
         self.metrics.append(row)

@@ -16,11 +16,15 @@ The epoch-pinned views (``source_budget_at``, ``token_histogram_at``)
 and their maintained forms (``incremental_*``) run in-process below one
 read block (``ops._util.BLOCK_BYTES``): each file is one
 ``sink.read_file`` decode, and each result one Arrow kernel — a hash
-``group_by`` for the budget, ``value_counts`` for the histogram. The
-epoch delta is ``cdc.delta.delta_stream`` — the derivation
-``epoch_diff`` and the changefeed share — and each of its tasks hands
-the changed rows to the view once, which calls its partial once per
-sign; above one read block the same kernels run as Ray Data tasks.
+``group_by`` for the budget, ``value_counts`` for the histogram. A
+maintained view refreshes by the cheaper of two exact plans, chosen
+from the span's commit JSONs alone (``_refresh_plan``): the epoch delta
+when both sides of its rewritten partition pairs hold fewer rows than
+epoch b, else a recompute at b. The epoch delta is
+``cdc.delta.delta_stream`` — the derivation ``epoch_diff`` and the
+changefeed share — and each of its tasks hands the changed rows to the
+view once, which calls its partial once per sign; above one read block
+the same kernels run as Ray Data tasks.
 
 Full SQL oracles: the change log's token values are md5-seeded-LCG per
 (doc, version) (pipelines.docs_to_change_log), so DuckDB reproduces the
@@ -109,8 +113,9 @@ def source_token_budget(sf_dir: str):
 
 # ---------------------------------------------------------------------------
 # Incremental view maintenance: keep the per-source budget and token
-# histogram views current from per-partition epoch deltas in
-# O(rewritten partitions) instead of O(lake) recomputes.
+# histogram views current by the cheaper of the per-partition epoch
+# delta (the rows of the rewritten partitions, both sides) and a
+# recompute at the target epoch (its rows), compared before any read.
 # ---------------------------------------------------------------------------
 
 _BUDGET_SCHEMA = pa.schema(
@@ -151,7 +156,7 @@ def _fold(partials, acc: pa.Table) -> pa.Table:
     return acc
 
 
-def _base_partials(lake_dir: str, epoch: int | None, columns: list[str], partial_fn):
+def _base_partials(lake_dir: str, commit: dict, columns: list[str], partial_fn):
     """The partials of one committed epoch's state — a view's base. A
     lake smaller than one read block runs ONE ``partial_fn`` over its
     concatenated files (read through ``sink.read_file``) in-process;
@@ -162,7 +167,7 @@ def _base_partials(lake_dir: str, epoch: int | None, columns: list[str], partial
 
     from ..cdc import sink
 
-    files = sink.lake_files(lake_dir, epoch)
+    files = list(sink.state_paths(lake_dir, commit).values())
     if not files:
         return []
     if local_plan(sum(os.path.getsize(f) for f in files)):
@@ -176,7 +181,13 @@ def source_budget_at(lake_dir: str, epoch: int | None = None) -> pa.Table:
     the base a maintained view starts from. Same partial-sum shape as
     ``source_token_budget`` but epoch-pinned and returned as the tiny
     per-source table (the view itself is O(sources))."""
-    partials = _base_partials(lake_dir, epoch, ["source", "n_tok"], _budget_partials)
+    from ..cdc import sink
+
+    return _budget_at(lake_dir, sink.commit_at(lake_dir, epoch))
+
+
+def _budget_at(lake_dir: str, commit: dict) -> pa.Table:
+    partials = _base_partials(lake_dir, commit, ["source", "n_tok"], _budget_partials)
     return _finish_budget(_fold(partials, _DELTA_SCHEMA.empty_table()))
 
 
@@ -197,6 +208,26 @@ def _signed(partial_fn):
     return lambda old, new: pa.concat_tables([partial_fn(old, -1), partial_fn(new, 1)])
 
 
+def _refresh_plan(lake_dir: str, epoch_a: int, epoch_b: int | None) -> tuple[list, bool]:
+    """Pick a maintained view's refresh plan from the span's commit
+    JSONs alone: the span's aligned runs (``cdc.delta._runs``, the
+    enumeration the pair stage uses, so a width change outside
+    ``compact_lake`` still raises; the last run ends at commit b), and
+    True for the epoch delta — when both sides of the rewritten pairs
+    (``delta.pair_rows``) hold fewer rows than ``rows_total`` of b —
+    or False for a recompute at b; ties go to the recompute. It opens
+    no file: a recompute needs none of epoch a's, so it also serves a
+    span whose epoch-a files ``gc_epochs`` collected. A commit that
+    rewrote every partition (a zipf epoch over a small lake, any
+    compaction) is cheaper to recompute; a few thousand keys into tens
+    of thousands of partitions keep the delta."""
+    from ..cdc import delta, sink
+
+    e_b = sink.latest_epoch(lake_dir) if epoch_b is None else epoch_b
+    runs = delta._runs(lake_dir, epoch_a, e_b)
+    return runs, delta.pair_rows(runs) < int(runs[-1][1]["rows_total"])
+
+
 def incremental_source_budget(
     lake_dir: str,
     base: pa.Table,
@@ -208,20 +239,33 @@ def incremental_source_budget(
     contract (the reference recomputes its datalake_daily_sync
     aggregates from scratch each day; with per-partition epoch deltas
     the engine keeps them current in work proportional to the REWRITTEN
-    partitions — reference airflow/dags/datalake_daily_sync.py, daily
-    CTAS re-aggregation).
+    partitions, or to one recompute if that reads fewer rows —
+    reference airflow/dags/datalake_daily_sync.py, daily CTAS
+    re-aggregation).
 
     ``base`` is the view at ``epoch_a`` (from ``source_budget_at`` or a
-    previous maintenance step). Exact, not approximate: the signed
-    column-pruned delta (see ``cdc.delta.delta_stream``) and ``base``
-    fold into one O(sources) int64 table on the driver.
-    ``incremental == full recompute at epoch b`` is pinned in pytest,
-    across re-shard compactions too, and by the ``incremental_budget``
-    DuckDB value-hash oracle."""
+    previous maintenance step). The refresh reads the fewer rows of two
+    exact plans (``_refresh_plan``): the delta plan folds the signed
+    column-pruned delta (see ``cdc.delta.delta_stream``) into ``base``
+    as one O(sources) int64 table on the driver; the recompute plan is
+    ``source_budget_at(b)`` and ignores ``base``. Each plan's
+    ``== full recompute at epoch b`` is pinned in pytest, across
+    re-shard compactions too, and by the ``incremental_budget`` DuckDB
+    value-hash oracle."""
+    runs, delta_cheaper = _refresh_plan(lake_dir, epoch_a, epoch_b)
+    if delta_cheaper:
+        return _delta_source_budget(lake_dir, base, epoch_a, epoch_b, runs)
+    return _budget_at(lake_dir, runs[-1][1])
+
+
+def _delta_source_budget(lake_dir: str, base: pa.Table, epoch_a: int,
+                         epoch_b: int | None = None, runs: list | None = None) -> pa.Table:
+    """The budget view's delta plan: ``base`` plus the signed partials
+    of the span's changed rows."""
     from ..cdc.delta import delta_stream
 
     stream = delta_stream(lake_dir, epoch_a, epoch_b, ["source", "n_tok"],
-                          _signed(_budget_partials))
+                          _signed(_budget_partials), runs=runs)
     base_t = pa.table([base["source"], base["n_docs"], base["total_tokens"]],
                       names=_DELTA_SCHEMA.names).cast(_DELTA_SCHEMA)
     return _finish_budget(_fold(stream, base_t))
@@ -266,7 +310,13 @@ def token_histogram_at(lake_dir: str, epoch: int | None = None) -> pa.Table:
     """The FULL token histogram over one committed epoch's state — the
     maintained-view base (O(vocabulary) rows: bounded model state, the
     same shape kmeans centroids / BPE vocab take on the driver)."""
-    return _fold_hist(_base_partials(lake_dir, epoch, ["tokens"], _hist_partials),
+    from ..cdc import sink
+
+    return _histogram_at(lake_dir, sink.commit_at(lake_dir, epoch))
+
+
+def _histogram_at(lake_dir: str, commit: dict) -> pa.Table:
+    return _fold_hist(_base_partials(lake_dir, commit, ["tokens"], _hist_partials),
                       _HIST_FULL_SCHEMA.empty_table())
 
 
@@ -277,13 +327,26 @@ def incremental_token_histogram(
     epoch_b: int | None = None,
 ) -> pa.Table:
     """Maintain the corpus token histogram (vocabulary counts) across a
-    lake commit in O(rewritten partitions) — the heavier IVM instance:
-    at 10^10 documents a from-scratch histogram is a full corpus
-    flatten, while the day's change set is orders of magnitude smaller.
-    Same signed delta as the budget view, folded into ``base`` the same
-    way (int64, exact past 2^53); tokens whose count drops to 0 leave
-    the view. Exactness vs ``token_histogram_at`` is pinned in pytest."""
+    lake commit — the heavier IVM instance: at 10^10 documents a
+    from-scratch histogram is a full corpus flatten, while the day's
+    change set is orders of magnitude smaller. The same choice of plan
+    as the budget view (``_refresh_plan``): the signed delta folded
+    into ``base`` (int64, exact past 2^53; tokens whose count drops to
+    0 leave the view) when it reads fewer rows, else
+    ``token_histogram_at(b)``. Each plan's exactness vs
+    ``token_histogram_at`` is pinned in pytest."""
+    runs, delta_cheaper = _refresh_plan(lake_dir, epoch_a, epoch_b)
+    if delta_cheaper:
+        return _delta_token_histogram(lake_dir, base, epoch_a, epoch_b, runs)
+    return _histogram_at(lake_dir, runs[-1][1])
+
+
+def _delta_token_histogram(lake_dir: str, base: pa.Table, epoch_a: int,
+                           epoch_b: int | None = None, runs: list | None = None) -> pa.Table:
+    """The histogram's delta plan: ``base`` plus the signed token
+    counts of the span's changed rows."""
     from ..cdc.delta import delta_stream
 
-    stream = delta_stream(lake_dir, epoch_a, epoch_b, ["tokens"], _signed(_hist_partials))
+    stream = delta_stream(lake_dir, epoch_a, epoch_b, ["tokens"], _signed(_hist_partials),
+                          runs=runs)
     return _fold_hist(stream, base)

@@ -18,10 +18,15 @@ against pyarrow's dictionary-everything default; CPU and bytes),
 ``read`` (``sink.read_file`` of every written partition, for each
 encoding: a disk decode) and ``read_hit`` (``sink.read_file`` of the
 same partitions written by ``sink.write_partition``: served from the
-written-partition memo). Times are CPU milliseconds of this process per
-stage and rep; the report gives the median and quartiles over
-``--reps``. The decoded and the served partitions are checked equal to
-the written ones.
+written-partition memo), and the two plans a maintained view refreshes
+by (``ops.tokens._refresh_plan``): ``view_delta`` (``delta.zip_changed``
+of every written partition against its state before the epoch, then
+the signed budget partials of the changed rows) and ``view_full`` (the
+budget partial over every partition after the epoch). Times are CPU
+milliseconds of this process per stage and rep; the report gives the
+median and quartiles over ``--reps``. The decoded and the served
+partitions are checked equal to the written ones, and both view plans
+to the same budget.
 
 ``--large N [N ...]`` also encodes single partitions of N rows, with
 uniform and with zipf token ids, under both encodings.
@@ -49,10 +54,11 @@ import pyarrow.parquet as pq
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
 
-from ton_etl_ray.cdc import sink  # noqa: E402
+from ton_etl_ray.cdc import delta, sink  # noqa: E402
 from ton_etl_ray.core import merge as M  # noqa: E402
 from ton_etl_ray.core import partition as P  # noqa: E402
 from ton_etl_ray.core.schema_evolution import conform, unify_schemas  # noqa: E402
+from ton_etl_ray.ops.tokens import _DELTA_SCHEMA, _budget_partials, _finish_budget, _fold  # noqa: E402
 
 VOCAB = 50257
 MAX_TOK = 32
@@ -158,6 +164,49 @@ def time_encodes(tables: list[pa.Table], times: dict, rep: int) -> dict[str, int
     return sizes
 
 
+VIEW_COLUMNS = ["doc_id", "lsn", "source", "n_tok"]
+
+
+def concat(tables: list[pa.Table]) -> pa.Table:
+    return pa.concat_tables([t.select(VIEW_COLUMNS) for t in tables], promote_options="permissive")
+
+
+def view_delta(before: dict[int, pa.Table], written: dict[int, pa.Table]) -> pa.Table:
+    """The delta plan's work in one process: each written partition
+    zipped against its state before the epoch (a partition born in the
+    epoch is all new rows), then one signed partial per side."""
+    old, new = [], []
+    for p, tb in written.items():
+        if p in before:
+            ta, tb = delta.zip_changed(before[p].select(VIEW_COLUMNS), tb.select(VIEW_COLUMNS))
+            old.append(ta)
+        new.append(tb)
+    return pa.concat_tables([_budget_partials(concat(old), -1) if old else _DELTA_SCHEMA.empty_table(),
+                             _budget_partials(concat(new), 1)])
+
+
+def view_full(after: dict[int, pa.Table]) -> pa.Table:
+    """The recompute plan's work: one partial over every partition."""
+    return _budget_partials(concat(list(after.values())))
+
+
+def time_views(before: dict[int, pa.Table], written: dict[int, pa.Table], times: dict) -> None:
+    """CPU ms of both refresh plans; the base folded with the delta
+    must equal the recompute."""
+    after = {**before, **written}
+    outs = {}
+    for stage, fn, args in (("view_delta", view_delta, (before, written)),
+                            ("view_full", view_full, (after,))):
+        t0 = time.process_time()
+        outs[stage] = fn(*args)
+        times.setdefault(stage, []).append((time.process_time() - t0) * 1e3)
+    base = [view_full(before)] if before else []
+    empty = _DELTA_SCHEMA.empty_table()
+    if not _finish_budget(_fold(base + [outs["view_delta"]], empty)).equals(
+            _finish_budget(_fold([outs["view_full"]], empty))):
+        raise AssertionError("the delta plan's budget differs from the recompute's")
+
+
 def quartiles(xs: list[float]) -> dict:
     q1, q2, q3 = np.percentile(xs, [25, 50, 75])
     return {"p50": round(float(q2), 3), "q1": round(float(q1), 3), "q3": round(float(q3), 3)}
@@ -178,6 +227,7 @@ def bench_shape(name: str, seed: int, scale: float, reps: int, work: str) -> dic
     for rep in range(reps):
         written = apply_log(state, epoch, times)
         sizes = time_encodes(list(written.values()), times, rep)
+        time_views(state, written, times)
     paths: dict[str, dict[int, str]] = {}
     for mode, policy in MODES:
         d = os.path.join(work, name, mode)
