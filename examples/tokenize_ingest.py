@@ -66,7 +66,7 @@ def to_change_shard(t: pa.Table) -> pa.Table:
 
 encoded.map_batches(to_change_shard, batch_format="pyarrow").write_parquet(chg)
 
-# 4. replay the log into a committed lake epoch (2PC, partition manifests)
+# 4. replay the log into a committed lake epoch (2PC, sha256-verified files)
 res = replay(chg, lake, num_partitions=16)
 print(f"epoch {res.epoch}: {res.rows_total} docs committed to the lake")
 

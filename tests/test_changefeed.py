@@ -696,7 +696,8 @@ def test_collected_pair_file_raises_before_any_read(tmp_path, ray_session, monke
 def test_feed_stamps_are_durable_writes(primary, tmp_path, monkeypatch):
     """``_feed.json`` and ``_follower.json`` are written by
     ``sink.atomic_write_bytes`` (fsynced temp file, rename, directory
-    fsync), the writer every durable lake write goes through."""
+    fsync), the writer every durable lake write goes through; so is
+    every feed shard (``sink.atomic_write_table``)."""
     from ton_etl_ray.cdc import sink
     from ton_etl_ray.cdc.changefeed import FeedFollower, emit_changefeed, emit_snapshot
 
@@ -710,6 +711,10 @@ def test_feed_stamps_are_durable_writes(primary, tmp_path, monkeypatch):
     root = str(tmp_path / "feeds")
     emit_snapshot(primary, os.path.join(root, "epoch-000000"), epoch=0)
     emit_changefeed(primary, os.path.join(root, "epoch-000001"), 0, 1)
-    assert written == ["_feed.json", "_feed.json"]
+    stamps = [w for w in written if not w.startswith("part-")]
+    assert stamps == ["_feed.json", "_feed.json"]
+    shards = [f for d in os.listdir(root) for f in os.listdir(os.path.join(root, d))
+              if f.startswith("part-")]
+    assert shards and sorted(shards) == sorted(w for w in written if w.startswith("part-"))
     assert FeedFollower(root, str(tmp_path / "replica"), num_partitions=8).step() == 0
     assert written.count("_follower.json") == 1

@@ -2,8 +2,8 @@
 duplicate or lost applies (north rule, BASELINE.json:6,15).
 
 The job runs as a real subprocess with its own Ray session; we poll the
-staging directory and SIGKILL as soon as at least one partition manifest
-is durable but the epoch is uncommitted.
+staging directory and SIGKILL as soon as at least one partition file
+is staged but the epoch is uncommitted.
 """
 
 import glob
@@ -45,7 +45,7 @@ def test_sigkill_mid_replay_then_resume(tmp_path):
     while time.time() < deadline:
         if proc.poll() is not None:
             break  # finished before we could kill — rare; still a valid run
-        n = len(glob.glob(os.path.join(staging, "part-*.manifest.json")))
+        n = len(glob.glob(os.path.join(staging, "part-*.parquet")))
         if n >= 1 and not sink.is_committed(lake, 0):
             os.kill(proc.pid, signal.SIGKILL)
             killed = True

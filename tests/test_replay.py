@@ -179,21 +179,39 @@ def test_empty_batch_is_valid_change_batch():
 
 
 def test_resume_after_partial_run_zipf(tmp_path):
-    """Crash after partitions 0-3 of 8 are durable on a zipf log with
-    hot keys; resume skips every durable partition manifest and
-    converges to the oracle."""
+    """Crash after partitions 0-3 of 8 are staged on a zipf log with
+    hot keys; resume adopts every staged partition file (rows and
+    lineage from its footer, never a writer's tmp file) and converges
+    to the oracle and to an uninterrupted replay's commit and counters."""
+    from ton_etl_ray.cdc import sink
+
     chg = str(tmp_path / "chg")
     lake = str(tmp_path / "lake")
     write_change_log(chg, num_events=10000, num_keys=200, seed=97, num_shards=4, max_tok=16)
 
     partial = replay(chg, lake, num_partitions=8, only_parts=frozenset(range(4)))
     assert not partial.published
+    stale = os.path.join(sink.epoch_dir(lake, 0), sink.part_file(0) + ".tmp.4242.123456789")
+    with open(stale, "wb") as f:
+        f.write(b"torn")
+    assert set(sink.staged_manifests(lake, 0)) == {sink.part_file(p) for p in range(4)}
 
     res = replay(chg, lake, resume=True, num_partitions=8)
     assert res.published
     gm = _as_map(final_state_table(lake).select(["doc_id", "tokens", "n_tok", "source"]))
     wm = _as_map(_oracle(chg))
     assert gm == wm
+
+    ref_lake = str(tmp_path / "ref")
+    ref = replay(chg, ref_lake, num_partitions=8)
+    got, want = sink.read_commit(lake, 0), sink.read_commit(ref_lake, 0)
+    for key in ("max_lsn", "min_lsn", "rows_total", "sha256"):
+        assert got[key] == want[key], key
+    for key in ("rows_in", "tombstones"):
+        assert res.counters[key] == ref.counters[key], key
+    for d in (lake, ref_lake):
+        v = sink.verify_lake(d)
+        assert v["hashes_verified"] == v["partitions_checked"] > 0
 
 
 def test_coalesced_shuffle_matches_oracle(tmp_path, ray_session, exchange_plan):

@@ -77,7 +77,6 @@ def test_late_resume_after_partial_commit(tmp_path):
     _os.remove(_os.path.join(lake, sink.LATEST_NAME))
     for p in (0, 3, 5):
         _os.remove(_os.path.join(staging, sink.part_file(p)))
-        _os.remove(_os.path.join(staging, sink.part_file(p).replace(".parquet", ".manifest.json")))
 
     res = replay_late(chg, lake, num_partitions=8, resume=True)
     assert res.published

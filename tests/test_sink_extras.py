@@ -99,8 +99,39 @@ def test_epoch_lock_blocks_second_writer(tmp_path):
     release_epoch_lock(lock3)
 
 
+def _flip(path: str, offset: int) -> bytes:
+    """XOR one byte of ``path`` with 0x10; returns the original file."""
+    with open(path, "rb") as f:
+        data = f.read()
+    with open(path, "wb") as f:
+        f.write(data[:offset] + bytes([data[offset] ^ 0x10]) + data[offset + 1:])
+    return data
+
+
+def _footer_offset(path: str, name: bytes) -> int:
+    """Offset of the first ``name`` in the Parquet footer of ``path``:
+    the footer's schema elements come first, so a column name hits its
+    schema element."""
+    with open(path, "rb") as f:
+        data = f.read()
+    start = len(data) - 8 - int.from_bytes(data[-8:-4], "little")
+    return data.index(name, start)
+
+
 def test_verify_lake_detects_corruption(tmp_path):
-    import pytest
+    """One flipped byte anywhere in a committed file fails
+    ``verify_lake`` with "hash mismatch": a data byte, a footer byte
+    (the ``lsn`` schema element), a byte of a partition inherited from
+    an older epoch directory and one of a partition adopted by resume.
+    A directory without a commit raises ``FileNotFoundError``."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(FileNotFoundError, match="no committed epoch"):
+        sink.verify_lake(str(empty))
 
     chg = str(tmp_path / "chg")
     write_change_log(chg, num_events=2000, num_keys=150, seed=44, num_shards=2, max_tok=8)
@@ -108,13 +139,79 @@ def test_verify_lake_detects_corruption(tmp_path):
     replay(chg, lake, num_partitions=4)
     res = sink.verify_lake(lake)
     assert res["partitions_checked"] >= 1 and res["hashes_verified"] >= 1
-    # corrupt one partition file → verification must fail
     victim = sorted(glob.glob(os.path.join(lake, "epoch-000000", "part-*.parquet")))[0]
-    with open(victim, "r+b") as f:
-        f.seek(10)
-        f.write(b"\xde\xad")
+    for offset in (10, _footer_offset(victim, b"lsn")):
+        data = _flip(victim, offset)
+        with pytest.raises(ValueError, match="hash mismatch"):
+            sink.verify_lake(lake)
+        with open(victim, "wb") as f:
+            f.write(data)
+        assert sink.verify_lake(lake) == res
+
+    # epoch 1 rewrites one partition and inherits the other three
+    one = pq.read_table(sorted(glob.glob(os.path.join(chg, "*.parquet")))[0]).slice(0, 1)
+    os.makedirs(str(tmp_path / "one"))
+    pq.write_table(one, str(tmp_path / "one" / "c.parquet"))
+    replay(str(tmp_path / "one"), lake)
+    head = sink.read_commit(lake, 1)["partitions"]
+    inherited = [e["path"] for e in head.values() if e["path"].startswith("epoch-000000")]
+    assert inherited and sink.verify_lake(lake)["hashes_verified"] == 4
+    _flip(os.path.join(lake, inherited[0]), 10)
     with pytest.raises(ValueError, match="hash mismatch"):
         sink.verify_lake(lake)
+
+    resumed = str(tmp_path / "resumed")
+    replay(chg, resumed, num_partitions=4, only_parts=frozenset({0}))
+    replay(chg, resumed, num_partitions=4, resume=True)
+    assert sink.verify_lake(resumed)["hashes_verified"] == 4
+    _flip(os.path.join(sink.epoch_dir(resumed, 0), sink.part_file(0)), 10)
+    with pytest.raises(ValueError, match="hash mismatch"):
+        sink.verify_lake(resumed)
+
+    # a commit from before commits recorded hashes: checked, not hashed
+    commit = sink.read_commit(resumed, 0)
+    del commit["sha256"]
+    with open(os.path.join(sink.epoch_dir(resumed, 0), sink.COMMIT_NAME), "w") as f:
+        json.dump(commit, f)
+    assert sink.verify_lake(resumed) == {"epoch": 0, "partitions_checked": 4, "hashes_verified": 0}
+
+
+def test_one_durable_file_per_partition(tmp_path, monkeypatch):
+    """After a replay, an ingest and a compaction every epoch directory
+    holds only ``part-*.parquet`` files and ``_COMMIT.json``, and the
+    directory fsyncs do not depend on how many partitions were written:
+    ``write_partition`` does none, each publish the same few."""
+    import pyarrow as pa
+
+    from ton_etl_ray.cdc.compact import compact_lake
+    from ton_etl_ray.cdc.incremental import IncrementalIngestor
+
+    chg = str(tmp_path / "chg")
+    write_change_log(chg, num_events=3000, num_keys=300, seed=45, num_shards=2, max_tok=8)
+    files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
+    synced = []
+    real = sink._fsync_dir
+    monkeypatch.setattr(sink, "_fsync_dir", lambda d: (synced.append(d), real(d)))
+
+    counts = {}
+    for width in (2, 16):
+        lake = str(tmp_path / f"lake{width}")
+        synced.clear()
+        replay(files[:1], lake, num_partitions=width)
+        IncrementalIngestor(lake).ingest(files[1:])
+        compact_lake(lake)
+        assert sink.latest_epoch(lake) == 2
+        for e in range(3):
+            names = set(os.listdir(sink.epoch_dir(lake, e)))
+            parts = {n for n in names if n.startswith("part-") and n.endswith(".parquet")}
+            assert names - parts == {sink.COMMIT_NAME}, names
+        assert len(parts) == width
+        counts[width] = len(synced)
+        synced.clear()
+        sink.write_partition(lake, 3, sink.part_file(0),
+                             pa.table({"doc_id": ["a"], "lsn": pa.array([1], pa.int64())}), {})
+        assert synced == []
+    assert counts[2] == counts[16] == 9, counts
 
 
 def test_gc_spares_in_progress_epoch(tmp_path):
@@ -580,7 +677,8 @@ sink.write_partition({lake!r}, 0, sink.part_file(0),
                      pa.table({{"doc_id": ["c"], "lsn": pa.array([9], pa.int64())}}), {{}})
 """
     subprocess.run([sys.executable, "-c", code], cwd=root, check=True)
-    assert _same(sink.read_file(path), theirs)
+    # the file's footer adds the (empty) lineage to theirs
+    assert _same(sink.read_file(path), _disk(path)) and sink.read_file(path).equals(theirs)
     assert sink.read_file(path, ["lsn"]).column("lsn").to_pylist() == [9]
 
     # in-place overwrite (same inode): garbage, then another valid file

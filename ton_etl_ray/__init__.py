@@ -10,7 +10,7 @@ A from-scratch re-expression of the capabilities of ton-studio/ton-etl
 - key-partitioned last-writer-wins upsert (reference parser/db.py:310-330,
   datalake_daily_sync.py:641-653), tombstone deletes, Arrow schema
   evolution, an exactly-once two-phase-commit Parquet sink with
-  per-partition manifests/lineage and resumable checkpoints;
+  per-partition lineage, sha256-verified files and resumable checkpoints;
 - plus the reference's generic operator families (filters, projections,
   unions, broadcast/as-of/anti joins, dedup, rank-1 snapshots, windowed
   aggregates, top-k) and the large-scale training-data operators

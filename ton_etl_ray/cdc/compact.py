@@ -6,7 +6,7 @@ touched and inherits the rest by reference), so reads fan out over the
 whole epoch history and ``gc_epochs`` can never collect an epoch that
 still donates a partition. ``compact_lake`` re-materializes the ENTIRE
 current state as one fresh epoch — optionally at a new partition count
-— under the same two-phase commit (partition manifests → commit JSON →
+— under the same two-phase commit (partition files → commit JSON →
 ``_LATEST`` flip) and epoch lock as replay, so a crash mid-compaction
 leaves the previous epoch live and a retry restarts cleanly.
 
@@ -73,7 +73,7 @@ def compact_lake(lake_dir: str, *, num_partitions: int | None = None) -> dict:
             # not in doc_id order yet
             return sink.write_partition(
                 lake_dir, epoch, sink.part_file(part), t.sort_by("doc_id"),
-                {"kind": "data", "part": part, "rows_in": t.num_rows,
+                {"part": part, "rows_in": t.num_rows,
                  "max_lsn": int(pc.max(t["lsn"]).as_py()), "tombstones": 0},
             )
 

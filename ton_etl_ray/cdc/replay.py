@@ -196,7 +196,7 @@ def commit_partition(lake_dir: str, epoch: int, part: int, changes: pa.Table,
     new_state = M.merge_state(state, changes)
     return sink.write_partition(
         lake_dir, epoch, sink.part_file(part), new_state,
-        {"kind": "data", "part": part, "rows_in": changes.num_rows,
+        {"part": part, "rows_in": changes.num_rows,
          "max_lsn": int(pc.max(changes["lsn"]).as_py()),
          "min_lsn": int(pc.min(changes["lsn"]).as_py()),
          "tombstones": int(pc.sum(pc.equal(changes["op"], "d")).as_py() or 0)},
@@ -247,10 +247,12 @@ def partition_apply(
     if num_blocks is None:
         num_blocks = read_blocks(total)
     ds, read_total = None, 0
-    for _, fl in _schema_groups(files):
+    for schema, fl in _schema_groups(files):
         blocks = max(1, int(num_blocks * len(fl) / len(files)))
         read_total += blocks
-        g = (rd.read_parquet(fl, columns=columns, override_num_blocks=blocks)
+        if columns is not None:  # the read schema names exactly the columns read
+            schema = pa.schema([schema.field(c) for c in columns])
+        g = (rd.read_parquet(fl, columns=columns, schema=schema, override_num_blocks=blocks)
              # whole blocks: replay's per-block compaction is its skew bound
              .map_batches(kernel, batch_size=None, batch_format="pyarrow"))
         ds = g if ds is None else ds.union(g)
@@ -334,8 +336,8 @@ def replay(
     """Apply a change log to the lake as one new epoch (exactly-once).
 
     Fresh lake → epoch 0; committed lake → incremental ingest as the next
-    epoch; ``resume=True`` finishes a crashed epoch, skipping every
-    partition whose manifest is already durable. ``only_parts`` is a
+    epoch; ``resume=True`` finishes a crashed epoch, adopting every
+    partition file already staged. ``only_parts`` is a
     test/fault-injection hook: process only those shuffle partitions and
     do NOT publish (simulates a mid-replay crash deterministically).
 
@@ -386,7 +388,7 @@ def _replay_epoch(changes: str | list[str], lake_dir: str, num_partitions: int,
             # the partition layout is fixed at epoch 0: prior state is looked
             # up by partition file, so later epochs must hash with the same P
             num_partitions = txn.prev_commit["num_partitions"]
-        # resume: every durable partition manifest is skipped — a key always
+        # resume: every staged partition file is adopted — a key always
         # hashes to the same partition, so a committed partition already
         # holds every row of this log routed to it
         committed = sink.staged_manifests(lake_dir, txn.epoch) if resume else {}
@@ -449,10 +451,13 @@ def _apply_changes(
 
 
 def _schema_groups(files: list[str]) -> list[tuple[pa.Schema, list[str]]]:
-    """``files`` grouped by on-disk schema: ``(schema, files)`` pairs."""
+    """``files`` grouped by on-disk schema: ``(schema, files)`` pairs.
+    Schema metadata is dropped: every partition file's footer holds its
+    own lineage, and a Ray Data read of blocks whose metadata differ
+    cannot deduplicate their schemas."""
     groups: dict[bytes, tuple[pa.Schema, list[str]]] = {}
     for f in files:
-        s = pq.read_schema(f)
+        s = pq.read_schema(f).remove_metadata()
         groups.setdefault(s.serialize().to_pybytes(), (s, []))[1].append(f)
     return list(groups.values())
 
@@ -473,8 +478,11 @@ def _change_schema(files: list[str], prev_commit: dict | None) -> tuple[pa.Schem
 
 
 def read_lake(lake_dir: str, epoch: int | None = None) -> "rd.Dataset":
-    """The committed lake as a Ray Dataset (payload + lsn columns)."""
-    return rd.read_parquet(sink.lake_files(lake_dir, epoch))
+    """The committed lake as a Ray Dataset (payload + lsn columns) in
+    the commit's schema (no file's footer metadata)."""
+    commit = sink.commit_at(lake_dir, epoch)
+    return rd.read_parquet(list(sink.state_paths(lake_dir, commit).values()),
+                           schema=sink.commit_schema(commit))
 
 
 def final_state_table(lake_dir: str, epoch: int | None = None) -> pa.Table:

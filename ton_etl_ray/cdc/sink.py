@@ -1,21 +1,22 @@
-"""Exactly-once two-phase-commit Parquet lake sink with manifests.
+"""Exactly-once two-phase-commit Parquet lake sink.
 
 The reference achieves durability by ordering: write Avro file → upload
 → THEN commit Kafka offsets (at-least-once, duplicates cleaned daily by
 an EXCEPT dedup — reference datalake/main.py:157-186,
 datalake_daily_sync.py:298-328). We instead make the sink exactly-once:
 
-phase 1: each partition reducer writes ``part-NNNNN.parquet`` via a tmp
-         file + atomic rename, then its ``*.manifest.json`` (fsynced) —
-         a partition is durably done iff its manifest exists;
-phase 2: the driver writes the epoch ``_COMMIT.json`` naming every
-         partition file (possibly inheriting untouched partitions from
-         the previous epoch), then atomically flips the ``_LATEST``
-         pointer. Readers only ever see committed epochs.
+phase 1: each partition reducer writes ``part-NNNNN.parquet`` once
+         (tmp, fsync, rename), its lineage in the footer — a partition
+         is staged iff its file exists;
+phase 2: the driver fsyncs the epoch directory, writes the epoch
+         ``_COMMIT.json`` naming every partition file (possibly
+         inheriting untouched partitions from the previous epoch) and
+         the sha256 of each file it wrote, then atomically flips the
+         ``_LATEST`` pointer. Readers only ever see committed epochs.
 
 Task retries are invisible: a retried applier rewrites the same
-deterministic content to the same path. Resume after a crash skips
-every partition whose manifest already exists (lineage recorded inside).
+deterministic content to the same path. Resume after a crash adopts
+every staged partition file (``staged_manifests``) and skips it.
 
 Every lake writer — ``replay``, ``replay_late``,
 ``IncrementalIngestor.ingest`` and ``compact_lake`` — commits through
@@ -50,13 +51,12 @@ Layout::
     lake_dir/
       _LATEST                      # text: committed epoch id
       epoch-000000/
-        _COMMIT.json               # partition map + totals + schema
-        part-00007.parquet
-        part-00007.manifest.json   # rows, max_lsn, counters, inputs
+        _COMMIT.json               # partition map + sha256s + totals + schema
+        part-00007.parquet         # footer: lineage (counters, lsn bounds)
 
 Every durable Parquet file — partition files, changefeed shards,
-converted Debezium shards — goes through ``atomic_write_table``: zstd,
-with the dictionary encoding chosen per leaf column from the data
+converted Debezium shards — is encoded by ``_encode``: zstd, with the
+dictionary encoding chosen per leaf column from the data
 (``dictionary_columns``). An integer leaf whose value range
 ``max − min + 1`` exceeds 1/8 of its value count is written plain;
 every other leaf keeps pyarrow's dictionary. The lake's big columns
@@ -99,6 +99,7 @@ still the file that was written:
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import os
 import re
@@ -121,6 +122,7 @@ _TMP_RE = re.compile(r"\.tmp\.\d+\.\d+$")  # _tmp_name's suffix
 # partition-file codec: zstd files are about a quarter smaller than
 # snappy's for a few ms more CPU per 16 files
 COMPRESSION = "zstd"
+LINEAGE_KEY = b"lineage"  # the footer key of a partition file's lineage
 
 
 def epoch_dir(lake_dir: str, epoch: int) -> str:
@@ -148,13 +150,18 @@ def _tmp_name(path: str) -> str:
     return f"{path}.tmp.{os.getpid()}.{time.monotonic_ns()}"
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def _replace_synced(path: str, data: bytes | pa.Buffer) -> None:
+    """tmp → write → fsync → rename; durable once the directory is."""
     tmp = _tmp_name(path)
     with open(tmp, "wb") as f:
         f.write(data)
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
+
+
+def atomic_write_bytes(path: str, data: bytes | pa.Buffer) -> None:
+    _replace_synced(path, data)
     _fsync_dir(os.path.dirname(path))
 
 
@@ -203,73 +210,65 @@ def dictionary_columns(table: pa.Table) -> bool | list[str]:
     return keep if plain else True
 
 
+def _encode(table: pa.Table) -> pa.Buffer:
+    """``table`` as a Parquet file in memory: zstd, the dictionary per
+    leaf column by ``dictionary_columns``."""
+    out = pa.BufferOutputStream()
+    pq.write_table(table, out, compression=COMPRESSION,
+                   use_dictionary=dictionary_columns(table))
+    return out.getvalue()
+
+
 def atomic_write_table(path: str, table: pa.Table) -> int:
     """Write a parquet file atomically; returns file size in bytes."""
-    tmp = _tmp_name(path)
-    pq.write_table(table, tmp, compression=COMPRESSION,
-                   use_dictionary=dictionary_columns(table))
-    with open(tmp, "rb+") as f:
-        os.fsync(f.fileno())
-    size = os.path.getsize(tmp)
-    os.replace(tmp, path)
-    _fsync_dir(os.path.dirname(path))
-    return size
-
-
-_HASH_MAX_BYTES = 256 << 20  # skip hashing beyond this (cost at scale)
+    buf = _encode(table)
+    atomic_write_bytes(path, buf)
+    return buf.size
 
 
 def _sha256_file(path: str) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def write_partition(
     lake_dir: str, epoch: int, fname: str, table: pa.Table, lineage: dict
 ) -> dict:
-    """Phase-1 commit of one partition: data file then manifest.
-
-    The manifest records a content hash (the analogue of the reference's
-    sha256 file naming, datalake/main.py:161-164) so lineage can be
-    verified end-to-end (``verify_lake``). ``table`` is kept in the
-    written-partition memo (module docstring) under the slot
-    ``(lake_dir, fname)``, stamped after the rename, so this process's
-    next ``read_file`` of the file decodes nothing."""
+    """Phase-1 commit of one partition: one file, ``lineage`` as JSON
+    under its footer's ``LINEAGE_KEY``, no directory fsync
+    (``publish_epoch`` has one). Returns the manifest ``file``,
+    ``rows``, ``sha256`` of the bytes written (the analogue of the
+    reference's sha256 file naming, datalake/main.py:161-164; the
+    commit records it for ``verify_lake``) and ``lineage``. ``table``
+    is kept in the written-partition memo (module docstring) under the
+    slot ``(lake_dir, fname)``, stamped after the rename, so this
+    process's next ``read_file`` of the file decodes nothing."""
     d = epoch_dir(lake_dir, epoch)
     os.makedirs(d, exist_ok=True)
     path = os.path.join(d, fname)
-    size = atomic_write_table(path, table)
-    _remember(path, (os.path.abspath(lake_dir), fname), table)
-    manifest = {
-        "file": fname,
-        "rows": table.num_rows,
-        "bytes": size,
-        "sha256": _sha256_file(path) if size <= _HASH_MAX_BYTES else "",
-        **lineage,
-    }
-    atomic_write_bytes(
-        os.path.join(d, fname.replace(".parquet", ".manifest.json")),
-        json.dumps(manifest, sort_keys=True).encode(),
-    )
-    return manifest
+    table = table.replace_schema_metadata({
+        **(table.schema.metadata or {}),
+        LINEAGE_KEY: json.dumps(lineage, separators=(",", ":"))})
+    buf = _encode(table)
+    _replace_synced(path, buf)
+    _remember(path, (os.path.abspath(lake_dir), fname), table,
+              pq.read_schema(pa.BufferReader(buf)))
+    return {"file": fname, "rows": table.num_rows,
+            "sha256": hashlib.sha256(buf).hexdigest(), **lineage}
 
 
 def staged_manifests(lake_dir: str, epoch: int) -> dict[str, dict]:
-    """Manifests already durably written in a (possibly uncommitted) epoch."""
+    """The manifest of every partition file staged in a (possibly
+    uncommitted) epoch by file name: ``rows`` and the lineage from its
+    footer, ``sha256`` from a read of the file. Tmp files are skipped."""
     d = epoch_dir(lake_dir, epoch)
     out: dict[str, dict] = {}
-    if not os.path.isdir(d):
-        return out
-    for name in os.listdir(d):
-        if name.endswith(".manifest.json"):
-            with open(os.path.join(d, name)) as f:
-                m = json.load(f)
-            out[m["file"]] = m
+    for name in os.listdir(d) if os.path.isdir(d) else []:
+        if name.startswith("part-") and name.endswith(".parquet"):
+            path = os.path.join(d, name)
+            md = pq.read_metadata(path)
+            out[name] = {"file": name, "rows": md.num_rows, "sha256": _sha256_file(path),
+                         **json.loads(md.metadata[LINEAGE_KEY])}
     return out
 
 
@@ -321,20 +320,20 @@ def publish_epoch(
     meta: dict,
     schema: pa.Schema,
 ) -> dict:
-    """Phase-2 commit: epoch manifest then the ``_LATEST`` pointer flip."""
+    """Phase-2 commit: an epoch directory fsync (the staged renames),
+    the epoch manifest, then the ``_LATEST`` pointer flip."""
+    d = epoch_dir(lake_dir, epoch)
+    _fsync_dir(d)
     commit = {
         "epoch": epoch,
         "partitions": partitions,  # part-id -> {"path": rel-to-lake_dir, "rows", "max_lsn"}
         "schema_b64": base64.b64encode(schema.serialize().to_pybytes()).decode(),
         **meta,
     }
-    atomic_write_bytes(
-        os.path.join(epoch_dir(lake_dir, epoch), COMMIT_NAME),
-        json.dumps(commit, sort_keys=True).encode(),
-    )
+    atomic_write_bytes(os.path.join(d, COMMIT_NAME), json.dumps(commit, sort_keys=True).encode())
     atomic_write_bytes(os.path.join(lake_dir, LATEST_NAME), str(epoch).encode())
-    for d in (lake_dir, epoch_dir(lake_dir, epoch)):
-        _sweep_stale_tmp(d)
+    _sweep_stale_tmp(lake_dir)
+    _sweep_stale_tmp(d)
     return commit
 
 
@@ -414,15 +413,16 @@ def _forget(m: dict, path: str) -> None:
         del m["slots"][ent[2]]
 
 
-def _remember(path: str, slot: tuple, table: pa.Table) -> None:
+def _remember(path: str, slot: tuple, table: pa.Table, schema: pa.Schema) -> None:
     """Keep a just-written ``table`` (``write_partition``), evicting the
     slot's files but the newest two, then the oldest files past
     ``BLOCK_BYTES`` (read per call: tests set it to force a plan). The
-    kept table takes the file's schema, as a decode would give it (list
-    children are named ``element`` on disk, ``item`` in pyarrow)."""
+    kept table takes the file's footer ``schema``, as a decode would
+    give it (list children are named ``element`` on disk, ``item`` in
+    pyarrow)."""
     cap = _util.BLOCK_BYTES
     path = os.path.abspath(path)
-    stamp, schema = _stamp(path), pq.read_schema(path)
+    stamp = _stamp(path)
     if not table.schema.equals(schema, check_metadata=True):
         try:
             table = table.cast(schema)
@@ -692,11 +692,12 @@ class EpochTxn:
     def build(self, written: dict[int, dict], *, num_partitions: int, plan: str,
               inherit: bool = True, **meta) -> dict:
         """The commit record without publishing it: ``written`` maps a
-        part id to its manifest (``file``, ``rows``, ``max_lsn``,
-        optional ``min_lsn``); every other partition is inherited from
-        the previous commit (``inherit``) or empty. ``plan`` records
-        how phase 1 ran: ``"local"`` (in-process) or ``"exchange"``
-        (Ray Data). ``meta`` adds the writer's own keys."""
+        part id to its manifest (``file``, ``rows``, ``sha256``,
+        ``max_lsn``, optional ``min_lsn``); every other partition is
+        inherited from the previous commit (``inherit``) or empty. The
+        ``sha256`` map holds the written files' hashes only. ``plan``
+        records how phase 1 ran: ``"local"`` (in-process) or
+        ``"exchange"`` (Ray Data). ``meta`` adds the writer's own keys."""
         own = os.path.basename(epoch_dir(self.lake_dir, self.epoch))
         prev = self.prev_commit["partitions"] if inherit and self.prev_commit else {}
         # the watermark never moves backwards: a redelivered stale shard
@@ -730,6 +731,7 @@ class EpochTxn:
             "max_lsn": max_lsn,
             "min_lsn": -1 if not min_lsns or min(min_lsns) < 0 else min(min_lsns),
             "plan": plan,
+            "sha256": {str(m["file"]): m["sha256"] for m in written.values()},
             **meta,
         }
 
@@ -742,11 +744,12 @@ class EpochTxn:
 
 
 def verify_lake(lake_dir: str, epoch: int | None = None) -> dict:
-    """Lineage verification: every committed partition file exists, has
-    the manifested size and (when recorded) content hash. Returns
-    counters; raises on corruption."""
-    e = latest_epoch(lake_dir) if epoch is None else epoch
-    commit = read_commit(lake_dir, e)
+    """Lineage verification: every committed partition file exists and
+    hashes to the sha256 its epoch directory's commit recorded (a file
+    from before commits held hashes is checked, not hashed). Returns
+    counters; raises on corruption or a lake without a commit."""
+    commit = commit_at(lake_dir, epoch)
+    hashes: dict[str, dict] = {}  # epoch dir -> its commit's hashes
     checked = hashed = 0
     for pid, ent in commit["partitions"].items():
         if not ent["path"]:
@@ -754,18 +757,15 @@ def verify_lake(lake_dir: str, epoch: int | None = None) -> dict:
         path = os.path.join(lake_dir, ent["path"])
         if not os.path.exists(path):
             raise FileNotFoundError(f"partition {pid}: missing {ent['path']}")
-        # manifest lives next to the data file (possibly an older epoch dir)
-        mf = path.replace(".parquet", ".manifest.json")
-        with open(mf) as f:
-            m = json.load(f)
-        if os.path.getsize(path) != m["bytes"]:
-            raise ValueError(f"partition {pid}: size mismatch for {ent['path']}")
-        if m.get("sha256"):
-            if _sha256_file(path) != m["sha256"]:
+        owner, fname = os.path.split(ent["path"])
+        if owner not in hashes:
+            hashes[owner] = read_commit(lake_dir, int(owner.split("-")[1])).get("sha256", {})
+        if fname in hashes[owner]:
+            if _sha256_file(path) != hashes[owner][fname]:
                 raise ValueError(f"partition {pid}: content hash mismatch for {ent['path']}")
             hashed += 1
         checked += 1
-    return {"epoch": e, "partitions_checked": checked, "hashes_verified": hashed}
+    return {"epoch": commit["epoch"], "partitions_checked": checked, "hashes_verified": hashed}
 
 
 def lake_stats(lake_dir: str) -> dict:
@@ -841,9 +841,6 @@ def gc_epochs(lake_dir: str, *, keep_epochs: int = 1) -> dict:
             if rel in referenced:
                 continue
             os.remove(os.path.join(d, f))
-            mf = os.path.join(d, f.replace(".parquet", ".manifest.json"))
-            if os.path.exists(mf):
-                os.remove(mf)
             deleted += 1
     return {"deleted_files": deleted, "kept_epochs": len(keep)}
 

@@ -304,7 +304,7 @@ def metadata_refresh_feed(
 
     files = sink.lake_files(lake_dir, base_epoch)
     if files:
-        live = rd.read_parquet(files)
+        live = rd.read_parquet(files, schema=payload)
         # distinct keys: per-block unique partials, then a driver set —
         # dim-sized by contract (the fetch targets masters/collections,
         # never the event stream)

@@ -173,7 +173,10 @@ def _base_partials(lake_dir: str, commit: dict, columns: list[str], partial_fn):
     if local_plan(sum(os.path.getsize(f) for f in files)):
         return [partial_fn(pa.concat_tables([sink.read_file(f, columns) for f in files],
                                             promote_options="permissive"))]
-    return rd.read_parquet(files, columns=columns).map_batches(partial_fn, batch_format="pyarrow")
+    schema = sink.commit_schema(commit)
+    return (rd.read_parquet(files, columns=columns,
+                            schema=pa.schema([schema.field(c) for c in columns]))
+            .map_batches(partial_fn, batch_format="pyarrow"))
 
 
 def source_budget_at(lake_dir: str, epoch: int | None = None) -> pa.Table:

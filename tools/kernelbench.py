@@ -15,7 +15,9 @@ of a base log's shards evolved), ``compact`` (LWW, tombstones kept),
 partition), ``encode`` (every written partition to zstd Parquet in
 memory: the sink's per-leaf dictionary policy, ``sink.dictionary_columns``,
 against pyarrow's dictionary-everything default; CPU and bytes),
-``read`` (``sink.read_file`` of every written partition, for each
+``write`` (every written partition through ``sink.write_partition``
+into a scratch lake: encode, hash, one fsynced file each, the memo
+insert), ``read`` (``sink.read_file`` of every written partition, for each
 encoding: a disk decode) and ``read_hit`` (``sink.read_file`` of the
 same partitions written by ``sink.write_partition``: served from the
 written-partition memo), and the two plans a maintained view refreshes
@@ -153,6 +155,15 @@ def encode(t: pa.Table, policy: bool) -> bytes:
 MODES = (("policy", True), ("default", False))
 
 
+def time_writes(tables: dict[int, pa.Table], lake: str, epoch: int, times: dict) -> None:
+    """CPU ms of ``sink.write_partition`` of every table into ``lake``."""
+    t0 = time.process_time()
+    for p, t in tables.items():
+        sink.write_partition(lake, epoch, sink.part_file(p), t, {
+            "part": p, "rows_in": t.num_rows, "tombstones": 0, "max_lsn": 0, "min_lsn": 0})
+    times.setdefault("write", []).append((time.process_time() - t0) * 1e3)
+
+
 def time_encodes(tables: list[pa.Table], times: dict, rep: int) -> dict[str, int]:
     """CPU ms of encoding every table once per mode, the modes in
     alternating order by ``rep``; returns bytes per mode."""
@@ -227,7 +238,9 @@ def bench_shape(name: str, seed: int, scale: float, reps: int, work: str) -> dic
     for rep in range(reps):
         written = apply_log(state, epoch, times)
         sizes = time_encodes(list(written.values()), times, rep)
+        time_writes(written, os.path.join(work, name, "write"), rep, times)
         time_views(state, written, times)
+    shutil.rmtree(os.path.join(work, name, "write"))
     paths: dict[str, dict[int, str]] = {}
     for mode, policy in MODES:
         d = os.path.join(work, name, mode)
