@@ -9,7 +9,7 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-STAGES = {"conform", "compact", "assign", "merge_state", "encode_policy",
+STAGES = {"conform", "compact", "combine", "assign", "merge_state", "encode_policy",
           "encode_default", "write", "read_policy", "read_default", "read_hit",
           "view_delta", "view_full"}
 

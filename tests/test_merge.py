@@ -6,7 +6,7 @@ Mirrors the reference's pure-function test style
 import pyarrow as pa
 import pytest
 
-from ton_etl_ray.core.merge import compact, merge_state, oracle_apply
+from ton_etl_ray.core.merge import combine, compact, merge_state, oracle_apply
 from ton_etl_ray.gen import make_adversarial_log, make_change_batch
 
 
@@ -150,3 +150,46 @@ def test_compact_equals_full_gather(seed, keep_tombstones):
         assert "d" in got["op"].to_pylist()
     else:
         assert "d" not in got["op"].to_pylist()
+
+
+def test_combine_tie_goes_to_first_row_in_input_order():
+    """Exact (doc_id, lsn, op) duplicates with different payloads: the
+    first in input order wins, as in compact; a higher op on the same
+    lsn beats both."""
+    t = pa.concat_tables([
+        _chg([(5, "u", "a", [1]), (5, "c", "b", [2]), (4, "u", "b", [9])]),
+        _chg([(5, "u", "a", [3]), (5, "d", "b", None), (5, "c", "b", [4])]),
+    ])
+    got = combine(t)
+    assert got.to_pylist() == [
+        {"lsn": 5, "op": "u", "doc_id": "a", "tokens": [1]},
+        {"lsn": 5, "op": "d", "doc_id": "b", "tokens": None},
+    ]
+    assert got.sort_by("doc_id").equals(compact(t))
+
+
+def test_combine_empty_and_int64_ends():
+    empty = _chg([])
+    assert combine(empty).equals(empty)
+    lo, hi = -(1 << 63), (1 << 63) - 1
+    t = _chg([(lo, "c", "a", [1]), (hi, "u", "b", [2]), (lo, "u", "a", [3]),
+              (hi - 1, "c", "b", [4]), (lo, "c", "c", [5])])
+    assert combine(t)["tokens"].to_pylist() == [[2], [3], [5]]
+    assert combine(t).sort_by("doc_id").equals(compact(t))
+
+
+@pytest.mark.parametrize("col", ["doc_id", "lsn"])
+def test_combine_refuses_null_key_or_lsn(col):
+    t = _chg([(1, "c", "a", [1]), (2, "c", "b", [2])])
+    i = t.schema.get_field_index(col)
+    t = t.set_column(i, col, pa.array([t[col][0].as_py(), None], t.schema.field(col).type))
+    with pytest.raises(ValueError, match=f"null {col}"):
+        combine(t)
+
+
+def test_combine_single_key_block_gives_one_row():
+    """The skew bound: a block of one hot key leaves one row."""
+    t = _chg([(i, "ud"[i % 2], "hot", None if i % 2 else [i]) for i in range(5000)])
+    out = combine(t)
+    assert out.num_rows == 1
+    assert out.to_pylist() == [{"lsn": 4999, "op": "d", "doc_id": "hot", "tokens": None}]

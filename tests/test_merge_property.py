@@ -4,7 +4,7 @@ import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ton_etl_ray.core.merge import compact, merge_state, oracle_apply
+from ton_etl_ray.core.merge import combine, compact, merge_state, oracle_apply
 
 
 def _table(events):
@@ -49,6 +49,45 @@ def test_compact_equals_oracle_any_log(events, rnd):
         for r in oracle_apply(t).to_pylist()
     }
     assert got == want
+
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=6),
+            # few distinct lsns (duplicate deliveries, mixed ops on one
+            # lsn) including the int64 ends
+            st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, 2, INT64_MAX - 1, INT64_MAX]),
+            st.sampled_from(["c", "u", "d"]),
+        ),
+        max_size=60,
+    ),
+    st.lists(st.integers(min_value=1, max_value=59), max_size=4),
+)
+def test_combine_picks_compacts_winners(rows, cuts):
+    """``combine`` keeps the row ``compact`` keeps for every key — max
+    lsn, then max op, then the first in input order (every row carries
+    its input position as payload, so a tied duplicate that is not the
+    first would show) — and keeps the winners in input order, on input
+    split into chunks at ``cuts``."""
+    t = pa.table({
+        "lsn": pa.array([lsn for _, lsn, _ in rows], pa.int64()),
+        "op": pa.array([op for _, _, op in rows], pa.string()),
+        "doc_id": pa.array([f"k{k}" for k, _, _ in rows], pa.string()),
+        "pos": pa.array(range(len(rows)), pa.int64()),
+    })
+    bounds = sorted({c for c in cuts if c < len(rows)})
+    t = pa.concat_tables([t.slice(lo, hi - lo)
+                          for lo, hi in zip([0, *bounds], [*bounds, len(rows)])] or [t])
+    got = combine(t)
+    assert got.schema == t.schema
+    assert got.sort_by("doc_id").equals(compact(t))
+    pos = got["pos"].to_pylist()
+    assert pos == sorted(pos)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ import os
 
 import duckdb
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from ton_etl_ray.cdc.replay import final_state_table, replay
@@ -48,6 +49,29 @@ def test_replay_matches_oracle(tmp_path):
     assert res.rows_total == len(wm)
 
 
+def test_final_state_table_carries_no_partition_lineage(tmp_path):
+    """Each partition file's footer holds its own ``lineage``; the whole
+    lake's table carries the commit schema's metadata instead of the
+    first file's, at the committed head and at an older epoch."""
+    from ton_etl_ray.cdc import sink
+
+    chg = str(tmp_path / "chg")
+    lake = str(tmp_path / "lake")
+    write_change_log(chg, num_events=3000, num_keys=400, seed=11, num_shards=2, max_tok=8)
+    replay(chg, lake, num_partitions=8)
+    replay(chg, lake)
+    files = sink.lake_files(lake)
+    assert len(files) == 8
+    assert sink.LINEAGE_KEY in pq.read_metadata(files[0]).metadata
+    for epoch in (0, 1, None):
+        t = final_state_table(lake, epoch)
+        schema = sink.lake_schema(lake, epoch)
+        assert t.schema.metadata == schema.metadata
+        assert sink.LINEAGE_KEY not in (t.schema.metadata or {})
+        assert t.schema.equals(schema)
+        assert t.num_rows == sink.commit_at(lake, epoch)["rows_total"]
+
+
 def test_replay_zipf_hot_keys_unsalted(tmp_path):
     """zipf s=1.1 over 200 keys: the top keys take several % of the log
     each, and every row still routes by hash(doc_id) to one reducer."""
@@ -63,8 +87,8 @@ def test_replay_zipf_hot_keys_unsalted(tmp_path):
 
 def test_single_key_log_bounded_by_block_compaction(tmp_path, exchange_plan):
     """Skew bound: one doc_id carries all 100k events over 10 shards of
-    10k rows. The per-block partial compaction in Normalize sends at
-    most one row per key per read block into the exchange, so the one
+    10k rows. The per-block combine (``merge.combine``) in Normalize
+    sends at most one row per key per read block into the exchange, so the one
     reducer that owns the key sees ≤ 10 rows, not 100k."""
     chg = str(tmp_path / "chg")
     lake = str(tmp_path / "lake")

@@ -499,10 +499,11 @@ def _encodings(path):
 
 
 def test_small_partition_writes_wide_ints_plain(tmp_path):
-    """In a partition of a few hundred rows, lsn (unique) and the token
-    ids (a few thousand values of a 50k vocabulary) carry no dictionary
-    page; strings and n_tok (1..16, over more than 8 × 16 rows) keep
-    theirs, and the lineage check still passes."""
+    """In a partition of a few hundred rows, lsn (unique), the token
+    ids (a few thousand values of a 50k vocabulary) and doc_id (each
+    key once per partition) carry no dictionary page; source and n_tok
+    (1..16, over more than 8 × 16 rows) keep theirs, and the lineage
+    check still passes."""
     chg = str(tmp_path / "chg")
     write_change_log(chg, num_events=6000, num_keys=1500, seed=47, num_shards=2, max_tok=16)
     lake = str(tmp_path / "lake")
@@ -513,8 +514,9 @@ def test_small_partition_writes_wide_ints_plain(tmp_path):
         enc = _encodings(f)
         assert "RLE_DICTIONARY" not in enc["lsn"], enc
         assert "RLE_DICTIONARY" not in enc["tokens.list.element"], enc
+        assert "RLE_DICTIONARY" not in enc["doc_id"], enc
         assert sink.read_file(f).num_rows > 8 * 16
-        for col in ("doc_id", "source", "n_tok"):
+        for col in ("source", "n_tok"):
             assert "RLE_DICTIONARY" in enc[col], (col, enc)
     assert sink.verify_lake(lake)["partitions_checked"] == 2
 

@@ -7,7 +7,7 @@ per-partition reducer commits each group. Its size rule
 committed state smaller than one ``BLOCK_BYTES`` read block) picks how::
 
     Normalize (conform to the unified schema, validate ops, per-block
-               partial LWW compaction, hash partition)
+               LWW combine (``merge.combine``), hash partition)
       → group by "part"
       → commit_partition (merge prior state (LWW) → sort → 2PC partition write)
       → publish epoch (_COMMIT + _LATEST pointer flip)
@@ -32,10 +32,10 @@ under task retries and crash-resume, and schema evolution (added
 columns → nulls, numeric widening).
 
 Scale design notes (the exchange plan):
-- the only global shuffle is ``groupby("part")`` over *partially
-  compacted* rows (≤1 row per key per input block), so shuffle volume is
-  bounded by keys×blocks, not raw events;
-- that same bound is the skew bound: ``Normalize`` compacts whole read
+- the only global shuffle is ``groupby("part")`` over *combined* rows
+  (``merge.combine``: ≤1 row per key per input block), so shuffle volume
+  is bounded by keys×blocks, not raw events;
+- that same bound is the skew bound: ``Normalize`` combines whole read
   blocks (``map_batches(batch_size=None)``), so a key however hot enters
   the exchange at most once per block — a 100k-event single-key log in
   10 shards sends ≤10 rows to its reducer. Every row routes by
@@ -107,12 +107,13 @@ def _sample_row_groups(files: list[str], max_files: int = 8):
 
 
 class Normalize:
-    """Stage 1 (stateless map_batches): conform → validate → partial
-    compact → partition assignment. The envelope-normalization analogue
-    of the reference's converters (datalake/converters/converter.py) plus
-    the pre-aggregation combiner that bounds shuffle volume per key: each
-    call emits at most one row per key, which is also the engine's skew
-    bound (see the module docstring)."""
+    """Stage 1 (stateless map_batches): conform → validate → combine →
+    partition assignment. The envelope-normalization analogue of the
+    reference's converters (datalake/converters/converter.py) plus the
+    map-side LWW combiner (``merge.combine``, winners in input order:
+    ``by_part`` and the reducer's ``merge_state`` order them) that bounds
+    shuffle volume per key: each call emits at most one row per key,
+    which is also the engine's skew bound (see the module docstring)."""
 
     def __init__(
         self,
@@ -137,7 +138,7 @@ class Normalize:
             keep = pc.invert(pc.is_in(t["doc_id"], value_set=pa.array(sorted(self.excluded))))
             t = t.filter(keep)
         validate_changes(t)
-        t = M.compact(t, keep_tombstones=True)
+        t = M.combine(t)
         if "ts_ms" in t.column_names:
             # envelope-only column: never part of persisted state — drop
             # before the shuffle so it doesn't ride the all-to-all
@@ -185,7 +186,7 @@ def commit_partition(lake_dir: str, epoch: int, part: int, changes: pa.Table,
 
     ``min_lsn`` is a LOWER BOUND on the lsn of every row NEWLY STORED by
     this epoch in this partition (min over the arriving change rows —
-    the partial compaction may have dropped lower-lsn LOSERS, and late's
+    the map-side combine may have dropped lower-lsn LOSERS, and late's
     Bloom filter may let stale rows through, but a loser never lands in
     stored state or a feed, so the bound covers exactly what consumers
     compare against). The commit-level min proves stored-lsn-ordered
@@ -253,7 +254,7 @@ def partition_apply(
         if columns is not None:  # the read schema names exactly the columns read
             schema = pa.schema([schema.field(c) for c in columns])
         g = (rd.read_parquet(fl, columns=columns, schema=schema, override_num_blocks=blocks)
-             # whole blocks: replay's per-block compaction is its skew bound
+             # whole blocks: replay's per-block combine is its skew bound
              .map_batches(kernel, batch_size=None, batch_format="pyarrow"))
         ds = g if ds is None else ds.union(g)
     if coalesce_blocks is None:
@@ -342,7 +343,7 @@ def replay(
     do NOT publish (simulates a mid-replay crash deterministically).
 
     ``coalesce_shuffle_blocks``: insert a streaming ``repartition(n)``
-    between partial compaction and the partition exchange. The sort
+    between the map-side combine and the partition exchange. The sort
     exchange costs O(map_blocks × reduce_blocks) object transfers, which
     on ONE raylet dominates once read parallelism is high while the
     post-compaction stream is small (profiled on an 80M-event log:
@@ -489,12 +490,16 @@ def final_state_table(lake_dir: str, epoch: int | None = None) -> pa.Table:
     """The committed state as one driver-side table — tests and small
     lakes only: each partition file through ``sink.read_file``, then one
     permissive concat (files from before a schema evolution gain its
-    columns as nulls and widen to its types). A state without a live
-    row is an empty table with the lake schema."""
-    files = sink.lake_files(lake_dir, epoch)
+    columns as nulls and widen to its types). The result carries the
+    commit schema's metadata, not a partition footer's ``lineage``. A
+    state without a live row is an empty table with the lake schema."""
+    commit = sink.commit_at(lake_dir, epoch)
+    schema = sink.commit_schema(commit)
+    files = sink.state_paths(lake_dir, commit).values()
     if not files:
-        return sink.lake_schema(lake_dir, epoch).empty_table()
-    return pa.concat_tables([sink.read_file(f) for f in files], promote_options="permissive")
+        return schema.empty_table()
+    out = pa.concat_tables([sink.read_file(f) for f in files], promote_options="permissive")
+    return out.replace_schema_metadata(schema.metadata)
 
 
 _DIFF_SCHEMA = pa.schema([("doc_id", pa.string()), ("change", pa.string()),

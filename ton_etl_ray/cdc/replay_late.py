@@ -1,17 +1,18 @@
 """Late-materialization replay: decide winners on narrow columns, ship
 payloads once.
 
-``replay()`` shuffles partially-compacted FULL rows (payload included).
+``replay()`` shuffles combined FULL rows (payload included).
 At 10^10 events the payload (``tokens``) dominates shuffle bytes, so
 this strategy splits phase 1 of ``replay``'s epoch into two
 ``partition_apply`` phases over the same change files:
 
 phase A (narrow): read ONLY (doc_id, lsn, op) — parquet column pruning
-  means token payloads are never decoded — ``Normalize`` them (partial
-  compaction per block), group ~30 B rows by partition, and per
-  partition keep each key's log winner only if it beats the lsn of the
-  key's committed row (the state's doc_id/lsn columns). The winning
-  lsns come back to the driver as packed int64 bytes.
+  means token payloads are never decoded — ``Normalize`` them (the
+  ``merge.combine`` LWW combiner per block), group ~30 B rows by
+  partition, and per partition keep each key's log winner only if it
+  beats the lsn of the key's committed row (the state's doc_id/lsn
+  columns). The winning lsns come back to the driver as packed int64
+  bytes.
 phase B (payload): read the shards with payloads, keep only winning
   lsns (lsn is globally unique → a sorted int64 array + searchsorted),
   ``Normalize`` what is left — exactly ONE payload row per changed key —
@@ -126,7 +127,7 @@ def _decide(part: int, rows: pa.Table, state_path: str | None) -> dict:
     """Phase A reducer: the lsns of the partition's log winners (all
     ops: a tombstone winner must be fetched too) that beat the
     committed row of their key, packed as int64 bytes."""
-    wins = M.compact(rows, keep_tombstones=True)
+    wins = M.combine(rows)
     if state_path:
         st = sink.read_file(state_path, ["doc_id", "lsn"])
         wins = wins.join(st.rename_columns(["doc_id", "state_lsn"]), "doc_id")

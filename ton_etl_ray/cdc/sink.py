@@ -65,7 +65,9 @@ values): in a partition of a few thousand rows the dictionary page
 nearly copies the values and pyarrow's 1 MiB fallback never trips, so
 it was about a third of every file and of its encode CPU. A partition
 whose token count is 8× the vocabulary keeps the token dictionary,
-where it pays; a narrow int (``n_tok``) and strings keep theirs.
+where it pays; a narrow int (``n_tok``) and strings keep theirs, except
+a partition file's ``doc_id`` (``partition_dictionary``): state holds
+each key once, so its dictionary page copied every key.
 
 The process that writes a partition reads it back soon after: the next
 commit merges onto it, the watcher's changefeed and the views' pair
@@ -210,18 +212,27 @@ def dictionary_columns(table: pa.Table) -> bool | list[str]:
     return keep if plain else True
 
 
-def _encode(table: pa.Table) -> pa.Buffer:
+def partition_dictionary(table: pa.Table) -> list[str]:
+    """``use_dictionary`` of a partition file: ``dictionary_columns``
+    less ``doc_id``. A partition holds each key once, so a ``doc_id``
+    dictionary page would copy every value."""
+    keep = dictionary_columns(table)
+    if keep is True:
+        keep = [p for n, c in zip(table.column_names, table.columns) for p, _ in _leaves(n, c)]
+    return [p for p in keep if p != "doc_id"]
+
+
+def _encode(table: pa.Table, use_dictionary: bool | list[str]) -> pa.Buffer:
     """``table`` as a Parquet file in memory: zstd, the dictionary per
-    leaf column by ``dictionary_columns``."""
+    leaf column by ``use_dictionary``."""
     out = pa.BufferOutputStream()
-    pq.write_table(table, out, compression=COMPRESSION,
-                   use_dictionary=dictionary_columns(table))
+    pq.write_table(table, out, compression=COMPRESSION, use_dictionary=use_dictionary)
     return out.getvalue()
 
 
 def atomic_write_table(path: str, table: pa.Table) -> int:
     """Write a parquet file atomically; returns file size in bytes."""
-    buf = _encode(table)
+    buf = _encode(table, dictionary_columns(table))
     atomic_write_bytes(path, buf)
     return buf.size
 
@@ -249,7 +260,7 @@ def write_partition(
     table = table.replace_schema_metadata({
         **(table.schema.metadata or {}),
         LINEAGE_KEY: json.dumps(lineage, separators=(",", ":"))})
-    buf = _encode(table)
+    buf = _encode(table, partition_dictionary(table))
     _replace_synced(path, buf)
     _remember(path, (os.path.abspath(lake_dir), fname), table,
               pq.read_schema(pa.BufferReader(buf)))

@@ -13,6 +13,16 @@ events (at-least-once replay, analogue of ``ON CONFLICT DO NOTHING``,
 reference parser/db.py:279-282) — any deterministic tiebreak is correct
 there; we fix one so every code path and the test oracle agree.
 
+Two kernels pick the winners. ``compact`` sorts on ``SORT_KEYS`` and
+returns them in ascending doc_id order: it is the reduce under
+``merge_state``, whose output is the partition file order. ``combine``
+is the map-side combiner (``replay.Normalize`` on every read block,
+``replay_late``'s winner decision): it groups by a hash of the key
+instead of sorting, O(n), and keeps the winners in input order — its
+callers group or sort the rows again anyway. Both pick the same row per
+key. A sort pays at a partition merge of a few hundred rows; hash
+grouping pays on a read block of tens of thousands where few rows win.
+
 All kernels are pure functions pa.Table -> pa.Table (no Ray), so they
 unit-test without a cluster — mirroring the reference's host-agnostic
 parser contract (parser/backfill.py DBMock harness).
@@ -42,12 +52,13 @@ def _first_per_key_mask(keys: pa.ChunkedArray | pa.Array) -> pa.Array:
 
 
 def compact(changes: pa.Table, *, keep_tombstones: bool = True) -> pa.Table:
-    """One winning row per doc_id: max (lsn, op) — vectorized LWW dedup.
+    """One winning row per doc_id: max (lsn, op) — vectorized LWW dedup,
+    in ascending doc_id order (a stable sort on ``SORT_KEYS``).
 
-    With ``keep_tombstones=True`` the winner may be an ``op='d'`` row;
-    callers that compose partial compactions (per-batch combiners) MUST
-    keep tombstones so a delete can still beat earlier upserts in a later
-    reduce stage (SURVEY.md §7.5).
+    With ``keep_tombstones=True`` the winner may be an ``op='d'`` row, as
+    ``combine``'s always may: a stage whose output a later reduce folds
+    again must keep tombstones so a delete can still beat earlier upserts
+    there (SURVEY.md §7.5).
     """
     if changes.num_rows == 0:
         return changes
@@ -63,6 +74,44 @@ def compact(changes: pa.Table, *, keep_tombstones: bool = True) -> pa.Table:
     if not keep_tombstones:
         live = pc.not_equal(changes["op"].take(win), pa.scalar("d"))
         win = win.filter(live.combine_chunks())
+    return changes.take(win)
+
+
+def combine(changes: pa.Table) -> pa.Table:
+    """One winning row per doc_id, tombstones kept, in input order: the
+    row ``compact`` picks (max ``lsn``, then max ``op``, then the first
+    in input order), found without a sort.
+
+    ``doc_id`` is dictionary-encoded into codes (one dictionary over the
+    whole column: per-chunk dictionaries disagree) and each code's max
+    ``lsn`` taken with ``np.maximum.at``. Only keys whose max lsn occurs
+    more than once — duplicate deliveries — go through a tie pass over
+    those rows alone. A null ``doc_id`` or ``lsn`` raises ``ValueError``.
+    """
+    if changes.num_rows == 0:
+        return changes
+    if changes["doc_id"].null_count:
+        raise ValueError("null doc_id in change batch")
+    if changes["lsn"].null_count:
+        raise ValueError("null lsn in change batch")
+    keys = changes["doc_id"]
+    keys = keys.chunk(0) if keys.num_chunks == 1 else keys.combine_chunks()
+    enc = pc.dictionary_encode(keys)
+    codes = enc.indices.to_numpy()
+    lsn = changes["lsn"].to_numpy()
+    best = np.full(len(enc.dictionary), np.iinfo(lsn.dtype).min, dtype=lsn.dtype)
+    np.maximum.at(best, codes, lsn)
+    win = np.flatnonzero(lsn == best[codes])
+    if len(win) > len(best):
+        # some key's max lsn repeats: among its rows, max op, then first
+        tied = np.bincount(codes[win], minlength=len(best))[codes[win]] > 1
+        ti = win[tied]
+        op = pc.rank(changes["op"].take(ti).combine_chunks(), sort_keys="ascending",
+                     null_placement="at_start", tiebreaker="dense").to_numpy()
+        order = ti[np.lexsort((ti, -op.astype(np.int64), codes[ti]))]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = codes[order[1:]] != codes[order[:-1]]
+        win = np.sort(np.concatenate([win[~tied], order[first]]))
     return changes.take(win)
 
 

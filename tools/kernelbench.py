@@ -10,11 +10,15 @@ seeded lake shapes of 16 partitions:
   lake (lakebench's ``backfill`` round).
 
 Stages: ``conform`` (the epoch's shards to their unified schema, half
-of a base log's shards evolved), ``compact`` (LWW, tombstones kept),
-``assign`` (``assign_partitions``), ``merge_state`` (every touched
-partition), ``encode`` (every written partition to zstd Parquet in
-memory: the sink's per-leaf dictionary policy, ``sink.dictionary_columns``,
-against pyarrow's dictionary-everything default; CPU and bytes),
+of a base log's shards evolved), ``compact`` (the sorting LWW kernel,
+tombstones kept, over the whole epoch: kept for comparison), ``combine``
+(the engine's map side, ``replay.Normalize``: the hash-grouping LWW
+combiner per conformed shard), ``assign`` (``assign_partitions`` of the
+combined rows), ``merge_state`` (every touched partition, onto the
+combined rows), ``encode`` (every written partition to zstd Parquet in
+memory: the sink's per-leaf dictionary policy for partition files,
+``sink.partition_dictionary``, against pyarrow's dictionary-everything
+default; CPU and bytes),
 ``write`` (every written partition through ``sink.write_partition``
 into a scratch lake: encode, hash, one fsynced file each, the memo
 insert), ``read`` (``sink.read_file`` of every written partition, for each
@@ -26,9 +30,10 @@ of every written partition against its state before the epoch, then
 the signed budget partials of the changed rows) and ``view_full`` (the
 budget partial over every partition after the epoch). Times are CPU
 milliseconds of this process per stage and rep; the report gives the
-median and quartiles over ``--reps``. The decoded and the served
-partitions are checked equal to the written ones, and both view plans
-to the same budget.
+median and quartiles over ``--reps``. The combined shards, reduced by
+``compact``, must give the epoch's ``compact`` winners. The decoded and
+the served partitions are checked equal to the written ones, and both
+view plans to the same budget.
 
 ``--large N [N ...]`` also encodes single partitions of N rows, with
 uniform and with zipf token ids, under both encodings.
@@ -133,12 +138,16 @@ def apply_log(state: dict[int, pa.Table], shards: list[pa.Table], times: dict | 
         return out
 
     schema = unify_schemas([s.schema for s in shards])
-    batch = timed("conform", lambda: pa.concat_tables([conform(s, schema) for s in shards]))
-    won = timed("compact", M.compact, batch).drop_columns(["ts_ms"])
-    part = timed("assign", P.assign_partitions, won["doc_id"], NUM_PARTITIONS)
+    shards = timed("conform", lambda: [conform(s, schema) for s in shards])
+    won = timed("compact", M.compact, pa.concat_tables(shards))
+    combined = timed("combine", lambda: pa.concat_tables([M.combine(s) for s in shards]))
+    if not M.compact(combined).equals(won):
+        raise AssertionError("combine and compact picked different winners")
+    combined = combined.drop_columns(["ts_ms"])
+    part = timed("assign", P.assign_partitions, combined["doc_id"], NUM_PARTITIONS)
     order = np.argsort(part, kind="stable")
     bounds = np.flatnonzero(np.diff(part[order])) + 1
-    groups = {int(part[idx[0]]): won.take(pa.array(idx)) for idx in np.split(order, bounds) if len(idx)}
+    groups = {int(part[idx[0]]): combined.take(pa.array(idx)) for idx in np.split(order, bounds) if len(idx)}
 
     def merge_all():
         return {p: M.merge_state(state.get(p), rows) for p, rows in groups.items()}
@@ -147,7 +156,7 @@ def apply_log(state: dict[int, pa.Table], shards: list[pa.Table], times: dict | 
 
 def encode(t: pa.Table, policy: bool) -> bytes:
     buf = io.BytesIO()
-    kw = {"use_dictionary": sink.dictionary_columns(t)} if policy else {}
+    kw = {"use_dictionary": sink.partition_dictionary(t)} if policy else {}
     pq.write_table(t, buf, compression=sink.COMPRESSION, **kw)
     return buf.getvalue()
 
