@@ -46,7 +46,7 @@ for f in glob.glob(f"{work}/more/*.parquet"):  # shift lsns above epoch 0
     pq.write_table(t, f)
 res1 = replay(f"{work}/more", lake)
 print(f"epoch {res1.epoch}: wrote {res1.partitions_written}, "
-      f"inherited {res1.partitions_inherited} partitions")
+      f"inherited {res1.partitions_inherited} files")
 
 # 4. query the committed lake as a Ray Dataset
 ds = read_lake(lake)

@@ -33,6 +33,14 @@ def exchange_plan(monkeypatch):
     monkeypatch.setattr(_util, "BLOCK_BYTES", 0)
 
 
+@pytest.fixture
+def bucket_files(exchange_plan):
+    """One file per hash bucket, the layout before files spanned bucket
+    ranges: ``BLOCK_BYTES = 0`` sizes files at 0 bytes (and, like
+    ``exchange_plan``, forces the Ray Data plan). For tests whose point
+    is per-bucket inheritance or staging."""
+
+
 class LakeWriter:
     """Commits a lake's next epoch through one of the four lake writers
     (``kind``): ``replay``, ``replay_late``, ``ingest``

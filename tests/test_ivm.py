@@ -412,7 +412,7 @@ def test_incremental_histogram_exact_past_2_53(tmp_path, ray_session):
     assert got["n_occurrences"][0].as_py() % 2 == 1
 
 
-def test_incremental_partition_born_and_emptied(tmp_path, ray_session):
+def test_incremental_partition_born_and_emptied(tmp_path, ray_session, bucket_files):
     """Spans where one partition gains its first row and another loses
     its last. Replay keeps a 0-row file for the emptied partition;
     compaction drops it, so the span to the compacted epoch feeds the
@@ -436,9 +436,13 @@ def test_incremental_partition_born_and_emptied(tmp_path, ray_session):
         (11, "c", by_part[born], [4, 5, 6], 3, "books"),
     ], num_partitions=nparts)
     compact_lake(lake)
-    c0, c2 = (sink.read_commit(lake, e)["partitions"] for e in (0, 2))
-    assert c0[str(born)]["path"] == "" and c2[str(born)]["path"]
-    assert c0[str(emptied)]["path"] and c2[str(emptied)]["path"] == ""
+    c0, c2 = (sink.read_commit(lake, e) for e in (0, 2))
+
+    def at(c, bucket):  # the entry whose range holds bucket
+        return next(ent for lo, hi, ent in sink.ranges(c) if lo <= bucket < hi)
+
+    assert at(c0, born)["path"] == "" and at(c2, born)["path"]
+    assert at(c0, emptied)["path"] and at(c2, emptied)["path"] == ""
 
     base = source_budget_at(lake, 0)
     for eb in (1, 2):
@@ -447,23 +451,27 @@ def test_incremental_partition_born_and_emptied(tmp_path, ray_session):
             assert _as_map(got) == {"web": (1, 1, 1.0), "books": (1, 3, 3.0)}
 
 
-def test_aligned_pair_stage_sized_by_bytes(two_epoch_lake, exchange_plan):
-    """The pair stage's Ray plan packs partition pairs into byte-sized
-    blocks: on a small lake it runs at most min(pairs, 2 × cpus) tasks,
-    not one task per pair."""
+def test_aligned_pair_stage_sized_by_bytes(two_epoch_lake, tmp_path, bucket_files):
+    """The pair stage's Ray plan packs components into byte-sized
+    blocks: on a small lake of one file per bucket it runs at most
+    min(pairs, 2 × cpus) tasks, not one task per pair."""
     import re
 
     import ray
 
     from ton_etl_ray.cdc import sink
     from ton_etl_ray.cdc.delta import delta_stream
+    from ton_etl_ray.cdc.replay import replay
     from ton_etl_ray.ops.tokens import _budget_partials, _signed
 
+    base, lake = os.path.dirname(two_epoch_lake), str(tmp_path / "lake")
+    replay(os.path.join(base, "e0"), lake, num_partitions=16)
+    replay(os.path.join(base, "e1"), lake)
     cpus = int(ray.cluster_resources()["CPU"])
-    c0, c1 = (sink.read_commit(two_epoch_lake, e)["partitions"] for e in (0, 1))
+    c0, c1 = (sink.read_commit(lake, e)["partitions"] for e in (0, 1))
     pairs = sum(c0.get(p, {}).get("path") != c1.get(p, {}).get("path")
                 for p in c0.keys() | c1.keys())
-    stream = delta_stream(two_epoch_lake, 0, 1, ["source", "n_tok"],
+    stream = delta_stream(lake, 0, 1, ["source", "n_tok"],
                           _signed(_budget_partials)).materialize()
     tasks = int(re.search(r"MapBatches\(changed_rows\): (\d+) tasks executed",
                           stream.stats()).group(1))
@@ -487,7 +495,7 @@ def test_budget_partials_null_source_and_n_tok():
     assert _budget_partials(t.slice(0, 0)).equals(_DELTA_SCHEMA.empty_table())
 
 
-def test_budget_exact_over_int32_and_int64_files(tmp_path, ray_session):
+def test_budget_exact_over_int32_and_int64_files(tmp_path, ray_session, bucket_files):
     """Schema evolution widens ``n_tok`` to int64 in the partitions an
     epoch rewrites while inherited ones keep int32 files: the base's
     concatenated files and each sign of the pair stage mix both widths,
@@ -596,9 +604,10 @@ def test_emptied_lake_reads_empty(tmp_path, ray_session):
 
 def test_refresh_reads_the_cheaper_plan(tmp_path, ray_session, monkeypatch):
     """The refresh plan is chosen from the commit JSONs before any read.
-    On a 64-partition lake a span that rewrote one partition runs the
-    pair stage and reads exactly that pair; a span that rewrote every
-    partition, and one across a compaction, read no file of epoch a
+    On a 64-bucket lake of many files (4 KiB files: ``BLOCK_BYTES`` of
+    256 KiB keeps every plan in-process) a span that rewrote one file
+    runs the pair stage and reads exactly that pair; a span that
+    rewrote every file, and one across a compaction, read no file of epoch a
     (the recompute at b). Once ``gc_epochs`` collected epoch a's
     files, the recompute still refreshes the view while the delta plan
     raises "garbage-collected"."""
@@ -609,7 +618,9 @@ def test_refresh_reads_the_cheaper_plan(tmp_path, ray_session, monkeypatch):
     from ton_etl_ray.ops.tokens import (
         _delta_source_budget, _delta_token_histogram, incremental_source_budget,
         incremental_token_histogram, source_budget_at, token_histogram_at)
+    from ton_etl_ray.ops import _util
 
+    monkeypatch.setattr(_util, "BLOCK_BYTES", 256 << 10)
     nparts, lake = 64, str(tmp_path / "lake")
     keys = [f"k{i}" for i in range(2000)]
     first = {}

@@ -25,10 +25,17 @@ def test_kernelbench_runs_tiny():
     assert set(res["shapes"]) == {"upsert", "backfill"}
     for shape in res["shapes"].values():
         assert set(shape["cpu_ms"]) == STAGES
-        assert shape["rows_written"] > 0
+        assert shape["rows_written"] > 0 and shape["runs_written"] >= 1
         # lsn is unique in every partition, so the policy drops its
         # dictionary page and writes fewer bytes
         assert 0 < shape["bytes_policy"] < shape["bytes_default"]
         for q in shape["cpu_ms"].values():
             assert q["q1"] <= q["p50"] <= q["q3"]
     assert set(res["large"]["300"]) == {"uniform", "zipf"}
+    # the files sweep: rows over 1, 2, …, 128 files, bytes and CPU each
+    files = res["files"]
+    points = [files["points"][k] for k in sorted(files["points"], key=int)]
+    assert len(points) == 8 and files["rows"] > 0
+    assert [p["files"] for p in points] == sorted((p["files"] for p in points), reverse=True)
+    assert all(p["bytes"] > 0 for p in points)
+    assert 0 <= files["fixed_share_at_file_bytes"] <= 1

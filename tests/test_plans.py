@@ -46,7 +46,7 @@ ORACLE_TESTS = {
     "ivm_reshard": lambda p: test_ivm.test_reshard_breaks_alignment(p, None),
     "late": test_replay_late.test_late_equals_eager_and_oracle,
     "late_on_eager": test_replay_late.test_late_incremental_on_eager_lake,
-    "late_resume": test_replay_late.test_late_resume_after_partial_commit,
+    "late_resume": lambda p: test_replay_late.test_late_resume_after_partial_commit(p, None),
     "late_bloom": test_replay_late.test_bloom_filter_mode_equals_exact,
     "late_manifests": test_replay_late.test_late_epoch_commits_real_manifests,
     "epoch_diff": lambda p: test_time_travel.test_epoch_diff_classifies_all_three(None, p),

@@ -61,7 +61,7 @@ def test_final_state_table_carries_no_partition_lineage(tmp_path):
     replay(chg, lake, num_partitions=8)
     replay(chg, lake)
     files = sink.lake_files(lake)
-    assert len(files) == 8
+    assert len(files) == 1  # the 8 buckets of a small lake are one file
     assert sink.LINEAGE_KEY in pq.read_metadata(files[0]).metadata
     for epoch in (0, 1, None):
         t = final_state_table(lake, epoch)
@@ -121,6 +121,8 @@ def test_replay_schema_evolution(tmp_path):
 
 
 def test_incremental_epochs_equal_oneshot(tmp_path):
+    from ton_etl_ray.cdc import sink
+
     chg = str(tmp_path / "chg")
     write_change_log(chg, num_events=12000, num_keys=800, seed=6, num_shards=6, max_tok=16)
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
@@ -132,14 +134,14 @@ def test_incremental_epochs_equal_oneshot(tmp_path):
     r0 = replay(files[:3], lake_b, num_partitions=8)
     r1 = replay(files[3:], lake_b, num_partitions=8)
     assert (r0.epoch, r1.epoch) == (0, 1)
-    assert r1.partitions_inherited + r1.partitions_written == 8
+    assert r1.partitions_inherited + r1.partitions_written == len(sink.lake_files(lake_b))
 
     a = _as_map(final_state_table(lake_a).select(["doc_id", "tokens", "n_tok", "source"]))
     b = _as_map(final_state_table(lake_b).select(["doc_id", "tokens", "n_tok", "source"]))
     assert a == b
 
 
-def test_resume_after_partial_run(tmp_path):
+def test_resume_after_partial_run(tmp_path, bucket_files):
     chg = str(tmp_path / "chg")
     lake = str(tmp_path / "lake")
     write_change_log(chg, num_events=10000, num_keys=700, seed=8, num_shards=4, max_tok=16)
@@ -202,7 +204,7 @@ def test_empty_batch_is_valid_change_batch():
                                       pa.nulls(t.num_rows, pa.int64())))
 
 
-def test_resume_after_partial_run_zipf(tmp_path):
+def test_resume_after_partial_run_zipf(tmp_path, bucket_files):
     """Crash after partitions 0-3 of 8 are staged on a zipf log with
     hot keys; resume adopts every staged partition file (rows and
     lineage from its footer, never a writer's tmp file) and converges
@@ -362,7 +364,7 @@ def test_noop_epoch_keeps_lsn_watermark(tmp_path, ray_session):
 
 
 @pytest.mark.parametrize("path", ["replay", "watcher"])
-def test_stale_redelivery_keeps_lsn_watermark(tmp_path, path):
+def test_stale_redelivery_keeps_lsn_watermark(tmp_path, path, bucket_files):
     """Re-applying an old shard that touches every partition must not
     move the commit watermark backwards: consumers mint fresh lsns at
     max_lsn+1 (changefeed tombstones, metadata refresh), which would

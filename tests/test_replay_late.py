@@ -58,7 +58,7 @@ def test_late_incremental_on_eager_lake(tmp_path):
     assert _state(lake) == _state(lake_ref)
 
 
-def test_late_resume_after_partial_commit(tmp_path):
+def test_late_resume_after_partial_commit(tmp_path, bucket_files):
     """Kill-analogue: publish lost + some partitions missing → resume
     recomputes exactly the missing partitions and republishes."""
     import os as _os

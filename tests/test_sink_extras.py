@@ -54,7 +54,7 @@ def test_excluded_doc_ids_dropped(tmp_path):
     assert got == set(want["doc_id"].to_pylist())
 
 
-def test_lake_stats(tmp_path):
+def test_lake_stats(tmp_path, bucket_files):
     chg = str(tmp_path / "chg")
     write_change_log(chg, num_events=3000, num_keys=200, seed=43, num_shards=2, max_tok=8)
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
@@ -118,7 +118,7 @@ def _footer_offset(path: str, name: bytes) -> int:
     return data.index(name, start)
 
 
-def test_verify_lake_detects_corruption(tmp_path):
+def test_verify_lake_detects_corruption(tmp_path, bucket_files):
     """One flipped byte anywhere in a committed file fails
     ``verify_lake`` with "hash mismatch": a data byte, a footer byte
     (the ``lsn`` schema element), a byte of a partition inherited from
@@ -176,7 +176,7 @@ def test_verify_lake_detects_corruption(tmp_path):
     assert sink.verify_lake(resumed) == {"epoch": 0, "partitions_checked": 4, "hashes_verified": 0}
 
 
-def test_one_durable_file_per_partition(tmp_path, monkeypatch):
+def test_one_durable_file_per_partition(tmp_path, monkeypatch, bucket_files):
     """After a replay, an ingest and a compaction every epoch directory
     holds only ``part-*.parquet`` files and ``_COMMIT.json``, and the
     directory fsyncs do not depend on how many partitions were written:
@@ -499,9 +499,9 @@ def _encodings(path):
 
 
 def test_small_partition_writes_wide_ints_plain(tmp_path):
-    """In a partition of a few hundred rows, lsn (unique), the token
-    ids (a few thousand values of a 50k vocabulary) and doc_id (each
-    key once per partition) carry no dictionary page; source and n_tok
+    """In a small lake file (about 1,500 rows), lsn (unique), the token
+    ids (about 13k values of a 50k vocabulary) and doc_id (each key
+    once per file) carry no dictionary page; source and n_tok
     (1..16, over more than 8 × 16 rows) keep theirs, and the lineage
     check still passes."""
     chg = str(tmp_path / "chg")
@@ -509,7 +509,7 @@ def test_small_partition_writes_wide_ints_plain(tmp_path):
     lake = str(tmp_path / "lake")
     replay(chg, lake, num_partitions=2)
     files = sink.lake_files(lake)
-    assert len(files) == 2
+    assert len(files) == 1  # both buckets in one file of ~1,500 rows
     for f in files:
         enc = _encodings(f)
         assert "RLE_DICTIONARY" not in enc["lsn"], enc
@@ -518,7 +518,7 @@ def test_small_partition_writes_wide_ints_plain(tmp_path):
         assert sink.read_file(f).num_rows > 8 * 16
         for col in ("source", "n_tok"):
             assert "RLE_DICTIONARY" in enc[col], (col, enc)
-    assert sink.verify_lake(lake)["partitions_checked"] == 2
+    assert sink.verify_lake(lake)["partitions_checked"] == 1
 
 
 def test_dense_tokens_keep_their_dictionary(tmp_path):
@@ -717,10 +717,10 @@ sink.write_partition({lake!r}, 0, sink.part_file(0),
 
 
 def test_memo_stays_within_its_bounds(tmp_path, empty_memo, monkeypatch):
-    """50 epochs on a 4-partition lake: the memo keeps at most the two
-    newest files of each partition, within ``BLOCK_BYTES`` of decoded
-    bytes, and no slot without a kept file. Under a smaller byte cap
-    the oldest files go first and a table above the cap is not kept."""
+    """50 epochs on a 4-bucket lake: the memo keeps exactly the files of
+    the two newest commits, within ``BLOCK_BYTES`` of decoded bytes.
+    Under a smaller byte cap the oldest files go first and a table
+    above the cap is not kept."""
     import pyarrow as pa
 
     from ton_etl_ray.ops import _util
@@ -734,16 +734,8 @@ def test_memo_stays_within_its_bounds(tmp_path, empty_memo, monkeypatch):
         replay([f], lake)
     assert sink.latest_epoch(lake) == 49
     m = sink._memo()
-    by_slot = {}
-    for path, ent in m["files"].items():
-        by_slot.setdefault(ent[2], []).append(path)
-    assert len(by_slot) == 4 and all(len(v) == 2 for v in by_slot.values()), by_slot
-    assert {s: sorted(v) for s, v in m["slots"].items()} == {s: sorted(v) for s, v in by_slot.items()}
     assert m["bytes"] == sum(ent[1].nbytes for ent in m["files"].values()) <= _util.BLOCK_BYTES
-    # both newest epochs' files of every partition are kept
-    kept = set(m["files"])
-    for e in (48, 49):
-        assert {os.path.abspath(f) for f in sink.lake_files(lake, e)} <= kept
+    assert set(m["files"]) == {os.path.abspath(f) for e in (48, 49) for f in sink.lake_files(lake, e)}
 
     t = pa.table({"x": pa.array(range(1000), pa.int64())})  # 8000 bytes
     monkeypatch.setattr(_util, "BLOCK_BYTES", 3 * t.nbytes)
@@ -753,7 +745,6 @@ def test_memo_stays_within_its_bounds(tmp_path, empty_memo, monkeypatch):
     m = sink._memo()
     names = [os.path.basename(p) for p in m["files"]]
     assert names == [sink.part_file(i) for i in (2, 3, 4)] and m["bytes"] == 3 * t.nbytes
-    assert len(m["slots"]) == 3
     big = pa.table({"x": pa.array(range(4000), pa.int64())})
     sink.write_partition(small, 0, sink.part_file(9), big, {})
     assert os.path.abspath(os.path.join(sink.epoch_dir(small, 0), sink.part_file(9))) not in m["files"]
@@ -780,7 +771,7 @@ def test_reading_process_keeps_the_memo_empty(tmp_path, empty_memo):
     epoch_diff(lake, 0, 1).count()
     for f in sink.lake_files(lake):
         sink.read_file(f, ["doc_id"])
-    assert not sink._memo()["files"] and not sink._memo()["slots"]
+    assert not sink._memo()["files"]
 
 
 def test_memo_is_not_pickled_with_tasks(tmp_path, empty_memo):

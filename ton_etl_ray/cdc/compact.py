@@ -11,12 +11,15 @@ current state as one fresh epoch — optionally at a new partition count
 leaves the previous epoch live and a retry restarts cleanly.
 
 Scale shape: ``replay.partition_apply`` with a kernel that re-tags each
-committed row with its (re)assigned partition and a reducer that sorts
-and writes the partition. A lake smaller than one read block
-(``ops._util.BLOCK_BYTES``) compacts in-process; above that it is one
-streamed read of the committed files, one shuffle on the partition id,
-each partition written by the worker that holds it; nothing but the
-partition manifests ever reaches the driver. Subsequent incremental
+committed row with its (re)assigned bucket and a reducer that sorts
+and writes a bucket range. The units are aligned runs of buckets
+sized to hold about one file (``ops._util.file_bytes``) at the head's
+on-disk bytes, so the new layout is packed by bytes on either plan. A
+lake smaller than one read block (``ops._util.BLOCK_BYTES``) compacts
+in-process, where adjacent units pack further by their rows; above
+that it is one streamed read of the committed files, one shuffle on
+the unit, each unit written by the worker that holds it; nothing but
+the file manifests ever reaches the driver. Subsequent incremental
 epochs adopt the compacted ``num_partitions`` exactly as they adopt
 epoch 0's today.
 
@@ -27,14 +30,17 @@ in-place epoch, keeping the incremental history GC-able.
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .._pickle import ensure_portable
 from ..core import partition as P
 from ..core.schema_evolution import conform
+from ..ops._util import file_bytes
 from . import sink
-from .replay import partition_apply
+from .replay import Layout, partition_apply
 
 
 def compact_lake(lake_dir: str, *, num_partitions: int | None = None) -> dict:
@@ -68,18 +74,20 @@ def compact_lake(lake_dir: str, *, num_partitions: int | None = None) -> dict:
             part = P.assign_partitions(t["doc_id"], p_new)
             return t.append_column("part", pa.array(part.astype("int64"), pa.int64()))
 
-        def write_part(part: int, t: pa.Table, _state: None) -> dict:
-            # a new partition gathers rows from several old ones, so it is
+        def write_part(lo: int, hi: int, t: pa.Table, _state: list[str]) -> list[dict]:
+            # a new range gathers rows from several old files, so it is
             # not in doc_id order yet
-            return sink.write_partition(
-                lake_dir, epoch, sink.part_file(part), t.sort_by("doc_id"),
-                {"part": part, "rows_in": t.num_rows,
-                 "max_lsn": int(pc.max(t["lsn"]).as_py()), "tombstones": 0},
-            )
+            return sink.write_range(
+                lake_dir, epoch, p_new, lo, hi, t.sort_by("doc_id"),
+                {"rows_in": t.num_rows, "max_lsn": int(pc.max(t["lsn"]).as_py()), "tombstones": 0},
+                target)
 
         # an all-tombstoned lake has no files: it compacts to an empty epoch
-        written, plan = partition_apply(
-            list(sink.state_paths(lake_dir, txn.prev_commit).values()), tag, write_part, {})
+        files = list(sink.state_paths(lake_dir, txn.prev_commit).values())
+        target = file_bytes()
+        total = sum(os.path.getsize(f) for f in files)
+        stride = max(1, min(p_new, target * p_new // total)) if total else 1
+        written, plan = partition_apply(files, tag, write_part, Layout(lake_dir, None, p_new, stride))
 
         # a full rewrite: nothing is inherited, and the layout may change
         return txn.publish(

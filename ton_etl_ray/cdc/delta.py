@@ -4,28 +4,36 @@ between two lake epochs. The maintained views (``ops.tokens``, when
 the changefeed (``changefeed.emit_changefeed`` and ``emit_snapshot``)
 all consume it — one comparison, no join, no shuffle.
 
-An epoch stores key k in partition ``hash64(k) % width``, so two epochs
-of one width hold the same key domain in partition p: the span's
-rewritten partitions pair with themselves (an inherited partition is
-the same file on both sides: nothing changed) and each pair compares in
-isolation (``zip_changed``). Only ``compact_lake`` changes the width,
-and it re-stores its head's state unchanged, so a span whose endpoint
-widths differ splits at each such compaction c into the aligned runs
+An epoch stores key k in the file whose bucket range holds
+``hash64(k) % width``, and the files of a commit tile the buckets. So
+two epochs of one width pair up by range: a file inherited across the
+span is the same file on both sides (nothing changed) and is skipped,
+and the rest — the files either side rewrote — fall into connected
+components of overlapping ranges (``_components``). A component covers
+the same buckets on both sides, so it is key-closed: its old files
+hold every old row of its keys and its new files every new row, and
+it compares in isolation, its concatenated sides zipped once
+(``zip_changed``). While every range is one bucket, a component is
+one file pair. Only ``compact_lake`` changes the width, and it
+re-stores its head's state unchanged, so a span whose endpoint widths
+differ splits at each such compaction c into the aligned runs
 (a, c−1] and (c, b].
 
 Summing the runs is enough for a view fold, not for classifying a key:
 a key that changes on both sides of a re-shard is an old row (lsn x)
-and a new row (y) in a pair of one run, then old (y) and new (z) in a
-pair of the next. The pairs are therefore packed into key-closed groups
-by ``part % G``, G the gcd of the runs' widths. G divides every width
-w, so ``hash64 % w % G == hash64 % G``: every pair that can hold k is in
-k's group. Inside a group the rows with equal ``(doc_id, lsn)`` and
-opposite sign cancel — the y row a run adds is the row the next run
-removes, since state(c−1) = state(c), and a row cannot be added (or
-removed) twice in a row. What is left telescopes to at most one old row
-(k's winner at a) and one new row (its winner at b). A same-width span
-has G equal to its width, so each pair is its own group and nothing is
-netted.
+and a new row (y) in a component of one run, then old (y) and new (z)
+in a component of the next. The components are therefore joined into
+key-closed groups: with G the gcd of the runs' widths, G divides every
+width w, so ``hash64 % w % G == hash64 % G``, and k lies in a component
+of each run whose buckets hold a residue ``hash64(k) % G``. Components
+that share a residue mod G join (union-find). Inside a group the rows
+with equal ``(doc_id, lsn)`` and opposite sign cancel — the y row a run
+adds is the row the next run removes, since state(c−1) = state(c), and
+a row cannot be added (or removed) twice in a row. What is left
+telescopes to at most one old row (k's winner at a) and one new row
+(its winner at b). A same-width span has one run, so each component is
+its own group and nothing is netted; when every range is one bucket the
+groups are exactly the buckets' classes ``part % G``.
 """
 
 from __future__ import annotations
@@ -72,57 +80,100 @@ def _runs(lake_dir: str, epoch_a: int | None, epoch_b: int) -> list[tuple[dict, 
     return runs
 
 
-def _rewritten(runs: list[tuple[dict, dict]]):
-    """``(part, old entry, new entry)`` of every partition pair that
-    ``runs`` (``_runs``) rewrote: a side without the partition is
-    ``{}``. An inherited partition names the same file on both sides
-    and is skipped."""
-    for ca, cb in runs:
-        for p in sorted(ca["partitions"].keys() | cb["partitions"].keys(), key=int):
-            old, new = (c["partitions"].get(p, {}) for c in (ca, cb))
-            if (old.get("path") or "") != (new.get("path") or ""):
-                yield int(p), old, new
+def _components(ca: dict, cb: dict) -> list[tuple[list[dict], list[dict]]]:
+    """The files one aligned run (``_runs``) rewrote, as connected
+    components of overlapping bucket ranges: ``(old entries, new
+    entries)`` by range. A file on both sides is inherited and skipped,
+    and so is an entry without a row. O(files)."""
+    def live(c: dict) -> list[tuple[int, int, dict]]:
+        return [r for r in sink.ranges(c) if r[2]["rows"] > 0]
+
+    a, b = live(ca), live(cb)
+    shared = {ent["path"] for _, _, ent in a} & {ent["path"] for _, _, ent in b}
+    spans = sorted([(lo, hi, side, ent) for side, rs in enumerate((a, b))
+                    for lo, hi, ent in rs if ent["path"] not in shared], key=lambda x: x[:3])
+    comps: list[tuple[list[dict], list[dict]]] = []
+    end = -1
+    for lo, hi, side, ent in spans:
+        if lo >= end:
+            comps.append(([], []))
+        comps[-1][side].append({**ent, "lo": lo, "hi": hi})
+        end = max(end, hi)
+    return comps
+
+
+def _rewritten(runs: list[tuple[dict, dict]]) -> list[tuple[list[dict], list[dict]]]:
+    """The components (``_components``) of every run, in order."""
+    return [comp for ca, cb in runs for comp in _components(ca, cb)]
 
 
 def pair_rows(runs: list[tuple[dict, dict]]) -> int:
     """The rows the pair stage reads over ``runs``: both sides of every
-    rewritten pair, from the commits' per-partition ``rows`` — no file
+    rewritten component, from the commits' per-file ``rows`` — no file
     is opened."""
-    return sum(int(ent.get("rows", 0)) for _, old, new in _rewritten(runs) for ent in (old, new))
+    return sum(int(ent["rows"]) for comp in _rewritten(runs) for side in comp for ent in side)
+
+
+def _groups(comps: list[tuple[list[dict], list[dict]]], g: int) -> list[list[int]]:
+    """The components joined into key-closed groups (module doc):
+    components that hold buckets of one residue mod ``g`` join, by
+    union-find over the residues. Lists of component indices."""
+    parent = list(range(g))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    firsts = []
+    for old, new in comps:
+        residues = {r for ent in old + new
+                    for r in (range(g) if ent["hi"] - ent["lo"] >= g
+                              else (x % g for x in range(ent["lo"], ent["hi"])))}
+        root = find(min(residues))
+        for r in residues:
+            parent[find(r)] = root
+        firsts.append(min(residues))
+    groups: dict[int, list[int]] = {}
+    for i, r in enumerate(firsts):
+        groups.setdefault(find(r), []).append(i)
+    return [groups[k] for k in sorted(groups)]
 
 
 def span_groups(lake_dir: str, epoch_a: int | None, epoch_b: int,
                 runs: list[tuple[dict, dict]]) -> list[dict]:
-    """The partition file pairs of the span (a, b], whose ``_runs`` are
+    """The rewritten files of the span (a, b], whose ``_runs`` are
     ``runs``, packed into key-closed groups (module doc): ``{"a": [old
-    paths], "b": [new paths]}`` with pair i = (a[i], b[i]), paths
-    relative to the lake and "" for a side without a file. Raises the
-    "garbage-collected" ``ValueError`` — before any read — if a pair
-    names a file that ``sink.gc_epochs`` has collected: an endpoint's,
-    or the pre-image of a re-shard inside the span."""
-    g = math.gcd(*(int(cb["num_partitions"]) for _, cb in runs))
-    groups: dict[int, dict] = {}
-    for p, old, new in _rewritten(runs):
-        group = groups.setdefault(p % g, {"a": [], "b": []})
-        group["a"].append(old.get("path") or "")
-        group["b"].append(new.get("path") or "")
-    missing = [rel for group in groups.values() for rel in group["a"] + group["b"]
-               if rel and not os.path.exists(os.path.join(lake_dir, rel))]
+    paths per component], "b": [new paths per component]}``, paths
+    relative to the lake. Raises the "garbage-collected" ``ValueError``
+    — before any read — if a component names a file that
+    ``sink.gc_epochs`` has collected: an endpoint's, or the pre-image of
+    a re-shard inside the span."""
+    comps = _rewritten(runs)
+    if len(runs) == 1:  # one width: every component is key-closed alone
+        members = [[i] for i in range(len(comps))]
+    else:
+        members = _groups(comps, math.gcd(*(int(cb["num_partitions"]) for _, cb in runs)))
+    groups = [{side: [[ent["path"] for ent in comps[i][k]] for i in idx]
+               for k, side in enumerate("ab")} for idx in members]
+    missing = [rel for group in groups for side in "ab" for comp in group[side] for rel in comp
+               if not os.path.exists(os.path.join(lake_dir, rel))]
     if missing:
         raise ValueError(
             f"span ({epoch_a}, {epoch_b}]: {len(missing)} data files have been "
             f"garbage-collected (e.g. {missing[0]}); use epochs inside the GC "
             "keep window")
-    return [groups[k] for k in sorted(groups)]
+    return groups
 
 
 def zip_changed(ta: pa.Table, tb: pa.Table) -> tuple[pa.Table, pa.Table]:
-    """The changed rows of one partition pair, each side unique by
-    doc_id: the rows of ``ta`` whose key is gone from ``tb`` or won
-    there at another lsn (deleted or updated: old rows), and the same
-    for ``tb`` against ``ta`` (added or updated: new rows). One hash
-    lookup (``index_in``) and one lsn compare per direction; the rows
-    keep their types."""
+    """The changed rows of one component (two sides over the same
+    buckets, each unique by doc_id): the rows of ``ta`` whose key is
+    gone from ``tb`` or won there at another lsn (deleted or updated:
+    old rows), and the same for ``tb`` against ``ta`` (added or updated:
+    new rows). One hash lookup (``index_in``) and one lsn compare per
+    direction; the rows keep their types."""
     def changed(t: pa.Table, other: pa.Table) -> pa.Table:
         at = pc.take(other["lsn"], pc.index_in(t["doc_id"], value_set=other["doc_id"]))
         return t.filter(pc.invert(pc.fill_null(pc.equal(t["lsn"], at), False)))
@@ -189,19 +240,22 @@ def delta_stream(lake_dir: str, epoch_a: int | None, epoch_b: int | None,
     def concat(ts: list[pa.Table]) -> pa.Table:
         return pa.concat_tables([empty, *ts], promote_options="permissive")
 
+    def read(rels: list[str]) -> pa.Table | None:
+        return concat([sink.read_file(os.path.join(lake_dir, rel), columns)
+                       for rel in rels]) if rels else None
+
     def changed_rows(batch: pa.Table) -> pa.Table:
         olds, news = [], []
-        for a_rels, b_rels in zip(batch["a"].to_pylist(), batch["b"].to_pylist()):
+        for a_comps, b_comps in zip(batch["a"].to_pylist(), batch["b"].to_pylist()):
             old, new = [], []
-            for a_rel, b_rel in zip(a_rels, b_rels):
-                ta, tb = (sink.read_file(os.path.join(lake_dir, rel), columns) if rel else None
-                          for rel in (a_rel, b_rel))
+            for a_rels, b_rels in zip(a_comps, b_comps):
+                ta, tb = read(a_rels), read(b_rels)
                 if ta is not None and tb is not None:
                     ta, tb = zip_changed(ta, tb)
-                # a partition born in the span is all new rows, an emptied one all old
+                # a range born in the span is all new rows, an emptied one all old
                 old += [ta] if ta is not None else []
                 new += [tb] if tb is not None else []
-            if len(a_rels) > 1:
+            if len(a_comps) > 1:
                 net_old, net_new = _net(concat(old), concat(new))
                 old, new = [net_old], [net_new]
             olds += old
@@ -212,8 +266,8 @@ def delta_stream(lake_dir: str, epoch_a: int | None, epoch_b: int | None,
         return [fn(empty, empty)]
     # sized by bytes, not one task per pair: a task per ~9 ms pair costs
     # more to start than the pair takes to compare on a small lake
-    paired_bytes = sum(os.path.getsize(os.path.join(lake_dir, rel))
-                       for group in groups for rel in group["a"] + group["b"] if rel)
+    paired_bytes = sum(os.path.getsize(os.path.join(lake_dir, rel)) for group in groups
+                       for side in "ab" for comp in group[side] for rel in comp)
     if local_plan(paired_bytes):
         return [changed_rows(pa.Table.from_pylist(groups))]
     blocks = min(len(groups), read_blocks(paired_bytes))

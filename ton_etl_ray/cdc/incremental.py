@@ -4,9 +4,9 @@
 lake epoch through the commit path of ``replay()``
 (``replay._apply_changes`` → ``replay.partition_apply``): below one read
 block of input plus touched state (``ops._util.BLOCK_BYTES``) the epoch
-runs in-process — ``Normalize`` per shard, group by partition on the
-driver, ``commit_partition`` per touched partition — and above it
-through the Ray Data exchange.
+runs in-process — ``Normalize`` per shard, group by reducer unit on the
+driver, ``commit_partition`` per run of adjacent touched units — and
+above it through the Ray Data exchange.
 
 No state is kept between epochs: each epoch merges onto the committed
 head its ``EpochTxn`` pinned under the epoch lock. So an interleaved
@@ -22,7 +22,7 @@ import os
 
 from .._pickle import ensure_portable
 from . import sink
-from .replay import _apply_changes, _discover, epoch_counters
+from .replay import Layout, _apply_changes, _discover, epoch_counters
 
 
 class IncrementalIngestor:
@@ -69,7 +69,8 @@ class IncrementalIngestor:
                     f"partitions (this ingestor was built for {self.P}); restart the "
                     "ingestor to adopt the new layout"
                 )
-            written, state_schema, counters = _apply_changes(files, self.lake_dir, txn, self.P)
+            written, state_schema, counters = _apply_changes(
+                files, self.lake_dir, txn, Layout(self.lake_dir, txn.prev_commit, self.P))
             # side outputs are derived BEFORE publish: their files exist on
             # disk but stay invisible until the commit lands with their paths
             derived = derive(files, txn.epoch) if derive is not None else {}

@@ -1,24 +1,28 @@
 """Flagship pipeline: LSN-ordered CDC change-log replay → Parquet lake.
 
 Every lake writer runs one plan, ``partition_apply``: a per-block
-kernel tags rows with a partition id, rows group by it, and a
-per-partition reducer commits each group. Its size rule
-(``ops._util.local_plan``: the files plus the touched partitions'
-committed state smaller than one ``BLOCK_BYTES`` read block) picks how::
+kernel tags rows with their hash bucket, rows group by reducer unit
+(``Layout``: a file of the committed head, which holds a bucket range,
+or an empty bucket), and a reducer commits each unit. Its size rule
+(``ops._util.local_plan``: the files plus the touched units' committed
+state smaller than one ``BLOCK_BYTES`` read block) picks how::
 
     Normalize (conform to the unified schema, validate ops, per-block
-               LWW combine (``merge.combine``), hash partition)
-      → group by "part"
-      → commit_partition (merge prior state (LWW) → sort → 2PC partition write)
+               LWW combine (``merge.combine``), hash bucket)
+      → group by unit
+      → commit_partition (merge prior state (LWW) → sort → 2PC write of
+                          the range, split past twice the file size)
       → publish epoch (_COMMIT + _LATEST pointer flip)
 
-- ``local``: the kernel per file, group by part on the driver, then the
-  reducer per touched partition — no Ray Data plan; at micro-batch
-  sizes that plan's exchange, scheduling and IO cost more than the
-  merge and write themselves;
+- ``local``: the kernel per file, group by unit on the driver, then
+  adjacent touched units packed into runs of up to one file size
+  (``ops._util.file_bytes``) and the reducer once per run — one merge
+  and one file where the exchange plan writes one per unit. No Ray
+  Data plan: at micro-batch sizes its exchange, scheduling and IO cost
+  more than the merge and write themselves;
 - ``exchange``: ``read_parquet`` (grouped by on-disk schema) →
-  ``map_batches(kernel)`` → ``groupby("part").map_groups(reducer)`` —
-  the one all-to-all shuffle.
+  ``map_batches(kernel)`` → ``groupby(unit).map_groups(reducer)`` —
+  the one all-to-all shuffle, one reducer per unit.
 
 Writers: ``replay`` (above), ``IncrementalIngestor.ingest`` (the
 watcher, through the same ``_apply_changes``), ``replay_late`` (two
@@ -42,10 +46,13 @@ Scale design notes (the exchange plan):
   ``hash(doc_id) % P``; there is no salting and no second reduce stage;
 - there is NO global sort by lsn — LWW(max lsn) only needs per-key
   ordering, which the per-partition reduce provides (SURVEY.md §7.4);
-- untouched partitions are inherited by reference into the new epoch's
-  commit — an epoch only rewrites partitions that received changes;
-- choose ``num_partitions`` so (partition state + epoch changes) fits a
-  worker heap: at 100 TB state, P=65536 → ~1.6 GB per reducer.
+- untouched files are inherited by reference into the new epoch's
+  commit — an epoch only rewrites the units that received changes;
+- choose ``num_partitions`` so (bucket state + epoch changes) fits a
+  worker heap: at 100 TB state, P=65536 → ~1.6 GB per reducer. A unit
+  is one bucket once its state passes the file size, so a large lake
+  has one file per bucket; a small one packs many buckets per file, and
+  its reducer takes every change of those buckets.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ import ray.data as rd
 from ..core import merge as M
 from ..core import partition as P
 from ..core.schema_evolution import conform, unify_schemas
-from ..ops._util import local_plan, read_blocks
+from ..ops._util import file_bytes, local_plan, read_blocks
 from ..schemas import VALID_OPS
 from . import sink
 from .delta import classify, delta_stream
@@ -81,6 +88,8 @@ class ReplayResult:
     hot_keys: list[str]
     rows_total: int
     max_lsn: int
+    # files the epoch wrote (resume: adopted ones included) and files it
+    # inherited from the head
     partitions_written: int
     partitions_inherited: int
     counters: dict = field(default_factory=dict)
@@ -177,15 +186,95 @@ def by_part(t: pa.Table, col: str = "part"):
             yield int(parts[order[lo]]), t.slice(lo, hi - lo)
 
 
-def commit_partition(lake_dir: str, epoch: int, part: int, changes: pa.Table,
-                     state_path: str | None) -> dict:
-    """The per-partition commit kernel of every change-applying writer:
-    merge ``changes`` onto the partition's committed state (LWW; the
-    merge's output is already doc_id-ascending) and 2PC-write it.
-    Returns the partition manifest.
+class Layout:
+    """The reducer units of an epoch over a committed head (None: a
+    fresh lake) of ``num_partitions`` buckets: each head file — bucket
+    range ``[lo, hi)`` — is one unit, and every bucket outside the files
+    is a unit of its own, or of ``stride`` aligned buckets in a head
+    without files (compaction's packing). Units are named by their
+    first bucket. O(files) and picklable: the exchange plan ships it."""
+
+    def __init__(self, lake_dir: str, commit: dict | None, num_partitions: int,
+                 stride: int = 1):
+        files = [(lo, hi, ent) for lo, hi, ent in sink.ranges(commit) if ent["path"]]
+        self.P, self.stride = num_partitions, stride if not files else 1
+        self.los = np.array([lo for lo, _, _ in files], np.int64)
+        self.his = np.array([hi for _, hi, _ in files], np.int64)
+        self.paths = [os.path.join(lake_dir, ent["path"]) for _, _, ent in files]
+        self.live = np.array([ent["rows"] > 0 for _, _, ent in files], bool)
+        self.live_before = np.concatenate([[0], np.cumsum(self.live)])
+
+    def units(self, buckets: np.ndarray) -> np.ndarray:
+        """The unit of each bucket."""
+        own = buckets - buckets % self.stride
+        if not len(self.los):
+            return own
+        i = np.searchsorted(self.los, buckets, "right") - 1
+        inside = (i >= 0) & (buckets < self.his[np.maximum(i, 0)])
+        return np.where(inside, self.los[np.maximum(i, 0)], own)
+
+    def unit_hi(self, lo: int) -> int:
+        """The end of unit ``lo``."""
+        i = np.searchsorted(self.los, lo)
+        if i < len(self.los) and self.los[i] == lo:
+            return int(self.his[i])
+        return min(lo + self.stride, self.P)
+
+    def state(self, lo: int, hi: int) -> list[str]:
+        """The head files with a row whose range lies in ``[lo, hi)``."""
+        i, j = np.searchsorted(self.los, [lo, hi])
+        return [self.paths[k] for k in range(i, j) if self.live[k]]
+
+    def free(self, lo: int, hi: int) -> bool:
+        """No head file with a row lies in ``[lo, hi)``."""
+        i, j = np.searchsorted(self.los, [lo, hi])
+        return self.live_before[j] == self.live_before[i]
+
+    def whole(self, lo: int, hi: int) -> bool:
+        """``[lo, hi)`` is a union of whole units: neither end falls
+        inside a head file."""
+        i = np.searchsorted(self.los, [lo, hi], "right") - 1
+        return not any(k >= 0 and self.los[k] < x < self.his[k] for k, x in zip(i, (lo, hi)))
+
+    def expand(self, buckets) -> frozenset[int]:
+        """Every bucket of the units that hold ``buckets``."""
+        units = np.unique(self.units(np.array(sorted(buckets), np.int64)))
+        return frozenset(b for lo in units.tolist() for b in range(lo, self.unit_hi(lo)))
+
+    def runs(self, units: list[tuple[int, int, pa.Table]], states: list[list[str]],
+             sizes: list[int], row_bytes: float, target: int, absorb: bool):
+        """The local plan's reducer calls: the touched ``units`` (by
+        ``lo``, with their rows, state files and state bytes) packed
+        into runs ``(lo, hi, rows, state files)`` of adjacent units up
+        to ``target`` estimated bytes (state bytes plus ``row_bytes``
+        per change row). With ``absorb``, the empty units between two
+        touched ones join a run too; a writer that filters buckets
+        (``only_parts``, a resume's adopted files) passes False."""
+        out: list[list] = []
+        for (lo, hi, rows), state, size in zip(units, states, sizes):
+            size += rows.num_rows * row_bytes
+            run = out[-1] if out else None
+            if (run is not None and run[4] + size <= target
+                    and (run[1] == lo or absorb and self.free(run[1], lo))):
+                run[1] = hi
+                run[2].append(rows)
+                run[3] += state
+                run[4] += size
+            else:
+                out.append([lo, hi, [rows], list(state), size])
+        return [(lo, hi, pa.concat_tables(rows), state) for lo, hi, rows, state, _ in out]
+
+
+def commit_partition(lake_dir: str, epoch: int, num_partitions: int, target: int,
+                     lo: int, hi: int, changes: pa.Table, state_paths: list[str]) -> list[dict]:
+    """The reducer of every change-applying writer: merge ``changes``
+    onto the committed state of buckets ``[lo, hi)`` (``state_paths``,
+    the head files in the range; LWW, the merge's output is already
+    doc_id-ascending) and 2PC-write it (``sink.write_range``: one file,
+    split past ``2 × target`` bytes). Returns the file manifests.
 
     ``min_lsn`` is a LOWER BOUND on the lsn of every row NEWLY STORED by
-    this epoch in this partition (min over the arriving change rows —
+    this epoch in this range (min over the arriving change rows —
     the map-side combine may have dropped lower-lsn LOSERS, and late's
     Bloom filter may let stale rows through, but a loser never lands in
     stored state or a feed, so the bound covers exactly what consumers
@@ -193,44 +282,49 @@ def commit_partition(lake_dir: str, epoch: int, part: int, changes: pa.Table,
     epochs (commit(b).min_lsn > commit(a).max_lsn): the changefeed's
     tombstone-collision check (``emit_changefeed``) reads it, and the
     tests' ``lsn_ordered_span`` helper checks it over a span."""
-    state = sink.read_file(state_path) if state_path else None
+    state = (pa.concat_tables([sink.read_file(f) for f in state_paths], promote_options="permissive")
+             if state_paths else None)
     new_state = M.merge_state(state, changes)
-    return sink.write_partition(
-        lake_dir, epoch, sink.part_file(part), new_state,
-        {"part": part, "rows_in": changes.num_rows,
+    return sink.write_range(
+        lake_dir, epoch, num_partitions, lo, hi, new_state,
+        {"rows_in": changes.num_rows,
          "max_lsn": int(pc.max(changes["lsn"]).as_py()),
          "min_lsn": int(pc.min(changes["lsn"]).as_py()),
          "tombstones": int(pc.sum(pc.equal(changes["op"], "d")).as_py() or 0)},
-    )
+        target)
 
 
 def partition_apply(
     files: list[str],
     kernel: Callable[[pa.Table], pa.Table],
-    reducer: Callable[[int, pa.Table, str | None], dict],
-    state: dict[int, str],
+    reducer: Callable[[int, int, pa.Table, list[str]], list[dict]],
+    layout: Layout,
     *,
     columns: list[str] | None = None,
     num_blocks: int | None = None,
     coalesce_blocks: int | None = 0,
+    absorb: bool = True,
 ) -> tuple[list[dict], str]:
     """The plan of every lake writer: ``kernel`` maps each read block of
     ``files`` (``columns`` only, if given) to rows with a ``part``
-    column; the rows group by it, and ``reducer(part, rows,
-    state.get(part))`` runs once per touched partition, where ``state``
-    maps a part to the committed file the reducer rewrites. Returns the
-    reducer outputs (dicts of scalars) and the plan that ran:
+    column, their hash bucket; the rows group by ``layout`` unit, and
+    ``reducer(lo, hi, rows, state)`` runs once per unit or run of units
+    ``[lo, hi)``, where ``state`` lists the committed files it rewrites.
+    Returns the reducer outputs (lists of dicts of scalars, flattened)
+    and the plan that ran:
 
-    - ``local`` when the files plus the touched partitions' state fit in
-      one read block (``ops._util.local_plan``): the kernel per file
-      (each file is one block), ``by_part`` on the driver, the reducer
-      per part. No Ray Data execution starts;
+    - ``local`` when the files plus the touched units' state fit in one
+      read block (``ops._util.local_plan``): the kernel per file (each
+      file is one block), ``by_part`` on the driver, then one reducer
+      call per run of adjacent units (``Layout.runs``, packed to
+      ``ops._util.file_bytes``; ``absorb`` as there). No Ray Data
+      execution starts;
     - ``exchange`` otherwise: ``read_parquet`` per on-disk schema group
       with blocks proportional to its files (``num_blocks`` in all,
       default ``read_blocks`` of the bytes), ``map_batches(kernel)`` on
       whole blocks, ``union``, an optional ``repartition``
       (``coalesce_blocks``: ≤ 0 = none, None = ``_auto_coalesce_target``),
-      then ``groupby("part").map_groups(reducer)``.
+      then ``groupby("part").map_groups(reducer)``, one call per unit.
 
     The kernel and reducer ship to Ray Data inside its one-time put of
     the stage, so a large read-only value they close over (late's
@@ -238,12 +332,26 @@ def partition_apply(
     if not files:
         return [], "local"
     total = sum(os.path.getsize(f) for f in files)
+
+    def tagged(t: pa.Table) -> pa.Table:
+        t = kernel(t)
+        units = layout.units(t["part"].to_numpy())
+        return t.set_column(t.schema.get_field_index("part"), "part", pa.array(units, pa.int64()))
+
     if local_plan(total):
-        rows = pa.concat_tables([kernel(sink.read_file(f, columns)) for f in files])
-        groups = list(by_part(rows))
-        touched = sum(os.path.getsize(state[p]) for p, _ in groups if p in state)
-        if local_plan(total + touched):
-            return [reducer(p, g, state.get(p)) for p, g in groups], "local"
+        blocks, rows_read = [], 0
+        for f in files:  # one read block at a time: only the kernel's output is kept
+            t = sink.read_file(f, columns)
+            rows_read += t.num_rows
+            blocks.append(tagged(t))
+            del t
+        units = [(lo, layout.unit_hi(lo), g) for lo, g in by_part(pa.concat_tables(blocks))]
+        states = [layout.state(lo, hi) for lo, hi, _ in units]
+        sizes = [sum(os.path.getsize(f) for f in st) for st in states]
+        if local_plan(total + sum(sizes)):
+            row_bytes = total / max(1, rows_read)
+            runs = layout.runs(units, states, sizes, row_bytes, file_bytes(), absorb)
+            return [out for run in runs for out in reducer(*run)], "local"
 
     if num_blocks is None:
         num_blocks = read_blocks(total)
@@ -255,7 +363,7 @@ def partition_apply(
             schema = pa.schema([schema.field(c) for c in columns])
         g = (rd.read_parquet(fl, columns=columns, schema=schema, override_num_blocks=blocks)
              # whole blocks: replay's per-block combine is its skew bound
-             .map_batches(kernel, batch_size=None, batch_format="pyarrow"))
+             .map_batches(tagged, batch_size=None, batch_format="pyarrow"))
         ds = g if ds is None else ds.union(g)
     if coalesce_blocks is None:
         coalesce_blocks = _auto_coalesce_target(read_total, total)
@@ -263,8 +371,9 @@ def partition_apply(
         ds = ds.repartition(coalesce_blocks)
 
     def reduce(group: pa.Table) -> pa.Table:
-        part = int(group["part"][0].as_py())
-        return pa.Table.from_pylist([reducer(part, group.drop_columns(["part"]), state.get(part))])
+        lo = int(group["part"][0].as_py())
+        hi = layout.unit_hi(lo)
+        return pa.Table.from_pylist(reducer(lo, hi, group.drop_columns(["part"]), layout.state(lo, hi)))
 
     out = ds.groupby("part").map_groups(reduce, batch_format="pyarrow")
     return [r for b in out.iter_batches(batch_size=None, batch_format="pyarrow")
@@ -338,9 +447,11 @@ def replay(
 
     Fresh lake → epoch 0; committed lake → incremental ingest as the next
     epoch; ``resume=True`` finishes a crashed epoch, adopting every
-    partition file already staged. ``only_parts`` is a
-    test/fault-injection hook: process only those shuffle partitions and
-    do NOT publish (simulates a mid-replay crash deterministically).
+    staged file that covers whole reducer units (``Layout.whole``; a
+    piece of a split cut short is removed and its unit written again).
+    ``only_parts`` is a test/fault-injection hook: process only the
+    reducer units that hold those buckets and do NOT publish (simulates
+    a mid-replay crash deterministically).
 
     ``coalesce_shuffle_blocks``: insert a streaming ``repartition(n)``
     between the map-side combine and the partition exchange. The sort
@@ -359,7 +470,7 @@ def replay(
 
     Plan (``partition_apply``): an epoch that processes less than one
     read block (``ops._util.BLOCK_BYTES``) — change files plus the
-    committed state of the partitions they touch — commits in-process
+    committed state of the units they touch — commits in-process
     (``local``) and ignores ``override_num_blocks`` and
     ``coalesce_shuffle_blocks``; those two shape only the Ray Data
     exchange that runs above that size. ``counters`` holds ``rows_in``,
@@ -376,28 +487,29 @@ def _replay_epoch(changes: str | list[str], lake_dir: str, num_partitions: int,
                   resume: bool, only_parts: frozenset[int] | None, apply,
                   **meta) -> ReplayResult:
     """The epoch body of ``replay`` and ``replay_late``: pin the head,
-    run phase 1 — ``apply(files, lake_dir, txn, num_partitions,
+    run phase 1 — ``apply(files, lake_dir, txn, layout,
     skip_parts=..., only_parts=...)`` returning the written manifests by
-    part, the state schema and the plan that ran — then publish (or,
-    with ``only_parts``, only build) the commit with ``meta``."""
+    first bucket, the state schema and the plan that ran — then publish
+    (or, with ``only_parts``, only build) the commit with ``meta``."""
     from .._pickle import ensure_portable
 
     ensure_portable()
     files = _discover(changes)
     with sink.EpochTxn(lake_dir, resume=resume) as txn:
         if txn.prev_commit is not None:
-            # the partition layout is fixed at epoch 0: prior state is looked
-            # up by partition file, so later epochs must hash with the same P
+            # the hash width is fixed at epoch 0: prior state is looked
+            # up by bucket, so later epochs must hash with the same P
             num_partitions = txn.prev_commit["num_partitions"]
-        # resume: every staged partition file is adopted — a key always
-        # hashes to the same partition, so a committed partition already
-        # holds every row of this log routed to it
-        committed = sink.staged_manifests(lake_dir, txn.epoch) if resume else {}
+        layout = Layout(lake_dir, txn.prev_commit, num_partitions)
+        # resume: every staged file of whole units is adopted — a key
+        # always hashes to the same bucket, so it already holds every
+        # row of this log routed to its buckets
+        committed = _staged_units(lake_dir, txn.epoch, layout) if resume else []
         manifests, state_schema, counters = apply(
-            files, lake_dir, txn, num_partitions,
-            skip_parts=frozenset(m["part"] for m in committed.values()),
-            only_parts=only_parts)
-        manifests.update((m["part"], m) for m in committed.values())
+            files, lake_dir, txn, layout,
+            skip_parts=frozenset(b for m in committed for b in range(m["part"], m["hi"])),
+            only_parts=None if only_parts is None else layout.expand(only_parts))
+        manifests.update((m["part"], m) for m in committed)
 
         meta.update(num_partitions=num_partitions, plan=counters["plan"],
                     inputs=[os.path.basename(f) for f in files])
@@ -417,6 +529,20 @@ def _replay_epoch(changes: str | list[str], lake_dir: str, num_partitions: int,
         )
 
 
+def _staged_units(lake_dir: str, epoch: int, layout: Layout) -> list[dict]:
+    """The manifests of the files staged in ``epoch`` that cover whole
+    units of ``layout``. Any other staged file — a piece of a range
+    split cut short by a crash — is removed (the caller holds the epoch
+    lock): its unit is written again, whole."""
+    out = []
+    for name, m in sink.staged_manifests(lake_dir, epoch).items():
+        if layout.whole(m["part"], m["hi"]):
+            out.append(m)
+        else:
+            os.remove(os.path.join(sink.epoch_dir(lake_dir, epoch), name))
+    return out
+
+
 def epoch_counters(manifests: dict[int, dict], **extra) -> dict:
     """The counters every change-applying epoch reports: change rows
     that reached a partition merge (``rows_in``), tombstones among them,
@@ -430,7 +556,7 @@ def _apply_changes(
     files: list[str],
     lake_dir: str,
     txn: sink.EpochTxn,
-    num_partitions: int,
+    layout: Layout,
     *,
     skip_parts: frozenset[int] = frozenset(),
     only_parts: frozenset[int] | None = None,
@@ -439,15 +565,16 @@ def _apply_changes(
     coalesce_shuffle_blocks: int | None = None,
 ) -> tuple[dict[int, dict], pa.Schema, dict]:
     """Phase 1 of a change-applying epoch: ``Normalize`` the change
-    files and ``commit_partition`` every partition they touch, onto
-    ``txn``'s committed head. Returns the written manifests by part,
+    files and ``commit_partition`` every unit of ``layout`` they touch,
+    onto ``txn``'s committed head. ``skip_parts`` and ``only_parts``
+    hold whole units. Returns the written manifests by first bucket,
     the state schema and ``{"plan": ...}``."""
     unified, state_schema = _change_schema(files, txn.prev_commit)
     written, plan = partition_apply(
-        files, Normalize(unified, num_partitions, skip_parts, only_parts, excluded_doc_ids),
-        partial(commit_partition, lake_dir, txn.epoch),
-        sink.state_paths(lake_dir, txn.prev_commit),
-        num_blocks=override_num_blocks, coalesce_blocks=coalesce_shuffle_blocks)
+        files, Normalize(unified, layout.P, skip_parts, only_parts, excluded_doc_ids),
+        partial(commit_partition, lake_dir, txn.epoch, layout.P, file_bytes()), layout,
+        num_blocks=override_num_blocks, coalesce_blocks=coalesce_shuffle_blocks,
+        absorb=not skip_parts and only_parts is None)
     return {m["part"]: m for m in written}, state_schema, {"plan": plan}
 
 

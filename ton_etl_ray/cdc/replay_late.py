@@ -9,15 +9,15 @@ this strategy splits phase 1 of ``replay``'s epoch into two
 phase A (narrow): read ONLY (doc_id, lsn, op) — parquet column pruning
   means token payloads are never decoded — ``Normalize`` them (the
   ``merge.combine`` LWW combiner per block), group ~30 B rows by
-  partition, and per partition keep each key's log winner only if it
+  reducer unit, and per unit keep each key's log winner only if it
   beats the lsn of the key's committed row (the state's doc_id/lsn
   columns). The winning lsns come back to the driver as packed int64
   bytes.
 phase B (payload): read the shards with payloads, keep only winning
   lsns (lsn is globally unique → a sorted int64 array + searchsorted),
   ``Normalize`` what is left — exactly ONE payload row per changed key —
-  and ``commit_partition`` it onto the partition's committed state, as
-  ``replay()`` does. A partition with no winner is not rewritten: its
+  and ``commit_partition`` it onto the unit's committed state, as
+  ``replay()`` does. A unit with no winner is not rewritten: its
   committed file is inherited.
 
 Shuffle bytes: narrow-rows + one-payload-per-live-key — the minimum the
@@ -30,7 +30,7 @@ meets its key's true winner (or its committed row) in
 ``commit_partition``'s LWW merge and loses.
 
 Like replay(), one epoch per call (the same epoch body: resume skips
-durable partitions, the commit records the plan that ran, the counters
+durable files, the commit records the plan that ran, the counters
 add ``winning_keys``), and each phase runs in-process below the size
 rule. Like replay(), skew is bounded by the per-block combiner (≤1
 row/key/block), and phase B ships one row per key by construction.
@@ -46,9 +46,10 @@ import pyarrow.compute as pc
 
 from ..core import merge as M
 from ..core.bloom import BloomFilter
+from ..ops._util import file_bytes
 from . import sink
 from .replay import (
-    Normalize, ReplayResult, _change_schema, _replay_epoch, commit_partition,
+    Layout, Normalize, ReplayResult, _change_schema, _replay_epoch, commit_partition,
     partition_apply,
 )
 
@@ -81,7 +82,7 @@ def _apply_late(
     files: list[str],
     lake_dir: str,
     txn: sink.EpochTxn,
-    num_partitions: int,
+    layout: Layout,
     *,
     skip_parts: frozenset[int],
     only_parts: frozenset[int] | None,
@@ -93,14 +94,14 @@ def _apply_late(
     """Phases A and B (``replay._apply_changes``' contract). The plan
     recorded is ``exchange`` if either phase ran it."""
     unified, state_schema = _change_schema(files, txn.prev_commit)
-    state = sink.state_paths(lake_dir, txn.prev_commit)
+    absorb = not skip_parts and only_parts is None
 
     def norm(schema: pa.Schema) -> Normalize:
-        return Normalize(schema, num_partitions, skip_parts, only_parts, excluded_doc_ids)
+        return Normalize(schema, layout.P, skip_parts, only_parts, excluded_doc_ids)
 
     narrow = norm(pa.schema([unified.field(c) for c in NARROW]))
-    wins, plan = partition_apply(files, narrow, _decide, state, columns=NARROW,
-                                 num_blocks=override_num_blocks)
+    wins, plan = partition_apply(files, narrow, _decide, layout, columns=NARROW,
+                                 num_blocks=override_num_blocks, absorb=absorb)
     win = np.sort(np.frombuffer(b"".join(w["lsns"] for w in wins), np.int64))
     written = []
     if len(win):
@@ -116,23 +117,23 @@ def _apply_late(
             return full(batch.filter(pa.array(hit(batch["lsn"].to_numpy(zero_copy_only=False)))))
 
         written, fetch_plan = partition_apply(
-            files, fetch, partial(commit_partition, lake_dir, txn.epoch), state,
-            num_blocks=override_num_blocks)
+            files, fetch, partial(commit_partition, lake_dir, txn.epoch, layout.P, file_bytes()),
+            layout, num_blocks=override_num_blocks, absorb=absorb)
         plan = "exchange" if "exchange" in (plan, fetch_plan) else "local"
     return ({m["part"]: m for m in written}, state_schema,
             {"plan": plan, "winning_keys": len(win)})
 
 
-def _decide(part: int, rows: pa.Table, state_path: str | None) -> dict:
-    """Phase A reducer: the lsns of the partition's log winners (all
-    ops: a tombstone winner must be fetched too) that beat the
-    committed row of their key, packed as int64 bytes."""
+def _decide(lo: int, hi: int, rows: pa.Table, state_paths: list[str]) -> list[dict]:
+    """Phase A reducer: the lsns of the units' log winners (all ops: a
+    tombstone winner must be fetched too) that beat the committed row
+    of their key, packed as int64 bytes."""
     wins = M.combine(rows)
-    if state_path:
-        st = sink.read_file(state_path, ["doc_id", "lsn"])
+    if state_paths:
+        st = pa.concat_tables([sink.read_file(f, ["doc_id", "lsn"]) for f in state_paths])
         wins = wins.join(st.rename_columns(["doc_id", "state_lsn"]), "doc_id")
         wins = wins.filter(pc.fill_null(pc.greater(wins["lsn"], wins["state_lsn"]), True))
-    return {"lsns": wins["lsn"].to_numpy().astype(np.int64).tobytes()}
+    return [{"lsns": wins["lsn"].to_numpy().astype(np.int64).tobytes()}]
 
 
 def _in_sorted(win: np.ndarray, lsn: np.ndarray) -> np.ndarray:

@@ -5,18 +5,18 @@ The reference achieves durability by ordering: write Avro file → upload
 an EXCEPT dedup — reference datalake/main.py:157-186,
 datalake_daily_sync.py:298-328). We instead make the sink exactly-once:
 
-phase 1: each partition reducer writes ``part-NNNNN.parquet`` once
-         (tmp, fsync, rename), its lineage in the footer — a partition
-         is staged iff its file exists;
+phase 1: each reducer writes its files once (tmp, fsync, rename), its
+         lineage in each footer — a file is staged iff it exists;
 phase 2: the driver fsyncs the epoch directory, writes the epoch
-         ``_COMMIT.json`` naming every partition file (possibly
-         inheriting untouched partitions from the previous epoch) and
-         the sha256 of each file it wrote, then atomically flips the
-         ``_LATEST`` pointer. Readers only ever see committed epochs.
+         ``_COMMIT.json`` naming every file (possibly inheriting
+         untouched files from the previous epoch) and the sha256 of each
+         file it wrote, then atomically flips the ``_LATEST`` pointer.
+         Readers only ever see committed epochs.
 
-Task retries are invisible: a retried applier rewrites the same
+Task retries are invisible: a retried reducer rewrites the same
 deterministic content to the same path. Resume after a crash adopts
-every staged partition file (``staged_manifests``) and skips it.
+every staged file that covers whole reducer units
+(``staged_manifests``) and skips its buckets.
 
 Every lake writer — ``replay``, ``replay_late``,
 ``IncrementalIngestor.ingest`` and ``compact_lake`` — commits through
@@ -34,25 +34,37 @@ primitives (``acquire_epoch_lock``, ``clear_staging``,
   ``publish_epoch``.
 
 Phase 1 of every writer is one plan, ``replay.partition_apply`` (a
-per-block kernel, group by partition, a per-partition reducer that
-calls ``write_partition``; in-process below ``ops._util.BLOCK_BYTES``,
-a Ray Data exchange above it): ``replay`` and ``ingest`` run it once,
+per-block kernel, group by reducer unit, a per-unit reducer that calls
+``write_range``; in-process below ``ops._util.BLOCK_BYTES``, a Ray Data
+exchange above it): ``replay`` and ``ingest`` run it once,
 ``replay_late`` twice (narrow winner decision, then payload fetch +
 ``replay.commit_partition``), ``compact_lake`` once over the committed
 files. The writer keeps what is specific to it: its kernel and
-reducer, the partition count and whether untouched partitions are
-inherited (compaction re-shards and rewrites everything), extra commit
-keys (late's ``strategy``, ingest's ``derived``), ingest's re-shard
-guard and pre-publish ``derive`` hook, and whether to publish at all
+reducer, the bucket count and whether untouched files are inherited
+(compaction re-shards and rewrites everything), extra commit keys
+(late's ``strategy``, ingest's ``derived``), ingest's re-shard guard
+and pre-publish ``derive`` hook, and whether to publish at all
 (``replay(only_parts=...)`` leaves staging for ``resume``).
 
-Layout::
+Layout. ``num_partitions`` P is the logical hash width: a key lives in
+bucket ``hash64(doc_id) % P``. A file holds the full state of every key
+whose bucket is in a contiguous range ``[lo, hi)``, doc_id-ascending,
+and the commit lists files, not buckets: ``partitions`` maps ``str(lo)``
+to ``{path, rows, max_lsn, hi}``, one entry per file or per run of
+empty buckets (``path`` ""), the entries tiling ``[0, P)``. An entry
+without ``hi`` covers ``[lo, lo + 1)``: lakes written before files
+spanned buckets read unchanged. Files are sized by bytes
+(``ops._util.file_bytes``, 1/64 of a read block): the local plan packs
+adjacent touched ranges into one file up to that size, and a file past
+twice it splits into contiguous bucket sub-ranges (``write_range``).
+So a small lake is a few files whatever P is, its commit is O(files),
+and ``BLOCK_BYTES = 0`` gives one file per bucket::
 
     lake_dir/
       _LATEST                      # text: committed epoch id
       epoch-000000/
-        _COMMIT.json               # partition map + sha256s + totals + schema
-        part-00007.parquet         # footer: lineage (counters, lsn bounds)
+        _COMMIT.json               # file ranges + sha256s + totals + schema
+        part-00007.parquet         # buckets [7, hi); footer: lineage
 
 Every durable Parquet file — partition files, changefeed shards,
 converted Debezium shards — is encoded by ``_encode``: zstd, with the
@@ -82,11 +94,15 @@ still the file that was written:
   rewrite a new ctime, and a collected file fails the ``stat``; each
   drops the entry and the read decodes from disk, as it does without
   the memo;
-- at most two files per ``(lake dir, part-NNNNN.parquet)`` slot, the
-  newest two written: the next commit's state read and both sides of
-  the pair stage's ``(e−1, e]`` span. At most ``ops._util.BLOCK_BYTES``
-  of decoded ``nbytes`` in all, dropped oldest first; a larger table is
-  not kept;
+- it follows files, not bucket names: when this process publishes
+  epoch e of a lake, it drops every kept file of that lake that
+  neither commit e nor commit e−1 lists, so it holds at most the files
+  of the lake's newest two commits: the next commit's state read and
+  both sides of the pair stage's ``(e−1, e]`` span. At most
+  ``ops._util.BLOCK_BYTES`` of decoded ``nbytes`` in all, dropped
+  oldest first (the only bound in a process that writes files but
+  publishes none, an exchange-plan worker); a larger table is not
+  kept;
 - only writes insert. Caching reads too would keep every change shard
   and every file of a read-only process (lakebench ``serve``'s
   ``peak_rss_mb`` grew about 9 % that way), and a process that only
@@ -109,6 +125,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -132,7 +149,21 @@ def epoch_dir(lake_dir: str, epoch: int) -> str:
 
 
 def part_file(p: int) -> str:
+    """The file name of the range whose first bucket is ``p``."""
     return f"part-{p:05d}.parquet"
+
+
+def entry_hi(lo: int | str, ent: dict) -> int:
+    """The end of the bucket range of the commit entry at ``lo``."""
+    return int(ent.get("hi", int(lo) + 1))
+
+
+def ranges(commit: dict | None) -> list[tuple[int, int, dict]]:
+    """``(lo, hi, entry)`` of every entry of ``commit`` (None: none), by
+    ``lo``: one per file or empty run, O(files)."""
+    if commit is None:
+        return []
+    return sorted((int(lo), entry_hi(lo, ent), ent) for lo, ent in commit["partitions"].items())
 
 
 def _fsync_dir(path: str) -> None:
@@ -242,44 +273,89 @@ def _sha256_file(path: str) -> str:
         return hashlib.file_digest(f, "sha256").hexdigest()
 
 
-def write_partition(
-    lake_dir: str, epoch: int, fname: str, table: pa.Table, lineage: dict
-) -> dict:
-    """Phase-1 commit of one partition: one file, ``lineage`` as JSON
-    under its footer's ``LINEAGE_KEY``, no directory fsync
-    (``publish_epoch`` has one). Returns the manifest ``file``,
-    ``rows``, ``sha256`` of the bytes written (the analogue of the
-    reference's sha256 file naming, datalake/main.py:161-164; the
-    commit records it for ``verify_lake``) and ``lineage``. ``table``
-    is kept in the written-partition memo (module docstring) under the
-    slot ``(lake_dir, fname)``, stamped after the rename, so this
-    process's next ``read_file`` of the file decodes nothing."""
-    d = epoch_dir(lake_dir, epoch)
-    os.makedirs(d, exist_ok=True)
-    path = os.path.join(d, fname)
+def _with_lineage(table: pa.Table, lineage: dict) -> tuple[pa.Table, pa.Buffer]:
+    """``table`` with ``lineage`` as JSON under ``LINEAGE_KEY`` in its
+    schema metadata, and its encoding."""
     table = table.replace_schema_metadata({
         **(table.schema.metadata or {}),
         LINEAGE_KEY: json.dumps(lineage, separators=(",", ":"))})
-    buf = _encode(table, partition_dictionary(table))
+    return table, _encode(table, partition_dictionary(table))
+
+
+def _write_encoded(lake_dir: str, epoch: int, fname: str, table: pa.Table,
+                   buf: pa.Buffer, lineage: dict) -> dict:
+    d = epoch_dir(lake_dir, epoch)
+    os.makedirs(d, exist_ok=True)
+    path = os.path.join(d, fname)
     _replace_synced(path, buf)
-    _remember(path, (os.path.abspath(lake_dir), fname), table,
-              pq.read_schema(pa.BufferReader(buf)))
+    _remember(path, os.path.abspath(lake_dir), table, pq.read_schema(pa.BufferReader(buf)))
     return {"file": fname, "rows": table.num_rows,
             "sha256": hashlib.sha256(buf).hexdigest(), **lineage}
+
+
+def write_partition(
+    lake_dir: str, epoch: int, fname: str, table: pa.Table, lineage: dict
+) -> dict:
+    """Phase-1 commit of one file: ``lineage`` as JSON under its
+    footer's ``LINEAGE_KEY``, no directory fsync (``publish_epoch`` has
+    one). Returns the manifest ``file``, ``rows``, ``sha256`` of the
+    bytes written (the analogue of the reference's sha256 file naming,
+    datalake/main.py:161-164; the commit records it for
+    ``verify_lake``) and ``lineage``. ``table`` is kept in the
+    written-partition memo (module docstring), stamped after the
+    rename, so this process's next ``read_file`` of the file decodes
+    nothing."""
+    return _write_encoded(lake_dir, epoch, fname, *_with_lineage(table, lineage), lineage)
+
+
+def write_range(lake_dir: str, epoch: int, num_partitions: int, lo: int, hi: int,
+                table: pa.Table, lineage: dict, target: int) -> list[dict]:
+    """Phase-1 commit of the state of buckets ``[lo, hi)``: one file,
+    ``part_file(lo)``, unless its encoding exceeds ``2 × target`` bytes
+    and the range holds more than one bucket. Then the rows split by
+    bucket (``hash64(doc_id) % num_partitions``) into contiguous
+    sub-ranges of about ``target`` bytes each, in doc_id order, one
+    file each; the first carries ``lineage``'s change counters, the
+    rest 0, so counters still sum over a range's files. The manifests
+    add ``part`` (= lo) and ``hi`` to ``lineage``."""
+    whole = {**lineage, "part": lo, "hi": hi}
+    t, buf = _with_lineage(table, whole)
+    if buf.size <= 2 * target or hi - lo == 1:
+        return [_write_encoded(lake_dir, epoch, part_file(lo), t, buf, whole)]
+    from ..core.partition import assign_partitions
+
+    rows_per_file = max(1, target * table.num_rows // buf.size)
+    offset = assign_partitions(table["doc_id"], num_partitions) - lo
+    counts = np.bincount(offset, minlength=hi - lo)
+    piece = (np.cumsum(counts) - counts) // rows_per_file  # by the rows before each bucket
+    starts = [0, *(np.flatnonzero(np.diff(piece)) + 1).tolist()]
+    order = np.argsort(piece[offset], kind="stable")  # doc_id order within a piece
+    table = table.take(pa.array(order))
+    ends, out, at = [*starts[1:], hi - lo], [], 0
+    for a, b in zip(starts, ends):
+        n = int(counts[a:b].sum())
+        counters = {} if not out else {"rows_in": 0, "tombstones": 0}
+        out.append(write_partition(lake_dir, epoch, part_file(lo + a), table.slice(at, n),
+                                   {**lineage, **counters, "part": lo + a, "hi": lo + b}))
+        at += n
+    return out
 
 
 def staged_manifests(lake_dir: str, epoch: int) -> dict[str, dict]:
     """The manifest of every partition file staged in a (possibly
     uncommitted) epoch by file name: ``rows`` and the lineage from its
-    footer, ``sha256`` from a read of the file. Tmp files are skipped."""
+    footer (``part`` and ``hi``, the range; ``hi`` is ``part + 1`` in a
+    file from before ranges), ``sha256`` from a read of the file. Tmp
+    files are skipped."""
     d = epoch_dir(lake_dir, epoch)
     out: dict[str, dict] = {}
     for name in os.listdir(d) if os.path.isdir(d) else []:
         if name.startswith("part-") and name.endswith(".parquet"):
             path = os.path.join(d, name)
             md = pq.read_metadata(path)
+            lineage = json.loads(md.metadata[LINEAGE_KEY])
             out[name] = {"file": name, "rows": md.num_rows, "sha256": _sha256_file(path),
-                         **json.loads(md.metadata[LINEAGE_KEY])}
+                         **lineage, "hi": entry_hi(lineage["part"], lineage)}
     return out
 
 
@@ -337,7 +413,7 @@ def publish_epoch(
     _fsync_dir(d)
     commit = {
         "epoch": epoch,
-        "partitions": partitions,  # part-id -> {"path": rel-to-lake_dir, "rows", "max_lsn"}
+        "partitions": partitions,  # str(lo) -> {"path": rel-to-lake_dir, "rows", "max_lsn", "hi"}
         "schema_b64": base64.b64encode(schema.serialize().to_pybytes()).decode(),
         **meta,
     }
@@ -381,10 +457,10 @@ def commit_schema(commit: dict) -> pa.Schema:
 
 
 def state_paths(lake_dir: str, commit: dict | None) -> dict[int, str]:
-    """part-id -> absolute path of every partition file with a row in
-    ``commit`` (None: a lake without a commit, no files). A writer
-    passes the head ``EpochTxn`` pinned, so an epoch parses its head's
-    ``_COMMIT.json`` once: it is 6 MB at 65,536 partitions."""
+    """First bucket (``lo``) -> absolute path of every file with a row in
+    ``commit`` (None: a lake without a commit, no files), O(files). A
+    writer passes the head ``EpochTxn`` pinned, so an epoch parses its
+    head's ``_COMMIT.json`` once."""
     if commit is None:
         return {}
     return {int(pid): os.path.join(lake_dir, ent["path"])
@@ -397,13 +473,13 @@ def lake_schema(lake_dir: str, epoch: int | None = None) -> pa.Schema:
 
 def _memo() -> dict:
     """The written-partition memo, hosted on ``sys`` (module docstring):
-    ``files`` maps an absolute path to ``(stamp, table, slot, nbytes)`` in
-    insertion order, ``slots`` a slot to its kept paths, oldest first,
-    and ``bytes`` is the kept tables' ``nbytes``."""
+    ``files`` maps an absolute path to ``(stamp, table, lake, nbytes)``
+    in insertion order (``lake`` the absolute lake dir), and ``bytes``
+    is the kept tables' ``nbytes``."""
     m = getattr(sys, "_tonray_written", None)
     if m is None:
         m = vars(sys).setdefault("_tonray_written", {
-            "lock": threading.Lock(), "files": {}, "slots": {}, "bytes": 0})
+            "lock": threading.Lock(), "files": {}, "bytes": 0})
     return m
 
 
@@ -413,24 +489,18 @@ def _stamp(path: str) -> tuple:
 
 
 def _forget(m: dict, path: str) -> None:
-    """Drop ``path``'s entry and its slot bookkeeping (lock held)."""
+    """Drop ``path``'s entry (lock held)."""
     ent = m["files"].pop(path, None)
-    if ent is None:
-        return
-    m["bytes"] -= ent[3]
-    kept = m["slots"][ent[2]]
-    kept.remove(path)
-    if not kept:
-        del m["slots"][ent[2]]
+    if ent is not None:
+        m["bytes"] -= ent[3]
 
 
-def _remember(path: str, slot: tuple, table: pa.Table, schema: pa.Schema) -> None:
+def _remember(path: str, lake: str, table: pa.Table, schema: pa.Schema) -> None:
     """Keep a just-written ``table`` (``write_partition``), evicting the
-    slot's files but the newest two, then the oldest files past
-    ``BLOCK_BYTES`` (read per call: tests set it to force a plan). The
-    kept table takes the file's footer ``schema``, as a decode would
-    give it (list children are named ``element`` on disk, ``item`` in
-    pyarrow)."""
+    oldest files past ``BLOCK_BYTES`` (read per call: tests set it to
+    force a plan). The kept table takes the file's footer ``schema``, as
+    a decode would give it (list children are named ``element`` on
+    disk, ``item`` in pyarrow)."""
     cap = _util.BLOCK_BYTES
     path = os.path.abspath(path)
     stamp = _stamp(path)
@@ -445,14 +515,22 @@ def _remember(path: str, slot: tuple, table: pa.Table, schema: pa.Schema) -> Non
         _forget(m, path)  # a rewrite of the same path
         if nbytes > cap:
             return
-        m["files"][path] = (stamp, table, slot, nbytes)
+        m["files"][path] = (stamp, table, lake, nbytes)
         m["bytes"] += nbytes
-        kept = m["slots"].setdefault(slot, [])
-        kept.append(path)
-        while len(kept) > 2:
-            _forget(m, kept[0])
         while m["bytes"] > cap:
             _forget(m, next(iter(m["files"])))
+
+
+def _retain(lake_dir: str, *commits: dict | None) -> None:
+    """Drop every kept file of ``lake_dir`` that none of ``commits``
+    lists (``EpochTxn.publish``: the new commit and its predecessor)."""
+    m = _memo()
+    lake = os.path.abspath(lake_dir)
+    keep = {os.path.join(lake, ent["path"]) for c in commits if c is not None
+            for ent in c["partitions"].values() if ent["path"]}
+    with m["lock"]:
+        for path in [p for p, ent in m["files"].items() if ent[2] == lake and p not in keep]:
+            _forget(m, path)
 
 
 def _recall(path: str) -> pa.Table | None:
@@ -702,34 +780,49 @@ class EpochTxn:
 
     def build(self, written: dict[int, dict], *, num_partitions: int, plan: str,
               inherit: bool = True, **meta) -> dict:
-        """The commit record without publishing it: ``written`` maps a
-        part id to its manifest (``file``, ``rows``, ``sha256``,
-        ``max_lsn``, optional ``min_lsn``); every other partition is
-        inherited from the previous commit (``inherit``) or empty. The
-        ``sha256`` map holds the written files' hashes only. ``plan``
-        records how phase 1 ran: ``"local"`` (in-process) or
+        """The commit record without publishing it, O(files): ``written``
+        maps the first bucket of each written file to its manifest
+        (``file``, ``rows``, ``sha256``, ``max_lsn``, ``hi`` — default
+        ``part + 1`` — optional ``min_lsn``). A previous file whose range
+        no written file overlaps is inherited (``inherit``); one they
+        overlap must be covered whole (a reducer unit is a whole file).
+        The buckets left between the files become one empty entry per
+        run. The ``sha256`` map holds the written files' hashes only.
+        ``plan`` records how phase 1 ran: ``"local"`` (in-process) or
         ``"exchange"`` (Ray Data). ``meta`` adds the writer's own keys."""
         own = os.path.basename(epoch_dir(self.lake_dir, self.epoch))
-        prev = self.prev_commit["partitions"] if inherit and self.prev_commit else {}
+        new = sorted((int(m["part"]), entry_hi(m["part"], m), m) for m in written.values())
+        los = np.array([lo for lo, _, _ in new], np.int64)
+        his = np.array([hi for _, hi, _ in new], np.int64)
+        spans = [(lo, hi, {"path": os.path.join(own, str(m["file"])),
+                           "rows": int(m["rows"]), "max_lsn": int(m["max_lsn"])})
+                 for lo, hi, m in new]
+        self.partitions_written, self.partitions_inherited = len(spans), 0
+        for lo, hi, ent in ranges(self.prev_commit) if inherit else []:
+            if not ent["path"]:
+                continue
+            # the written files that overlap [lo, hi): they must cover it
+            i, j = np.searchsorted(his, lo, "right"), np.searchsorted(los, hi, "left")
+            if i == j:
+                spans.append((lo, hi, ent))
+                self.partitions_inherited += 1
+            elif (np.minimum(his[i:j], hi) - np.maximum(los[i:j], lo)).sum() != hi - lo:
+                raise ValueError(f"epoch {self.epoch}: the written files cover part of "
+                                 f"{ent['path']} (buckets [{lo}, {hi}))")
         # the watermark never moves backwards: a redelivered stale shard
         # rewrites partitions with OLD lsns, and consumers mint fresh
         # lsns at max_lsn+1 (changefeed tombstones, metadata refresh)
         max_lsn = int(self.prev_commit["max_lsn"]) if self.prev_commit else -1
         partitions: dict[str, dict] = {}
-        self.partitions_written = self.partitions_inherited = 0
-        for p in range(num_partitions):
-            if p in written:
-                m = written[p]
-                ent = {"path": os.path.join(own, str(m["file"])),
-                       "rows": int(m["rows"]), "max_lsn": int(m["max_lsn"])}
-                self.partitions_written += 1
-            elif str(p) in prev:
-                ent = prev[str(p)]
-                self.partitions_inherited += 1
-            else:
-                ent = {"path": "", "rows": 0, "max_lsn": -1}
-            partitions[str(p)] = ent
-            max_lsn = max(max_lsn, int(ent["max_lsn"]))
+        at = 0
+        for lo, hi, ent in sorted(spans, key=lambda x: x[0]) + [(num_partitions, None, None)]:
+            if lo > at:  # an empty run
+                partitions[str(at)] = {"path": "", "rows": 0, "max_lsn": -1,
+                                       **({"hi": lo} if lo > at + 1 else {})}
+            if ent is not None:
+                partitions[str(lo)] = {**ent, **({"hi": hi} if hi > lo + 1 else {})}
+                max_lsn = max(max_lsn, int(ent["max_lsn"]))
+                at = hi
         # min over the epoch's OWN incoming events (inherited partitions
         # carry none); -1 = unknown (compaction, which stores old lsns).
         # The ordered-epoch proof: min_lsn > prev max_lsn (checked by
@@ -747,11 +840,14 @@ class EpochTxn:
         }
 
     def publish(self, written: dict[int, dict], schema: pa.Schema, **kw) -> dict:
-        """Phase 2: build the commit record and publish it. Returns the
+        """Phase 2: build the commit record and publish it; the memo then
+        keeps only files of this commit and its predecessor. Returns the
         published commit."""
         meta = self.build(written, **kw)
         partitions = meta.pop("partitions")
-        return publish_epoch(self.lake_dir, self.epoch, partitions, meta, schema)
+        commit = publish_epoch(self.lake_dir, self.epoch, partitions, meta, schema)
+        _retain(self.lake_dir, commit, self.prev_commit)
+        return commit
 
 
 def verify_lake(lake_dir: str, epoch: int | None = None) -> dict:

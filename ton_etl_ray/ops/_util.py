@@ -93,6 +93,18 @@ def local_plan(total_bytes: int) -> bool:
     return total_bytes < BLOCK_BYTES
 
 
+def file_bytes() -> int:
+    """The on-disk size the lake writers pack a file to (``cdc.sink``'s
+    layout): 1/64 of ``BLOCK_BYTES``, read per call, so 1 MiB by
+    default and 0 — one file per hash bucket — under ``BLOCK_BYTES = 0``.
+    A file write (encode, sha256, fsynced rename) costs about 1.5 ms
+    fixed plus 0.7 µs per row at about 52 B per row on disk
+    (``tools/kernelbench.py``'s ``files`` sweep, 4-CPU host), so at
+    1 MiB (~20k rows) the fixed part is about 9 % of a file's write,
+    while a commit that touches a file still rewrites at most ~2 MiB."""
+    return BLOCK_BYTES >> 6
+
+
 def read_blocks(total_bytes: int) -> int:
     """Block count for a stage over ``total_bytes`` of input: ~2 blocks
     per core, floored by the ``_READ_BLOCK`` on-disk target so blocks

@@ -1,39 +1,50 @@
 """Ray-free micro-bench of the engine's per-batch kernels.
 
 Times, in-process and without Ray, the kernels one commit runs, on two
-seeded lake shapes of 16 partitions:
+seeded lake shapes of 16 hash buckets:
 
 - ``upsert``: a 100k-event zipf-key base log over 10k keys is the
-  committed state; one 5k-event uniform-key epoch is merged onto it and
-  rewrites the partitions it touches (lakebench's ``upsert`` round);
+  committed state, in the files the engine writes for it; one 5k-event
+  uniform-key epoch is merged onto it and rewrites the files it touches
+  (lakebench's ``upsert`` round);
 - ``backfill``: a 300k-event zipf-key log over 30k keys into a fresh
   lake (lakebench's ``backfill`` round).
 
+The touched buckets pack into runs as the engine's local plan packs
+them (``replay.Layout.runs``, up to ``ops._util.file_bytes``; untimed).
 Stages: ``conform`` (the epoch's shards to their unified schema, half
 of a base log's shards evolved), ``compact`` (the sorting LWW kernel,
 tombstones kept, over the whole epoch: kept for comparison), ``combine``
 (the engine's map side, ``replay.Normalize``: the hash-grouping LWW
 combiner per conformed shard), ``assign`` (``assign_partitions`` of the
-combined rows), ``merge_state`` (every touched partition, onto the
-combined rows), ``encode`` (every written partition to zstd Parquet in
-memory: the sink's per-leaf dictionary policy for partition files,
+combined rows), ``merge_state`` (one per run, onto the state files it
+replaces), ``encode`` (every run to zstd Parquet in memory: the sink's
+per-leaf dictionary policy for lake files,
 ``sink.partition_dictionary``, against pyarrow's dictionary-everything
 default; CPU and bytes),
-``write`` (every written partition through ``sink.write_partition``
-into a scratch lake: encode, hash, one fsynced file each, the memo
-insert), ``read`` (``sink.read_file`` of every written partition, for each
-encoding: a disk decode) and ``read_hit`` (``sink.read_file`` of the
-same partitions written by ``sink.write_partition``: served from the
-written-partition memo), and the two plans a maintained view refreshes
-by (``ops.tokens._refresh_plan``): ``view_delta`` (``delta.zip_changed``
-of every written partition against its state before the epoch, then
-the signed budget partials of the changed rows) and ``view_full`` (the
-budget partial over every partition after the epoch). Times are CPU
-milliseconds of this process per stage and rep; the report gives the
-median and quartiles over ``--reps``. The combined shards, reduced by
-``compact``, must give the epoch's ``compact`` winners. The decoded and
-the served partitions are checked equal to the written ones, and both
-view plans to the same budget.
+``write`` (every run through ``sink.write_range`` into a scratch lake:
+encode, hash, one fsynced file per run unless it splits past twice the
+file size, the memo insert), ``read`` (``sink.read_file`` of every run's
+file, for each encoding: a disk decode) and ``read_hit``
+(``sink.read_file`` of the same files written by
+``sink.write_partition``: served from the written-partition memo), and
+the two plans a maintained view refreshes by
+(``ops.tokens._refresh_plan``): ``view_delta`` (``delta.zip_changed``
+of every run against the concatenated state it replaced — one zip per
+component, as the pair stage runs it — then the signed budget partials
+of the changed rows) and ``view_full`` (the budget partial over every
+file after the epoch). Times are CPU milliseconds of this process per
+stage and rep; the report gives the median and quartiles over
+``--reps``. The combined shards, reduced by ``compact``, must give the
+epoch's ``compact`` winners. The decoded and the served files are
+checked equal to the written ones, and both view plans to the same
+budget.
+
+The ``files`` sweep writes the backfill state as files of N rows
+through ``sink.write_partition`` (encode, sha256, fsynced write) for N
+the state's rows over 1, 2, 4, …, 128, and fits CPU = fixed per file +
+per row: the fixed share of one file's write at ``file_bytes`` is what
+that size is chosen by.
 
 ``--large N [N ...]`` also encodes single partitions of N rows, with
 uniform and with zipf token ids, under both encodings.
@@ -64,7 +75,9 @@ sys.path.insert(0, REPO)
 from ton_etl_ray.cdc import delta, sink  # noqa: E402
 from ton_etl_ray.core import merge as M  # noqa: E402
 from ton_etl_ray.core import partition as P  # noqa: E402
+from ton_etl_ray.cdc.replay import Layout  # noqa: E402
 from ton_etl_ray.core.schema_evolution import conform, unify_schemas  # noqa: E402
+from ton_etl_ray.ops._util import file_bytes  # noqa: E402
 from ton_etl_ray.ops.tokens import _DELTA_SCHEMA, _budget_partials, _finish_budget, _fold  # noqa: E402
 
 VOCAB = 50257
@@ -127,8 +140,41 @@ def change_log(seed: int, stream: int, num_keys: int, events: int, lsn0: int,
             for k in range(shards)]
 
 
-def apply_log(state: dict[int, pa.Table], shards: list[pa.Table], times: dict | None) -> dict[int, pa.Table]:
-    """One commit through the kernels; ``times`` (if given) collects
+def encoded_bytes(t: pa.Table) -> int:
+    return len(encode(t, True))
+
+
+def plan_runs(state: dict[int, tuple[int, pa.Table]], groups: dict[int, pa.Table],
+              per_row: float) -> list[tuple[int, int, pa.Table, list[int]]]:
+    """The engine's local-plan packing (``replay.Layout.runs``) of the
+    touched units: ``state`` maps a range's first bucket to ``(hi,
+    table)``, ``groups`` a touched bucket to its combined rows. Returns
+    ``(lo, hi, rows, state los)`` per run."""
+    commit = {"partitions": {str(lo): {"path": str(lo), "rows": t.num_rows, "hi": hi}
+                             for lo, (hi, t) in state.items()}}
+    layout = Layout("", commit, NUM_PARTITIONS)
+    units: dict[int, list[pa.Table]] = {}
+    for p, rows in sorted(groups.items()):
+        units.setdefault(int(layout.units(np.array([p]))[0]), []).append(rows)
+    touched = [(lo, layout.unit_hi(lo), pa.concat_tables(rs)) for lo, rs in units.items()]
+    states = [layout.state(lo, hi) for lo, hi, _ in touched]
+    sizes = [sum(encoded_bytes(state[int(s)][1]) for s in st) for st in states]
+    return [(lo, hi, rows, [int(s) for s in st]) for lo, hi, rows, st in
+            layout.runs(touched, states, sizes, per_row, file_bytes(), True)]
+
+
+def row_bytes(shards: list[pa.Table]) -> float:
+    """Encoded bytes per change row, the local plan's estimate of a
+    run's size (``partition_apply``: change file bytes over rows)."""
+    return sum(encoded_bytes(s) for s in shards) / sum(s.num_rows for s in shards)
+
+
+def apply_log(state: dict[int, tuple[int, pa.Table]], shards: list[pa.Table],
+              times: dict | None, per_row: float) -> dict[int, tuple[int, pa.Table, list[int]]]:
+    """One commit through the kernels, one merge per run of touched
+    ranges as the local plan packs them (``plan_runs`` with ``per_row``
+    from ``row_bytes``, outside the timed stages); returns ``lo -> (hi,
+    merged state, state los)`` per run. ``times`` (if given) collects
     the CPU ms of each stage."""
     def timed(stage, fn, *a):
         t0 = time.process_time()
@@ -148,9 +194,13 @@ def apply_log(state: dict[int, pa.Table], shards: list[pa.Table], times: dict | 
     order = np.argsort(part, kind="stable")
     bounds = np.flatnonzero(np.diff(part[order])) + 1
     groups = {int(part[idx[0]]): combined.take(pa.array(idx)) for idx in np.split(order, bounds) if len(idx)}
+    runs = plan_runs(state, groups, per_row)
 
     def merge_all():
-        return {p: M.merge_state(state.get(p), rows) for p, rows in groups.items()}
+        return {lo: (hi, M.merge_state(pa.concat_tables([state[s][1] for s in los],
+                                                        promote_options="permissive")
+                                       if los else None, rows), los)
+                for lo, hi, rows, los in runs}
     return timed("merge_state", merge_all)
 
 
@@ -164,12 +214,25 @@ def encode(t: pa.Table, policy: bool) -> bytes:
 MODES = (("policy", True), ("default", False))
 
 
-def time_writes(tables: dict[int, pa.Table], lake: str, epoch: int, times: dict) -> None:
-    """CPU ms of ``sink.write_partition`` of every table into ``lake``."""
+def write_runs(runs: dict[int, tuple[int, pa.Table, list[int]]], lake: str, epoch: int) -> list[dict]:
+    """Every run through ``sink.write_range``, as the engine's reducer
+    writes it: one file, split past twice ``file_bytes``."""
+    return [m for lo, (hi, t, _) in runs.items() for m in sink.write_range(
+        lake, epoch, NUM_PARTITIONS, lo, hi, t,
+        {"rows_in": t.num_rows, "tombstones": 0, "max_lsn": 0, "min_lsn": 0}, file_bytes())]
+
+
+def committed_state(runs: dict[int, tuple[int, pa.Table, list[int]]], lake: str) -> dict[int, tuple[int, pa.Table]]:
+    """The state the engine commits for ``runs``: ``lo -> (hi, table)``
+    per file ``write_runs`` wrote."""
+    return {m["part"]: (m["hi"], sink.read_file(os.path.join(sink.epoch_dir(lake, 0), m["file"])))
+            for m in write_runs(runs, lake, 0)}
+
+
+def time_writes(runs: dict[int, tuple[int, pa.Table, list[int]]], lake: str, epoch: int, times: dict) -> None:
+    """CPU ms of ``write_runs`` into ``lake``."""
     t0 = time.process_time()
-    for p, t in tables.items():
-        sink.write_partition(lake, epoch, sink.part_file(p), t, {
-            "part": p, "rows_in": t.num_rows, "tombstones": 0, "max_lsn": 0, "min_lsn": 0})
+    write_runs(runs, lake, epoch)
     times.setdefault("write", []).append((time.process_time() - t0) * 1e3)
 
 
@@ -191,36 +254,42 @@ def concat(tables: list[pa.Table]) -> pa.Table:
     return pa.concat_tables([t.select(VIEW_COLUMNS) for t in tables], promote_options="permissive")
 
 
-def view_delta(before: dict[int, pa.Table], written: dict[int, pa.Table]) -> pa.Table:
-    """The delta plan's work in one process: each written partition
-    zipped against its state before the epoch (a partition born in the
-    epoch is all new rows), then one signed partial per side."""
+def view_delta(before: dict[int, tuple[int, pa.Table]],
+               written: dict[int, tuple[int, pa.Table, list[int]]]) -> pa.Table:
+    """The delta plan's work in one process: each written run, a
+    component of the span, zipped once against the concatenated state
+    of the ranges it replaced (a run born in the epoch is all new
+    rows), then one signed partial per side."""
     old, new = [], []
-    for p, tb in written.items():
-        if p in before:
-            ta, tb = delta.zip_changed(before[p].select(VIEW_COLUMNS), tb.select(VIEW_COLUMNS))
+    for _, tb, los in written.values():
+        tb = tb.select(VIEW_COLUMNS)
+        if los:
+            ta, tb = delta.zip_changed(concat([before[s][1] for s in los]), tb)
             old.append(ta)
         new.append(tb)
     return pa.concat_tables([_budget_partials(concat(old), -1) if old else _DELTA_SCHEMA.empty_table(),
                              _budget_partials(concat(new), 1)])
 
 
-def view_full(after: dict[int, pa.Table]) -> pa.Table:
-    """The recompute plan's work: one partial over every partition."""
-    return _budget_partials(concat(list(after.values())))
+def view_full(after: list[pa.Table]) -> pa.Table:
+    """The recompute plan's work: one partial over every file."""
+    return _budget_partials(concat(after))
 
 
-def time_views(before: dict[int, pa.Table], written: dict[int, pa.Table], times: dict) -> None:
+def time_views(before: dict[int, tuple[int, pa.Table]],
+               written: dict[int, tuple[int, pa.Table, list[int]]], times: dict) -> None:
     """CPU ms of both refresh plans; the base folded with the delta
     must equal the recompute."""
-    after = {**before, **written}
+    replaced = {s for _, _, los in written.values() for s in los}
+    after = ([t for lo, (_, t) in before.items() if lo not in replaced]
+             + [t for _, t, _ in written.values()])
     outs = {}
     for stage, fn, args in (("view_delta", view_delta, (before, written)),
                             ("view_full", view_full, (after,))):
         t0 = time.process_time()
         outs[stage] = fn(*args)
         times.setdefault(stage, []).append((time.process_time() - t0) * 1e3)
-    base = [view_full(before)] if before else []
+    base = [view_full([t for _, t in before.values()])] if before else []
     empty = _DELTA_SCHEMA.empty_table()
     if not _finish_budget(_fold(base + [outs["view_delta"]], empty)).equals(
             _finish_budget(_fold([outs["view_full"]], empty))):
@@ -238,15 +307,18 @@ def bench_shape(name: str, seed: int, scale: float, reps: int, work: str) -> dic
 
     if name == "upsert":
         base = change_log(seed, 0, n(10_000), n(100_000), 0, "zipf", 8, 4)
-        state = apply_log({}, base, None)
+        state = committed_state(apply_log({}, base, None, row_bytes(base)),
+                                os.path.join(work, name, "base"))
         epoch = change_log(seed, 1, n(10_000), n(5_000), n(100_000), "uniform", 1, 0)
     else:
         state = {}
         epoch = change_log(seed, 0, n(30_000), n(300_000), 0, "zipf", 8, 4)
     times: dict[str, list[float]] = {}
+    per_row = row_bytes(epoch)
     for rep in range(reps):
-        written = apply_log(state, epoch, times)
-        sizes = time_encodes(list(written.values()), times, rep)
+        written = apply_log(state, epoch, times, per_row)
+        tables = {lo: t for lo, (_, t, _) in written.items()}
+        sizes = time_encodes(list(tables.values()), times, rep)
         time_writes(written, os.path.join(work, name, "write"), rep, times)
         time_views(state, written, times)
     shutil.rmtree(os.path.join(work, name, "write"))
@@ -255,33 +327,72 @@ def bench_shape(name: str, seed: int, scale: float, reps: int, work: str) -> dic
         d = os.path.join(work, name, mode)
         os.makedirs(d)
         paths[mode] = {}
-        for p, t in written.items():
+        for p, t in tables.items():
             paths[mode][p] = os.path.join(d, sink.part_file(p))
             with open(paths[mode][p], "wb") as f:
                 f.write(encode(t, policy))
     hit_lake = os.path.join(work, name, "hit")
-    for p, t in written.items():
+    for p, t in tables.items():
         sink.write_partition(hit_lake, 0, sink.part_file(p), t, {})
-    paths["hit"] = {p: os.path.join(sink.epoch_dir(hit_lake, 0), sink.part_file(p)) for p in written}
+    paths["hit"] = {p: os.path.join(sink.epoch_dir(hit_lake, 0), sink.part_file(p)) for p in tables}
     for rep in range(reps):
         for mode in ("hit", *(m for m, _ in (MODES[::-1] if rep % 2 else MODES))):
             t0 = time.process_time()
             back = {p: sink.read_file(path) for p, path in paths[mode].items()}
             times.setdefault(f"read_{mode}", []).append((time.process_time() - t0) * 1e3)
-            for p, t in written.items():
+            for p, t in tables.items():
                 if not back[p].equals(t):
-                    raise AssertionError(f"{name}: partition {p} does not round-trip ({mode})")
+                    raise AssertionError(f"{name}: run {p} does not round-trip ({mode})")
                 if mode == "hit" and sink.read_file(paths[mode][p]) is not back[p]:
-                    raise AssertionError(f"{name}: partition {p} was decoded, not served from "
+                    raise AssertionError(f"{name}: run {p} was decoded, not served from "
                                          "the memo (more than BLOCK_BYTES written?)")
     return {
         "events": sum(s.num_rows for s in epoch),
-        "partitions_written": len(written),
-        "rows_written": sum(t.num_rows for t in written.values()),
+        "runs_written": len(tables),
+        "rows_written": sum(t.num_rows for t in tables.values()),
         "bytes_policy": sizes["policy"],
         "bytes_default": sizes["default"],
         "cpu_ms": {k: quartiles(v) for k, v in times.items()},
     }
+
+
+def bench_files(seed: int, scale: float, reps: int, work: str) -> dict:
+    """The ``files`` sweep: the backfill-shaped state (a 300k-event zipf
+    log over 30k keys, merged) written as files of N rows each, N the
+    state's rows over 1, 2, 4, …, 128, through ``sink.write_partition``
+    (encode, sha256, one fsynced file, the memo insert). Per N: files,
+    CPU ms of writing them all, bytes. A least-squares line over the
+    points gives the fixed CPU per file and per row, and the fixed
+    share of one file's write at ``file_bytes()``."""
+    def n(x):
+        return max(16, int(x * scale))
+
+    log = change_log(seed, 0, n(30_000), n(300_000), 0, "zipf", 8, 4)
+    runs = apply_log({}, log, None, row_bytes(log))
+    state = pa.concat_tables([t for _, t, _ in runs.values()], promote_options="permissive")
+    rows = state.num_rows
+    points = {}
+    for size in sorted({max(1, rows >> k) for k in range(8)}):
+        cpu, nbytes = [], 0
+        for rep in range(reps):
+            lake = os.path.join(work, "files", str(size), str(rep))
+            t0 = time.process_time()
+            ms = [sink.write_partition(lake, 0, sink.part_file(i), state.slice(at, size), {})
+                  for i, at in enumerate(range(0, rows, size))]
+            cpu.append((time.process_time() - t0) * 1e3)
+            nbytes = sum(os.path.getsize(os.path.join(sink.epoch_dir(lake, 0), m["file"])) for m in ms)
+            shutil.rmtree(lake)
+        points[str(size)] = {"files": len(ms), "bytes": nbytes, "cpu_ms": quartiles(cpu)}
+    files = np.array([p["files"] for p in points.values()], np.float64)
+    cpu = np.array([p["cpu_ms"]["p50"] for p in points.values()])
+    per_file, const = np.polyfit(files, cpu, 1) if len(files) > 1 else (0.0, float(cpu[0]))
+    per_row = const / rows
+    disk_row = float(np.median([p["bytes"] for p in points.values()])) / rows
+    target_rows = file_bytes() / disk_row
+    return {"rows": rows, "points": points, "fixed_ms_per_file": round(float(per_file), 4),
+            "us_per_row": round(float(per_row) * 1e3, 4), "bytes_per_row": round(disk_row, 2),
+            "file_bytes": file_bytes(), "rows_at_file_bytes": int(target_rows),
+            "fixed_share_at_file_bytes": round(float(per_file / (per_file + per_row * target_rows)), 4)}
 
 
 def bench_large(rows: int, seed: int, reps: int) -> dict:
@@ -320,14 +431,22 @@ def main() -> int:
     try:
         result = {"shapes": {s: bench_shape(s, args.seed, args.scale, args.reps, work)
                              for s in ("upsert", "backfill")},
+                  "files": bench_files(args.seed, args.scale, args.reps, work),
                   "large": {str(r): bench_large(r, args.seed, args.reps) for r in args.large}}
     finally:
         shutil.rmtree(work, ignore_errors=True)
     for s, r in result["shapes"].items():
-        print(f"{s}: {r['events']} events -> {r['partitions_written']} partitions, "
+        print(f"{s}: {r['events']} events -> {r['runs_written']} runs, "
               f"{r['rows_written']} rows; bytes policy {r['bytes_policy']} / default {r['bytes_default']}")
         for stage, q in r["cpu_ms"].items():
             print(f"  {stage:<16} {q['p50']:>9.3f} ms  [q1 {q['q1']:.3f}, q3 {q['q3']:.3f}]")
+    f = result["files"]
+    for size, x in f["points"].items():
+        print(f"files of {size:>6} rows: {x['files']:>4} files, {x['bytes']:>9} bytes, "
+              f"{x['cpu_ms']['p50']:.1f} ms")
+    print(f"files: {f['fixed_ms_per_file']:.3f} ms per file + {f['us_per_row']:.3f} us per row, "
+          f"{f['bytes_per_row']:.1f} B per row; fixed share at {f['file_bytes']} B "
+          f"({f['rows_at_file_bytes']} rows): {f['fixed_share_at_file_bytes']:.1%}")
     for rows, r in result["large"].items():
         for dist, x in r.items():
             pol, dft = x["cpu_ms"]["encode_policy"], x["cpu_ms"]["encode_default"]
