@@ -34,11 +34,18 @@ def exchange_plan(monkeypatch):
 
 
 @pytest.fixture
-def bucket_files(exchange_plan):
-    """One file per hash bucket, the layout before files spanned bucket
-    ranges: ``BLOCK_BYTES = 0`` sizes files at 0 bytes (and, like
-    ``exchange_plan``, forces the Ray Data plan). For tests whose point
-    is per-bucket inheritance or staging."""
+def bucket_files(monkeypatch):
+    """One file per hash bucket on the in-process plan, the layout
+    before files spanned bucket ranges: the lake writers' file size
+    (``ops._util.file_bytes``) is 0 while ``BLOCK_BYTES`` keeps its
+    default, so the plans stay as they are. For tests whose point is
+    per-bucket inheritance or staging (``exchange_plan`` gives the same
+    layout under the Ray Data plan)."""
+    import importlib
+
+    for name in ("replay", "replay_late", "compact"):
+        monkeypatch.setattr(importlib.import_module(f"ton_etl_ray.cdc.{name}"),
+                            "file_bytes", lambda: 0)
 
 
 class LakeWriter:

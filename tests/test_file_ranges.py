@@ -338,3 +338,111 @@ def test_only_parts_then_resume_on_a_multi_bucket_run(tmp_path):
     replay(files, fresh, num_partitions=8, resume=True)
     assert _state(fresh) == _rank1(files)
     _files_hold_their_buckets(fresh, sink.read_commit(fresh, 0))
+
+
+def _packed_base(lake, files, monkeypatch, num_partitions=16):
+    """Epoch 0 of ``files`` at the default file size: one file over
+    every bucket."""
+    with monkeypatch.context() as m:
+        m.setattr(_util, "BLOCK_BYTES", _util._READ_BLOCK)
+        replay(files, lake, num_partitions=num_partitions)
+    assert sink.ranges(sink.read_commit(lake, 0))[0][:2] == (0, num_partitions)
+
+
+def _lineages(lake, epoch) -> list[dict]:
+    """The footer lineage of every file ``epoch`` wrote."""
+    out = []
+    for name in sink.read_commit(lake, epoch)["sha256"]:
+        md = pq.read_metadata(os.path.join(sink.epoch_dir(lake, epoch), name))
+        out.append(json.loads(md.metadata[sink.LINEAGE_KEY]))
+    return out
+
+
+def test_exchange_cuts_a_packed_file_by_the_epoch(tmp_path, monkeypatch):
+    """A small lake packed into one file, then an epoch larger than a
+    read block: the exchange plan cuts the file into one sub-unit per
+    bucket (the epoch's share of a bucket alone passes the file size),
+    so no reducer sees more than a few buckets' changes and state,
+    and the lake still equals the rank-1 state."""
+    files = _log(tmp_path, num_events=20_000, num_keys=3000)
+    lake = str(tmp_path / "lake")
+    _packed_base(lake, files[:1], monkeypatch)
+    monkeypatch.setattr(_util, "BLOCK_BYTES", 1 << 16)  # 1 KiB files
+    assert sum(os.path.getsize(f) for f in files[1:]) > _util.BLOCK_BYTES
+    res = replay(files[1:], lake)
+    assert res.counters["plan"] == "exchange"
+    c1 = sink.read_commit(lake, 1)
+    lineage = _lineages(lake, 1)
+    assert {lin["hi"] - lin["part"] for lin in lineage} == {1}
+    rows = {lin["part"]: lin["rows_in"] for lin in lineage}
+    assert len(rows) == 16 and sum(rows.values()) == res.counters["rows_in"]
+    assert max(rows.values()) < res.counters["rows_in"] / 4
+    assert max(ent["rows"] for ent in c1["partitions"].values()) < c1["rows_total"] / 4
+    assert _state(lake) == _rank1(files)
+    _files_hold_their_buckets(lake, c1)
+    sink.verify_lake(lake)
+
+
+def test_exchange_carries_the_untouched_sub_ranges(tmp_path, monkeypatch):
+    """An exchange epoch that touches 3 of a packed file's 16 buckets
+    writes those as sub-units and carries the other 13 buckets' rows
+    into files of their own (no change rows, no ``min_lsn``), so the
+    commit still replaces the file whole and its ``min_lsn`` still
+    bounds the epoch's own lsns. ``only_parts`` then ``resume`` on such an epoch reach the
+    same state."""
+    import pyarrow.compute as pc
+
+    from ton_etl_ray.core.partition import assign_partitions
+
+    files = _log(tmp_path, num_events=40_000, num_keys=3000)
+    hot = str(tmp_path / "hot")
+    os.makedirs(hot)
+    for f in files[1:]:  # the later shards' rows of buckets 3, 4 and 9
+        t = pq.read_table(f)
+        b = assign_partitions(t["doc_id"], 16)
+        pq.write_table(t.filter(np.isin(b, [3, 4, 9])), os.path.join(hot, os.path.basename(f)))
+    later = sorted(glob.glob(os.path.join(hot, "*.parquet")))
+    for name in ("lake", "partial"):
+        _packed_base(str(tmp_path / name), files[:1], monkeypatch)
+    monkeypatch.setattr(_util, "BLOCK_BYTES", 1 << 16)
+    assert sum(os.path.getsize(f) for f in later) > _util.BLOCK_BYTES
+
+    lake = str(tmp_path / "lake")
+    res = replay(later, lake)
+    assert res.counters["plan"] == "exchange"
+    c1 = sink.read_commit(lake, 1)
+    _files_hold_their_buckets(lake, c1)
+    assert all(ent["path"].startswith("epoch-000001") for ent in c1["partitions"].values())
+    touched = sorted((lin["part"], lin["hi"]) for lin in _lineages(lake, 1) if lin["rows_in"])
+    assert touched == [(3, 4), (4, 5), (9, 10)]
+    assert all("min_lsn" not in lin for lin in _lineages(lake, 1) if not lin["rows_in"])
+    lsns = pq.read_table(later, columns=["lsn"])["lsn"]
+    assert c1["min_lsn"] >= pc.min(lsns).as_py() > sink.read_commit(lake, 0)["max_lsn"]
+    want = _rank1(files[:1] + later)
+    assert _state(lake) == want
+
+    part = str(tmp_path / "partial")
+    assert not replay(later, part, only_parts=frozenset({9})).published
+    assert sink.staged_manifests(part, 1)
+    assert replay(later, part, resume=True).published
+    assert _state(part) == want
+    _files_hold_their_buckets(part, sink.read_commit(part, 1))
+
+
+def test_split_folds_trailing_empty_buckets(tmp_path):
+    """A split range whose last buckets hold no row writes no 0-row
+    file for them: they join the last piece with rows, and the pieces
+    still tile the range."""
+    import pyarrow as pa
+
+    from ton_etl_ray.core.partition import assign_partitions
+
+    ids = [f"k{i}" for i in range(400)]
+    b = assign_partitions(pa.array(ids), 8)
+    ids = sorted(d for d, x in zip(ids, b) if x in (0, 2, 3))
+    t = pa.table({"doc_id": ids, "lsn": pa.array(range(len(ids)), pa.int64())})
+    lake = str(tmp_path / "lake")
+    out = sink.write_range(lake, 0, 8, 0, 8, t, {"rows_in": len(ids), "max_lsn": len(ids)}, 1)
+    spans = [(m["part"], m["hi"]) for m in out]
+    assert spans == [(0, 1), (1, 3), (3, 8)]  # bucket 1 (empty) joins the next piece
+    assert all(m["rows"] > 0 for m in out) and sum(m["rows"] for m in out) == len(ids)

@@ -451,7 +451,7 @@ def test_incremental_partition_born_and_emptied(tmp_path, ray_session, bucket_fi
             assert _as_map(got) == {"web": (1, 1, 1.0), "books": (1, 3, 3.0)}
 
 
-def test_aligned_pair_stage_sized_by_bytes(two_epoch_lake, tmp_path, bucket_files):
+def test_aligned_pair_stage_sized_by_bytes(two_epoch_lake, tmp_path, exchange_plan):
     """The pair stage's Ray plan packs components into byte-sized
     blocks: on a small lake of one file per bucket it runs at most
     min(pairs, 2 × cpus) tasks, not one task per pair."""

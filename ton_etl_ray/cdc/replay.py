@@ -22,7 +22,9 @@ state smaller than one ``BLOCK_BYTES`` read block) picks how::
   more than the merge and write themselves;
 - ``exchange``: ``read_parquet`` (grouped by on-disk schema) →
   ``map_batches(kernel)`` → ``groupby(unit).map_groups(reducer)`` —
-  the one all-to-all shuffle, one reducer per unit.
+  the one all-to-all shuffle, one reducer per unit, a head file of
+  many buckets cut by the epoch's bytes (``Layout.cut``) — then the
+  cut files' untouched sub-ranges, rewritten on the driver.
 
 Writers: ``replay`` (above), ``IncrementalIngestor.ingest`` (the
 watcher, through the same ``_apply_changes``), ``replay_late`` (two
@@ -49,14 +51,16 @@ Scale design notes (the exchange plan):
 - untouched files are inherited by reference into the new epoch's
   commit — an epoch only rewrites the units that received changes;
 - choose ``num_partitions`` so (bucket state + epoch changes) fits a
-  worker heap: at 100 TB state, P=65536 → ~1.6 GB per reducer. A unit
-  is one bucket once its state passes the file size, so a large lake
-  has one file per bucket; a small one packs many buckets per file, and
-  its reducer takes every change of those buckets.
+  worker heap: at 100 TB state, P=65536 → ~1.6 GB per reducer. A large
+  lake has one file per bucket; a small one packs many buckets per
+  file, and the exchange plan cuts such a file into sub-units of about
+  one file of state plus epoch changes each (``Layout.cut``), so no
+  reducer takes more than its buckets' share of the epoch.
 """
 
 from __future__ import annotations
 
+import copy
 import glob
 import os
 from dataclasses import dataclass, field
@@ -203,6 +207,64 @@ class Layout:
         self.paths = [os.path.join(lake_dir, ent["path"]) for _, _, ent in files]
         self.live = np.array([ent["rows"] > 0 for _, _, ent in files], bool)
         self.live_before = np.concatenate([[0], np.cumsum(self.live)])
+        # head files cut into sub-units (``cut``): (lo, hi, width, path)
+        self.cuts: list[tuple[int, int, int, str]] = []
+
+    def cut(self, epoch_bytes: int, target: int) -> "Layout":
+        """The exchange plan's units: each head file of k > 1 buckets is
+        cut into sub-units of w adjacent buckets, w = ``target`` over
+        the bytes a bucket brings (the file's bytes / k plus the
+        epoch's ``epoch_bytes`` / P), at least 1. So a reducer sees
+        about one file's worth of state and changes however few files
+        the head has: a small lake packed into one file and then sent
+        an epoch larger than a read block runs P reducers, not one. A
+        sub-unit's reducer reads the shared file and keeps its own
+        buckets (``sink.read_range``); the sub-units an epoch leaves
+        untouched in a file it touches are listed by ``gaps``. A file
+        with w ≥ k stays one unit."""
+        k = self.his - self.los
+        multi = np.flatnonzero(k > 1)
+        if not len(multi):
+            return self
+        size = np.array([os.path.getsize(self.paths[i]) for i in multi], np.float64)
+        w = k.copy()
+        w[multi] = np.minimum(k[multi], np.maximum(
+            1, (target // (size / k[multi] + epoch_bytes / self.P)).astype(np.int64)))
+        if (w == k).all():
+            return self
+        n = -(-k // w)
+        idx = np.repeat(np.arange(len(k)), n)
+        step = np.arange(len(idx)) - np.repeat(np.cumsum(n) - n, n)
+        out = copy.copy(self)
+        out.los = self.los[idx] + step * w[idx]
+        out.his = np.minimum(out.los + w[idx], self.his[idx])
+        out.paths = [self.paths[i] for i in idx.tolist()]
+        out.live = self.live[idx]
+        out.live_before = np.concatenate([[0], np.cumsum(out.live)])
+        out.cuts = [(int(self.los[i]), int(self.his[i]), int(w[i]), self.paths[i])
+                    for i in np.flatnonzero(w < k).tolist()]
+        return out
+
+    def gaps(self, touched: set[int]) -> list[tuple[int, int, str]]:
+        """``(lo, hi, path)`` of each run of adjacent sub-units that no
+        row reached (``touched``: the sub-units that got rows) in every
+        cut file with a touched sub-unit: the writer carries them into
+        the epoch, since the commit replaces a file whole."""
+        out = []
+        for lo, hi, w, path in self.cuts:
+            subs = range(lo, hi, w)
+            if not touched.intersection(subs):
+                continue
+            start = None
+            for a in subs:
+                if a not in touched and start is None:
+                    start = a
+                elif a in touched and start is not None:
+                    out.append((start, a, path))
+                    start = None
+            if start is not None:
+                out.append((start, hi, path))
+        return out
 
     def units(self, buckets: np.ndarray) -> np.ndarray:
         """The unit of each bucket."""
@@ -221,7 +283,8 @@ class Layout:
         return min(lo + self.stride, self.P)
 
     def state(self, lo: int, hi: int) -> list[str]:
-        """The head files with a row whose range lies in ``[lo, hi)``."""
+        """The head files with a row whose range lies in ``[lo, hi)`` (in
+        a cut layout, the file a sub-unit is cut from)."""
         i, j = np.searchsorted(self.los, [lo, hi])
         return [self.paths[k] for k in range(i, j) if self.live[k]]
 
@@ -266,12 +329,16 @@ class Layout:
 
 
 def commit_partition(lake_dir: str, epoch: int, num_partitions: int, target: int,
-                     lo: int, hi: int, changes: pa.Table, state_paths: list[str]) -> list[dict]:
+                     lo: int, hi: int, changes: pa.Table | None,
+                     state_paths: list[str]) -> list[dict]:
     """The reducer of every change-applying writer: merge ``changes``
     onto the committed state of buckets ``[lo, hi)`` (``state_paths``,
-    the head files in the range; LWW, the merge's output is already
-    doc_id-ascending) and 2PC-write it (``sink.write_range``: one file,
-    split past ``2 × target`` bytes). Returns the file manifests.
+    the head files that hold the range: ``sink.read_range``; LWW, the
+    merge's output is already doc_id-ascending) and 2PC-write it
+    (``sink.write_range``: one file, split past ``2 × target`` bytes).
+    Returns the file manifests. ``changes`` None: an untouched run of
+    sub-units of a cut head file (``Layout.gaps``), written as it is,
+    with no change counters and no ``min_lsn``.
 
     ``min_lsn`` is a LOWER BOUND on the lsn of every row NEWLY STORED by
     this epoch in this range (min over the arriving change rows —
@@ -282,8 +349,12 @@ def commit_partition(lake_dir: str, epoch: int, num_partitions: int, target: int
     epochs (commit(b).min_lsn > commit(a).max_lsn): the changefeed's
     tombstone-collision check (``emit_changefeed``) reads it, and the
     tests' ``lsn_ordered_span`` helper checks it over a span."""
-    state = (pa.concat_tables([sink.read_file(f) for f in state_paths], promote_options="permissive")
-             if state_paths else None)
+    state = sink.read_range(state_paths, num_partitions, lo, hi)
+    if changes is None:
+        top = pc.max(state["lsn"]).as_py()
+        return sink.write_range(
+            lake_dir, epoch, num_partitions, lo, hi, state,
+            {"rows_in": 0, "max_lsn": -1 if top is None else int(top), "tombstones": 0}, target)
     new_state = M.merge_state(state, changes)
     return sink.write_range(
         lake_dir, epoch, num_partitions, lo, hi, new_state,
@@ -297,7 +368,7 @@ def commit_partition(lake_dir: str, epoch: int, num_partitions: int, target: int
 def partition_apply(
     files: list[str],
     kernel: Callable[[pa.Table], pa.Table],
-    reducer: Callable[[int, int, pa.Table, list[str]], list[dict]],
+    reducer: Callable[[int, int, pa.Table | None, list[str]], list[dict]],
     layout: Layout,
     *,
     columns: list[str] | None = None,
@@ -319,12 +390,16 @@ def partition_apply(
       call per run of adjacent units (``Layout.runs``, packed to
       ``ops._util.file_bytes``; ``absorb`` as there). No Ray Data
       execution starts;
-    - ``exchange`` otherwise: ``read_parquet`` per on-disk schema group
-      with blocks proportional to its files (``num_blocks`` in all,
-      default ``read_blocks`` of the bytes), ``map_batches(kernel)`` on
-      whole blocks, ``union``, an optional ``repartition``
+    - ``exchange`` otherwise: the units of ``layout.cut`` (head files
+      cut to about one file of state and changes per reducer),
+      ``read_parquet`` per on-disk schema group with blocks
+      proportional to its files (``num_blocks`` in all, default
+      ``read_blocks`` of the bytes), ``map_batches(kernel)`` on whole
+      blocks, ``union``, an optional ``repartition``
       (``coalesce_blocks``: ≤ 0 = none, None = ``_auto_coalesce_target``),
-      then ``groupby("part").map_groups(reducer)``, one call per unit.
+      then ``groupby("part").map_groups(reducer)``, one call per unit;
+      then, on the driver, ``reducer(lo, hi, None, [file])`` once per
+      untouched run of a cut file (``Layout.gaps``).
 
     The kernel and reducer ship to Ray Data inside its one-time put of
     the stage, so a large read-only value they close over (late's
@@ -332,18 +407,12 @@ def partition_apply(
     if not files:
         return [], "local"
     total = sum(os.path.getsize(f) for f in files)
-
-    def tagged(t: pa.Table) -> pa.Table:
-        t = kernel(t)
-        units = layout.units(t["part"].to_numpy())
-        return t.set_column(t.schema.get_field_index("part"), "part", pa.array(units, pa.int64()))
-
     if local_plan(total):
         blocks, rows_read = [], 0
         for f in files:  # one read block at a time: only the kernel's output is kept
             t = sink.read_file(f, columns)
             rows_read += t.num_rows
-            blocks.append(tagged(t))
+            blocks.append(_tagged(kernel, layout, t))
             del t
         units = [(lo, layout.unit_hi(lo), g) for lo, g in by_part(pa.concat_tables(blocks))]
         states = [layout.state(lo, hi) for lo, hi, _ in units]
@@ -353,6 +422,7 @@ def partition_apply(
             runs = layout.runs(units, states, sizes, row_bytes, file_bytes(), absorb)
             return [out for run in runs for out in reducer(*run)], "local"
 
+    layout = layout.cut(total, file_bytes())
     if num_blocks is None:
         num_blocks = read_blocks(total)
     ds, read_total = None, 0
@@ -363,7 +433,8 @@ def partition_apply(
             schema = pa.schema([schema.field(c) for c in columns])
         g = (rd.read_parquet(fl, columns=columns, schema=schema, override_num_blocks=blocks)
              # whole blocks: replay's per-block combine is its skew bound
-             .map_batches(tagged, batch_size=None, batch_format="pyarrow"))
+             .map_batches(partial(_tagged, kernel, layout), batch_size=None,
+                          batch_format="pyarrow"))
         ds = g if ds is None else ds.union(g)
     if coalesce_blocks is None:
         coalesce_blocks = _auto_coalesce_target(read_total, total)
@@ -373,11 +444,26 @@ def partition_apply(
     def reduce(group: pa.Table) -> pa.Table:
         lo = int(group["part"][0].as_py())
         hi = layout.unit_hi(lo)
-        return pa.Table.from_pylist(reducer(lo, hi, group.drop_columns(["part"]), layout.state(lo, hi)))
+        out = pa.Table.from_pylist(reducer(lo, hi, group.drop_columns(["part"]), layout.state(lo, hi)))
+        return out.append_column(_UNIT, pa.array(np.full(out.num_rows, lo), pa.int64()))
 
     out = ds.groupby("part").map_groups(reduce, batch_format="pyarrow")
-    return [r for b in out.iter_batches(batch_size=None, batch_format="pyarrow")
-            for r in b.to_pylist()], "exchange"
+    rows = [r for b in out.iter_batches(batch_size=None, batch_format="pyarrow")
+            for r in b.to_pylist()]
+    touched = {r.pop(_UNIT) for r in rows}
+    return rows + [r for lo, hi, path in layout.gaps(touched)
+                   for r in reducer(lo, hi, None, [path])], "exchange"
+
+
+#: the column the exchange plan's reduce adds to name each output's unit
+_UNIT = "__unit"
+
+
+def _tagged(kernel: Callable[[pa.Table], pa.Table], layout: Layout, t: pa.Table) -> pa.Table:
+    """``kernel``'s rows with ``part`` replaced by their ``layout`` unit."""
+    t = kernel(t)
+    units = layout.units(t["part"].to_numpy())
+    return t.set_column(t.schema.get_field_index("part"), "part", pa.array(units, pa.int64()))
 
 
 def _auto_coalesce_target(

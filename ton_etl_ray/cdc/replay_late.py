@@ -124,10 +124,13 @@ def _apply_late(
             {"plan": plan, "winning_keys": len(win)})
 
 
-def _decide(lo: int, hi: int, rows: pa.Table, state_paths: list[str]) -> list[dict]:
+def _decide(lo: int, hi: int, rows: pa.Table | None, state_paths: list[str]) -> list[dict]:
     """Phase A reducer: the lsns of the units' log winners (all ops: a
     tombstone winner must be fetched too) that beat the committed row
-    of their key, packed as int64 bytes."""
+    of their key, packed as int64 bytes; none for an untouched run of a
+    cut file (``rows`` None)."""
+    if rows is None:
+        return []
     wins = M.combine(rows)
     if state_paths:
         st = pa.concat_tables([sink.read_file(f, ["doc_id", "lsn"]) for f in state_paths])

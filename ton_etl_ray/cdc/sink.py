@@ -57,6 +57,9 @@ spanned buckets read unchanged. Files are sized by bytes
 (``ops._util.file_bytes``, 1/64 of a read block): the local plan packs
 adjacent touched ranges into one file up to that size, and a file past
 twice it splits into contiguous bucket sub-ranges (``write_range``).
+The exchange plan cuts a head file of many buckets into sub-ranges
+sized by the epoch (``replay.Layout.cut``), each reducer reading the
+shared file for its own buckets (``read_range``).
 So a small lake is a few files whatever P is, its commit is O(files),
 and ``BLOCK_BYTES = 0`` gives one file per bucket::
 
@@ -315,9 +318,10 @@ def write_range(lake_dir: str, epoch: int, num_partitions: int, lo: int, hi: int
     and the range holds more than one bucket. Then the rows split by
     bucket (``hash64(doc_id) % num_partitions``) into contiguous
     sub-ranges of about ``target`` bytes each, in doc_id order, one
-    file each; the first carries ``lineage``'s change counters, the
-    rest 0, so counters still sum over a range's files. The manifests
-    add ``part`` (= lo) and ``hi`` to ``lineage``."""
+    file each (an empty bucket joins the next piece, trailing ones the
+    last, so no piece is empty); the first carries ``lineage``'s change
+    counters, the rest 0, so counters still sum over a range's files.
+    The manifests add ``part`` (= lo) and ``hi`` to ``lineage``."""
     whole = {**lineage, "part": lo, "hi": hi}
     t, buf = _with_lineage(table, whole)
     if buf.size <= 2 * target or hi - lo == 1:
@@ -329,6 +333,8 @@ def write_range(lake_dir: str, epoch: int, num_partitions: int, lo: int, hi: int
     counts = np.bincount(offset, minlength=hi - lo)
     piece = (np.cumsum(counts) - counts) // rows_per_file  # by the rows before each bucket
     starts = [0, *(np.flatnonzero(np.diff(piece)) + 1).tolist()]
+    if len(starts) > 1 and not counts[starts[-1]:].any():
+        starts.pop()  # trailing empty buckets join the last piece with rows
     order = np.argsort(piece[offset], kind="stable")  # doc_id order within a piece
     table = table.take(pa.array(order))
     ends, out, at = [*starts[1:], hi - lo], [], 0
@@ -339,6 +345,27 @@ def write_range(lake_dir: str, epoch: int, num_partitions: int, lo: int, hi: int
                                    {**lineage, **counters, "part": lo + a, "hi": lo + b}))
         at += n
     return out
+
+
+def read_range(paths: list[str], num_partitions: int, lo: int, hi: int) -> pa.Table | None:
+    """The committed state of buckets ``[lo, hi)`` in ``paths`` (None:
+    no path), one permissive concat (``read_file`` per file). A file
+    whose range (its footer lineage) reaches past ``[lo, hi)`` — a
+    head file the exchange plan cut into sub-units — gives only its
+    rows in the range."""
+    if not paths:
+        return None
+    from ..core.partition import assign_partitions
+
+    parts = []
+    for f in paths:
+        t = read_file(f)
+        lineage = json.loads((t.schema.metadata or {}).get(LINEAGE_KEY, b"{}"))
+        if "part" in lineage and (lineage["part"] < lo or entry_hi(lineage["part"], lineage) > hi):
+            b = assign_partitions(t["doc_id"], num_partitions)
+            t = t.filter(pa.array((b >= lo) & (b < hi)))
+        parts.append(t)
+    return pa.concat_tables(parts, promote_options="permissive")
 
 
 def staged_manifests(lake_dir: str, epoch: int) -> dict[str, dict]:
@@ -823,11 +850,12 @@ class EpochTxn:
                 partitions[str(lo)] = {**ent, **({"hi": hi} if hi > lo + 1 else {})}
                 max_lsn = max(max_lsn, int(ent["max_lsn"]))
                 at = hi
-        # min over the epoch's OWN incoming events (inherited partitions
-        # carry none); -1 = unknown (compaction, which stores old lsns).
-        # The ordered-epoch proof: min_lsn > prev max_lsn (checked by
-        # emit_changefeed; tests/conftest.lsn_ordered_span over a span).
-        min_lsns = [int(m.get("min_lsn", -1)) for m in written.values()]
+        # min over the epoch's OWN incoming events (inherited partitions,
+        # a split's later pieces and carried sub-ranges of a cut file
+        # bring none: rows_in 0); -1 = unknown (compaction, which stores
+        # old lsns). The ordered-epoch proof: min_lsn > prev max_lsn
+        # (checked by emit_changefeed; tests/conftest.lsn_ordered_span).
+        min_lsns = [int(m.get("min_lsn", -1)) for m in written.values() if m.get("rows_in", 1)]
         return {
             "num_partitions": num_partitions,
             "partitions": partitions,

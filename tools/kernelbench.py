@@ -356,6 +356,20 @@ def bench_shape(name: str, seed: int, scale: float, reps: int, work: str) -> dic
     }
 
 
+def _nonneg_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares ``y ≈ a·x + b`` with ``a, b ≥ 0`` (a cost per file
+    and a cost of the rows cannot be negative; a noisy small sweep can
+    fit one so): the free fit if it is feasible, else the better of the
+    two one-term fits."""
+    if len(x) < 2:
+        return 0.0, float(y[0])
+    a, b = np.polyfit(x, y, 1)
+    if a >= 0 and b >= 0:
+        return float(a), float(b)
+    fits = [(max(0.0, float(x @ y / (x @ x))), 0.0), (0.0, max(0.0, float(y.mean())))]
+    return min(fits, key=lambda f: float(((f[0] * x + f[1] - y) ** 2).sum()))
+
+
 def bench_files(seed: int, scale: float, reps: int, work: str) -> dict:
     """The ``files`` sweep: the backfill-shaped state (a 300k-event zipf
     log over 30k keys, merged) written as files of N rows each, N the
@@ -385,14 +399,15 @@ def bench_files(seed: int, scale: float, reps: int, work: str) -> dict:
         points[str(size)] = {"files": len(ms), "bytes": nbytes, "cpu_ms": quartiles(cpu)}
     files = np.array([p["files"] for p in points.values()], np.float64)
     cpu = np.array([p["cpu_ms"]["p50"] for p in points.values()])
-    per_file, const = np.polyfit(files, cpu, 1) if len(files) > 1 else (0.0, float(cpu[0]))
+    per_file, const = _nonneg_line(files, cpu)
     per_row = const / rows
     disk_row = float(np.median([p["bytes"] for p in points.values()])) / rows
     target_rows = file_bytes() / disk_row
     return {"rows": rows, "points": points, "fixed_ms_per_file": round(float(per_file), 4),
             "us_per_row": round(float(per_row) * 1e3, 4), "bytes_per_row": round(disk_row, 2),
             "file_bytes": file_bytes(), "rows_at_file_bytes": int(target_rows),
-            "fixed_share_at_file_bytes": round(float(per_file / (per_file + per_row * target_rows)), 4)}
+            "fixed_share_at_file_bytes": round(
+                float(per_file / (per_file + per_row * target_rows)) if per_file else 0.0, 4)}
 
 
 def bench_large(rows: int, seed: int, reps: int) -> dict:
