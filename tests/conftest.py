@@ -1,5 +1,7 @@
 import os
 import sys
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 import ray
@@ -43,14 +45,26 @@ def bucket_files(monkeypatch):
     layout under the Ray Data plan)."""
     import importlib
 
-    for name in ("replay", "replay_late", "compact"):
+    for name in ("replay", "compact"):
         monkeypatch.setattr(importlib.import_module(f"ton_etl_ray.cdc.{name}"),
                             "file_bytes", lambda: 0)
 
 
+@contextmanager
+def narrow_exchange():
+    """Make ``replay()`` and the watcher pick the narrow exchange above
+    one read block: the session's object store reads as 0 bytes, so any
+    sampled shuffle estimate exceeds half of it."""
+    from ton_etl_ray.cdc import replay
+
+    with mock.patch.object(replay, "_object_store_bytes", lambda: 0):
+        yield
+
+
 class LakeWriter:
-    """Commits a lake's next epoch through one of the four lake writers
-    (``kind``): ``replay``, ``replay_late``, ``ingest``
+    """Commits a lake's next epoch through one of the lake writers
+    (``kind``): ``replay``, ``replay_narrow`` (``replay`` forced onto
+    the exchange plan's narrow exchange), ``ingest``
     (``IncrementalIngestor.ingest``) or ``compact`` (``compact_lake``,
     which applies no change files: it rewrites the committed state).
     Calling it returns the committed epoch."""
@@ -71,10 +85,12 @@ class LakeWriter:
             from ton_etl_ray.cdc.replay import replay
 
             return replay(files, lake, num_partitions=num_partitions).epoch
-        if self.kind == "replay_late":
-            from ton_etl_ray.cdc.replay_late import replay_late
+        if self.kind == "replay_narrow":
+            from ton_etl_ray.cdc.replay import replay
+            from ton_etl_ray.ops import _util
 
-            return replay_late(files, lake, num_partitions=num_partitions).epoch
+            with mock.patch.object(_util, "BLOCK_BYTES", 0), narrow_exchange():
+                return replay(files, lake, num_partitions=num_partitions).epoch
         if self.kind == "compact":
             from ton_etl_ray.cdc.compact import compact_lake
 
@@ -82,7 +98,7 @@ class LakeWriter:
         return (ingestor or self.ingestor(lake, num_partitions)).ingest(files)["epoch"]
 
 
-@pytest.fixture(params=["replay", "replay_late", "ingest", "compact"])
+@pytest.fixture(params=["replay", "replay_narrow", "ingest", "compact"])
 def lake_writer(request) -> LakeWriter:
     return LakeWriter(request.param)
 
@@ -93,8 +109,8 @@ def lsn_ordered_span(lake_dir: str, epoch_a: int, epoch_b: int) -> tuple[bool, i
     of the LSN-ordered-stream contract (loser events dropped by LWW
     never reach stored state or a feed, so they are out of scope by
     construction). Each commit records ``min_lsn`` as a lower bound on
-    its own newly-stored lsns: every change-applying writer (``replay``,
-    ``replay_late``, ``ingest``) writes it through
+    its own newly-stored lsns: every change-applying writer (``replay``
+    on either exchange, ``ingest``) writes it through
     ``replay.commit_partition``; -1 = unknown (a pre-field lake, a
     ``compact`` epoch, which re-stores old lsns, or a crash-resumed
     epoch mixing pre-field manifests). A no-op epoch (nothing written

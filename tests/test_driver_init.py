@@ -49,3 +49,38 @@ def test_cluster_address_joins_without_num_cpus(monkeypatch):
     assert calls["address"] == "127.0.0.1:6400"
     # the cluster defines its own resource pool
     assert "num_cpus" not in calls
+
+
+def _parsed_num_cpus(cli, argv):
+    """The ``--num-cpus`` a CLI passes to ``init_driver`` when the flag
+    is not given (the CLI stops there)."""
+    import pytest
+
+    from ton_etl_ray.cdc import _driver
+
+    seen = []
+
+    def stop(num_cpus):
+        seen.append(num_cpus)
+        raise SystemExit(0)
+
+    with mock.patch.object(_driver, "init_driver", side_effect=stop), pytest.raises(SystemExit):
+        cli.main(argv)
+    return seen[0]
+
+
+def test_cli_num_cpus_default(monkeypatch, tmp_path):
+    """Both CLIs default ``--num-cpus`` to ``RAY_GRAFT_CPUS`` if set,
+    else the CPUs of the process's affinity mask, not a fixed 8."""
+    import os
+
+    from ton_etl_ray.cdc import run_maintain, run_replay
+
+    clis = [(run_replay, ["--changes", str(tmp_path), "--lake", str(tmp_path)]),
+            (run_maintain, ["--lake", str(tmp_path), "--compact"])]
+    monkeypatch.delenv("RAY_GRAFT_CPUS", raising=False)
+    for cli, argv in clis:
+        assert _parsed_num_cpus(cli, argv) == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("RAY_GRAFT_CPUS", "3")
+    for cli, argv in clis:
+        assert _parsed_num_cpus(cli, argv) == 3

@@ -14,7 +14,6 @@ import pytest
 from ton_etl_ray.cdc import delta, sink
 from ton_etl_ray.cdc.compact import compact_lake
 from ton_etl_ray.cdc.replay import Layout, epoch_diff, final_state_table, replay
-from ton_etl_ray.cdc.replay_late import replay_late
 from ton_etl_ray.gen import write_change_log
 from ton_etl_ray.ops import _util
 
@@ -92,7 +91,7 @@ def test_block_bytes_zero_gives_one_file_per_bucket(tmp_path, exchange_plan):
 
 def test_files_split_past_twice_the_target(tmp_path, monkeypatch):
     """A range whose encoding passes twice the file size splits into
-    contiguous bucket sub-ranges; replay, late replay and compaction
+    contiguous bucket sub-ranges; replay, a second replay and compaction
     onto split files still give the rank-1 state, and every file holds
     only its own buckets, doc_id-ascending."""
     monkeypatch.setattr(_util, "BLOCK_BYTES", 1 << 20)  # 16 KiB files
@@ -104,7 +103,7 @@ def test_files_split_past_twice_the_target(tmp_path, monkeypatch):
     assert len(sizes) > 2 and max(sizes) < 3 * _util.file_bytes()
     assert any(hi - lo > 1 for lo, hi, ent in sink.ranges(c0) if ent["path"])
     _files_hold_their_buckets(lake, c0)
-    replay_late(files[2:3], lake)
+    replay(files[2:3], lake)
     compact_lake(lake, num_partitions=24)
     replay(files[3:], lake)
     for e in (1, 2, 3):

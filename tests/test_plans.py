@@ -1,5 +1,5 @@
 """The two commit plans. Below one read block of input
-(``ops._util.BLOCK_BYTES``) replay, replay_late, the watcher,
+(``ops._util.BLOCK_BYTES``) replay, the watcher,
 compaction, the views, ``epoch_diff`` and the changefeed run in-process
 (``local``); above it they run a Ray Data plan (``exchange``). The
 oracle tests elsewhere use small inputs, so they run the local plan;
@@ -19,12 +19,12 @@ import test_replay
 import test_replay_late
 import test_streaming
 import test_time_travel
+from conftest import narrow_exchange
 
 from ton_etl_ray.cdc import sink
 from ton_etl_ray.cdc.changefeed import FeedFollower
 from ton_etl_ray.cdc.compact import compact_lake
 from ton_etl_ray.cdc.replay import final_state_table, replay
-from ton_etl_ray.cdc.replay_late import replay_late
 from ton_etl_ray.cdc.streaming import DirectoryWatcher
 from ton_etl_ray.gen import write_change_log
 from ton_etl_ray.ops.tokens import (
@@ -46,7 +46,7 @@ ORACLE_TESTS = {
     "ivm_reshard": lambda p: test_ivm.test_reshard_breaks_alignment(p, None),
     "late": test_replay_late.test_late_equals_eager_and_oracle,
     "late_on_eager": test_replay_late.test_late_incremental_on_eager_lake,
-    "late_resume": lambda p: test_replay_late.test_late_resume_after_partial_commit(p, None),
+    "late_resume": test_replay_late.test_late_resume_after_partial_commit,
     "late_bloom": test_replay_late.test_bloom_filter_mode_equals_exact,
     "late_manifests": test_replay_late.test_late_epoch_commits_real_manifests,
     "epoch_diff": lambda p: test_time_travel.test_epoch_diff_classifies_all_three(None, p),
@@ -69,18 +69,20 @@ def test_oracle_under_exchange_plan(name, tmp_path, exchange_plan):
 
 
 def _writers(tmp_path):
-    """Commit epoch 0 by replay (width 8), epoch 1 by replay_late,
-    epoch 2 by a compaction that re-shards to 5 and epoch 3 by the
-    watcher, which publishes the feed of every epoch (a snapshot, then
-    changefeeds, one across the re-shard); a follower applies the
-    snapshot to a replica. Then refresh the budget view and the token
+    """Commit epoch 0 by replay (width 8), epoch 1 by replay with the
+    object store stubbed to nothing (the narrow exchange under the
+    exchange plan; the local plan has no choice to make), epoch 2 by a
+    compaction that re-shards to 5 and epoch 3 by the watcher, which
+    publishes the feed of every epoch (a snapshot, then changefeeds, one
+    across the re-shard); a follower applies the snapshot to a replica. Then refresh the budget view and the token
     histogram across the re-shard. Returns the lake and the plan each
     epoch's writer reported, then the replica's."""
     chg, lake, watch = (str(tmp_path / d) for d in ("chg", "lake", "watch"))
     write_change_log(chg, num_events=4000, num_keys=300, seed=81, num_shards=4, max_tok=8)
     files = sorted(glob.glob(os.path.join(chg, "*.parquet")))
     res = replay(files[:1], lake, num_partitions=8)
-    late = replay_late(files[1:2], lake)
+    with narrow_exchange():
+        late = replay(files[1:2], lake)
     compact = compact_lake(lake, num_partitions=5)
     os.makedirs(watch)
     for f in files[2:]:
@@ -101,11 +103,11 @@ def _writers(tmp_path):
 
 
 def test_small_inputs_start_no_ray_data_execution(tmp_path, monkeypatch):
-    """A small replay, replay_late, re-shard compaction, watcher epoch
-    with its feeds, follower step, and both views' base, refresh across
-    the re-shard and recompute never start a Ray Data execution nor put
-    an object into the object store (late's winning-lsn filter is
-    passed directly), and record it."""
+    """Small replays (one with the object store stubbed to nothing), a
+    re-shard compaction, a watcher epoch with its feeds, a follower
+    step, and both views' base, refresh across the re-shard and
+    recompute never start a Ray Data execution nor put an object into
+    the object store, and record it."""
     import ray
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
@@ -117,12 +119,16 @@ def test_small_inputs_start_no_ray_data_execution(tmp_path, monkeypatch):
     lake, plans = _writers(tmp_path)
     assert plans == ["local"] * 5
     assert [sink.read_commit(lake, e)["plan"] for e in range(4)] == plans[:4]
+    assert "strategy" not in sink.read_commit(lake, 1)
 
 
 def test_forced_exchange_records_plan(tmp_path, exchange_plan):
     lake, plans = _writers(tmp_path)
     assert plans == ["exchange"] * 5
     assert [sink.read_commit(lake, e)["plan"] for e in range(4)] == plans[:4]
+    # both exchanges: epoch 1 ran the narrow one, the rest the payload one
+    assert [sink.read_commit(lake, e).get("strategy") for e in range(4)] == [
+        None, "late_materialization", None, None]
 
 
 def test_writer_plan_lives_in_partition_apply():
@@ -131,13 +137,15 @@ def test_writer_plan_lives_in_partition_apply():
     ``replay.partition_apply``: no other function of the writer modules
     calls ``local_plan``, ``map_groups`` or ``read_parquet`` — except
     the committed-lake reader ``read_lake``, which reads a lake and
-    writes nothing."""
+    writes nothing, and ``_apply_changes``, which asks ``local_plan``
+    only to skip its exchange-shape estimate below one read block."""
     pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "ton_etl_ray", "cdc")
-    allowed = {"local_plan": {"partition_apply"}, "map_groups": {"partition_apply"},
+    allowed = {"local_plan": {"partition_apply", "_apply_changes"},
+               "map_groups": {"partition_apply"},
                "read_parquet": {"partition_apply", "read_lake"}}
     offenders, found = [], set()
-    for name in ("replay.py", "replay_late.py", "compact.py"):
+    for name in ("replay.py", "compact.py"):
         with open(os.path.join(pkg, name)) as f:
             tree = ast.parse(f.read())
         for top in tree.body:

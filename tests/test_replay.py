@@ -240,22 +240,27 @@ def test_resume_after_partial_run_zipf(tmp_path, bucket_files):
         assert v["hashes_verified"] == v["partitions_checked"] > 0
 
 
-def test_coalesced_shuffle_matches_oracle(tmp_path, ray_session, exchange_plan):
-    """replay(coalesce_shuffle_blocks=…) must produce the identical
-    final state — the repartition only changes block boundaries, never
-    rows (the single-node escape hatch for high-block-count logs)."""
+def test_coalesced_shuffle_matches_oracle(tmp_path, ray_session, exchange_plan, monkeypatch):
+    """A coalesced payload exchange (``_auto_coalesce_target`` asking
+    for 4 blocks) must produce the identical final state — the
+    repartition only changes block boundaries, never rows (the
+    single-node fix for high-block-count logs)."""
     import duckdb
     import glob as _glob
 
+    from ton_etl_ray.cdc import replay as R
     from ton_etl_ray.cdc.replay import final_state_table, replay
     from ton_etl_ray.gen import write_change_log
 
+    routed = []
+    monkeypatch.setattr(R, "_auto_coalesce_target",
+                        lambda blocks, total: routed.append(blocks) or 4)
     chg = str(tmp_path / "chg")
     write_change_log(chg, num_events=40_000, num_keys=3_000, seed=23,
                      num_shards=16, max_tok=16)
     lake = str(tmp_path / "lake")
-    replay(chg, lake, num_partitions=32, override_num_blocks=16,
-           coalesce_shuffle_blocks=4)
+    replay(chg, lake, num_partitions=32, override_num_blocks=16)
+    assert routed == [16]
     got = final_state_table(lake).to_pandas()
     shards = sorted(_glob.glob(chg + "/*.parquet"))
     ora = duckdb.sql(
@@ -292,41 +297,9 @@ def test_auto_coalesce_routing():
     assert route(300, nodes_alive=1, cpus=64) == 128  # 2x cpus on big hosts
     # byte-dominated regime (the 10^9-event log): coalescing to 64 would
     # make ~1 GB blocks — the exchange is bandwidth-bound there, leave
-    # the block layout alone (replay_late is the documented tool)
+    # the block layout alone (the narrow exchange is the tool there)
     assert route(128, 5 << 30, nodes_alive=1, cpus=32) == 64   # 80M ≈ 5 GB ok
     assert route(1000, 64 << 30, nodes_alive=1, cpus=32) is None  # 1B ≈ 64 GB
-
-
-def test_auto_coalesce_zero_disables(tmp_path, ray_session, exchange_plan):
-    """coalesce_shuffle_blocks=0 must disable coalescing (no repartition
-    op in the plan) while None auto-routes; both produce the oracle
-    state on a small log (where auto is a no-op anyway)."""
-    import duckdb
-    import glob as _glob
-
-    from ton_etl_ray.cdc.replay import final_state_table, replay
-    from ton_etl_ray.gen import write_change_log
-
-    chg = str(tmp_path / "chg")
-    write_change_log(chg, num_events=20_000, num_keys=2_000, seed=29,
-                     num_shards=8, max_tok=16)
-    shards = sorted(_glob.glob(chg + "/*.parquet"))
-    ora = duckdb.sql(
-        f"""WITH ranked AS (SELECT *, row_number() OVER
-                (PARTITION BY doc_id ORDER BY lsn DESC) rk
-            FROM read_parquet({shards}, union_by_name=true))
-            SELECT doc_id, tokens, n_tok, source
-            FROM ranked WHERE rk = 1 AND op <> 'd'"""
-    ).df()
-    o = {r.doc_id: (list(r.tokens), r.n_tok, r.source) for r in ora.itertuples()}
-    for tag, kw in (("zero", {"coalesce_shuffle_blocks": 0}),
-                    ("auto", {})):
-        lake = str(tmp_path / f"lake_{tag}")
-        replay(chg, lake, num_partitions=16, **kw)
-        got = final_state_table(lake).to_pandas()
-        g = {r.doc_id: (list(r.tokens), r.n_tok, r.source)
-             for r in got.itertuples()}
-        assert g == o, tag
 
 
 def test_noop_epoch_keeps_lsn_watermark(tmp_path, ray_session):
@@ -409,9 +382,9 @@ def test_stale_redelivery_keeps_lsn_watermark(tmp_path, path, bucket_files):
 def test_replay_repins_epoch_when_raced_by_publisher(tmp_path, monkeypatch, lake_writer):
     """A concurrent publisher can commit a writer's pinned target epoch
     between latest_epoch() and the epoch lock; every writer (replay,
-    replay_late, ingest, compact_lake — they share sink.EpochTxn) must
-    RE-PIN under the lock instead of clear_staging-ing the committed
-    epoch's live data. Simulated by a one-call-stale latest_epoch."""
+    replay on its narrow exchange, ingest, compact_lake — they share
+    sink.EpochTxn) must RE-PIN under the lock instead of
+    clear_staging-ing the committed epoch's live data. Simulated by a one-call-stale latest_epoch."""
     from ton_etl_ray.cdc import sink as S
 
     chg = str(tmp_path / "chg")

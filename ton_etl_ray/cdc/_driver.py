@@ -11,6 +11,12 @@ import os
 import sys
 
 
+def default_cpus() -> int:
+    """The CLIs' ``--num-cpus`` default: ``RAY_GRAFT_CPUS`` if set, else
+    the CPUs this process may run on (its affinity mask)."""
+    return int(os.environ.get("RAY_GRAFT_CPUS") or len(os.sched_getaffinity(0)))
+
+
 def init_driver(num_cpus: int) -> None:
     sys.path.insert(
         0, os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))

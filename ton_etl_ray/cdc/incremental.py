@@ -6,7 +6,7 @@ lake epoch through the commit path of ``replay()``
 block of input plus touched state (``ops._util.BLOCK_BYTES``) the epoch
 runs in-process — ``Normalize`` per shard, group by reducer unit on the
 driver, ``commit_partition`` per run of adjacent touched units — and
-above it through the Ray Data exchange.
+above it through the Ray Data exchange ``replay()`` would pick.
 
 No state is kept between epochs: each epoch merges onto the committed
 head its ``EpochTxn`` pinned under the epoch lock. So an interleaved
@@ -69,17 +69,17 @@ class IncrementalIngestor:
                     f"partitions (this ingestor was built for {self.P}); restart the "
                     "ingestor to adopt the new layout"
                 )
-            written, state_schema, counters = _apply_changes(
+            written, state_schema, meta = _apply_changes(
                 files, self.lake_dir, txn, Layout(self.lake_dir, txn.prev_commit, self.P))
             # side outputs are derived BEFORE publish: their files exist on
             # disk but stay invisible until the commit lands with their paths
             derived = derive(files, txn.epoch) if derive is not None else {}
             commit = txn.publish(
-                written, state_schema, num_partitions=self.P, plan=counters["plan"],
+                written, state_schema, num_partitions=self.P, **meta,
                 inputs=[os.path.basename(f) for f in files],
                 **({"derived": derived} if derived else {}),
             )
-            counters = epoch_counters(written, **counters)
+            counters = epoch_counters(written, meta["plan"])
             return {"epoch": txn.epoch, "rows_total": commit["rows_total"],
                     "max_lsn": commit["max_lsn"],
                     "partitions_written": txn.partitions_written,

@@ -26,10 +26,20 @@ state smaller than one ``BLOCK_BYTES`` read block) picks how::
   many buckets cut by the epoch's bytes (``Layout.cut``) — then the
   cut files' untouched sub-ranges, rewritten on the driver.
 
+The exchange plan of a change-applying epoch comes in two shapes,
+picked by ``_apply_changes`` from a sampled estimate of the payload
+shuffle against the session's object store:
+
+- payload (the common case): the one exchange above, full combined
+  rows through the shuffle;
+- narrow (late materialization, once the payload shuffle would pass
+  half the object store): decide each key's winning lsn on
+  ``doc_id, lsn, op`` alone, then fetch exactly one payload row per
+  winning key (``_apply_late``) — two ``partition_apply`` phases.
+
 Writers: ``replay`` (above), ``IncrementalIngestor.ingest`` (the
-watcher, through the same ``_apply_changes``), ``replay_late`` (two
-``partition_apply`` phases inside ``replay``'s epoch body) and
-``compact_lake`` (kernel re-tags committed rows, reducer writes them).
+watcher, through the same ``_apply_changes``) and ``compact_lake``
+(kernel re-tags committed rows, reducer writes them).
 
 Correctness contract (BASELINE.json north rule): final table equals the
 sequential oracle's rank-1 LWW compaction (reference
@@ -76,6 +86,7 @@ import ray.data as rd
 
 from ..core import merge as M
 from ..core import partition as P
+from ..core.bloom import BloomFilter
 from ..core.schema_evolution import conform, unify_schemas
 from ..ops._util import file_bytes, local_plan, read_blocks
 from ..schemas import VALID_OPS
@@ -107,16 +118,6 @@ def _discover(changes: str | list[str]) -> list[str]:
     if not files:
         raise FileNotFoundError(f"no change shards under {changes!r}")
     return files
-
-
-def _sample_row_groups(files: list[str], max_files: int = 8):
-    """First row group (doc_id column) of up to ``max_files`` evenly
-    spaced shards — the strategy router's shuffle-bytes sample
-    (cdc/strategy.py). Yields ``(ParquetFile, row_group_table)``."""
-    step = max(1, len(files) // max_files)
-    for f in files[::step][:max_files]:
-        pf = pq.ParquetFile(f)
-        yield pf, pf.read_row_group(0, columns=["doc_id"])
 
 
 class Normalize:
@@ -373,7 +374,7 @@ def partition_apply(
     *,
     columns: list[str] | None = None,
     num_blocks: int | None = None,
-    coalesce_blocks: int | None = 0,
+    coalesce: bool = False,
     absorb: bool = True,
 ) -> tuple[list[dict], str]:
     """The plan of every lake writer: ``kernel`` maps each read block of
@@ -395,15 +396,16 @@ def partition_apply(
       ``read_parquet`` per on-disk schema group with blocks
       proportional to its files (``num_blocks`` in all, default
       ``read_blocks`` of the bytes), ``map_batches(kernel)`` on whole
-      blocks, ``union``, an optional ``repartition``
-      (``coalesce_blocks``: ≤ 0 = none, None = ``_auto_coalesce_target``),
-      then ``groupby("part").map_groups(reducer)``, one call per unit;
+      blocks, ``union``, with ``coalesce`` a ``repartition`` where
+      ``_auto_coalesce_target`` asks for one, then
+      ``groupby("part").map_groups(reducer)``, one call per unit;
       then, on the driver, ``reducer(lo, hi, None, [file])`` once per
       untouched run of a cut file (``Layout.gaps``).
 
     The kernel and reducer ship to Ray Data inside its one-time put of
-    the stage, so a large read-only value they close over (late's
-    winning-lsn filter) is shared by reference, not copied per task."""
+    the stage, so a large read-only value they close over (the narrow
+    exchange's winning-lsn filter) is shared by reference, not copied
+    per task."""
     if not files:
         return [], "local"
     total = sum(os.path.getsize(f) for f in files)
@@ -436,10 +438,9 @@ def partition_apply(
              .map_batches(partial(_tagged, kernel, layout), batch_size=None,
                           batch_format="pyarrow"))
         ds = g if ds is None else ds.union(g)
-    if coalesce_blocks is None:
-        coalesce_blocks = _auto_coalesce_target(read_total, total)
-    if coalesce_blocks and coalesce_blocks > 0:
-        ds = ds.repartition(coalesce_blocks)
+    target = _auto_coalesce_target(read_total, total) if coalesce else None
+    if target:
+        ds = ds.repartition(target)
 
     def reduce(group: pa.Table) -> pa.Table:
         lo = int(group["part"][0].as_py())
@@ -498,7 +499,8 @@ def _auto_coalesce_target(
       the upper bound on the post-compaction stream): that is the
       10^9-event regime where the job is object-store/disk-bandwidth
       bound, the exchange is byte- not block-dominated, and the right
-      tool is ``replay_late`` (r4 profiling), not giant blocks.
+      tool is the narrow exchange (``_apply_changes`` picks it once the
+      payload shuffle outgrows the object store), not giant blocks.
 
     ``nodes_alive``/``cpus`` are injectable for tests."""
     import ray as _ray
@@ -527,7 +529,6 @@ def replay(
     only_parts: frozenset[int] | None = None,
     override_num_blocks: int | None = None,
     excluded_doc_ids: frozenset[str] | None = None,
-    coalesce_shuffle_blocks: int | None = None,
 ) -> ReplayResult:
     """Apply a change log to the lake as one new epoch (exactly-once).
 
@@ -539,44 +540,14 @@ def replay(
     reducer units that hold those buckets and do NOT publish (simulates
     a mid-replay crash deterministically).
 
-    ``coalesce_shuffle_blocks``: insert a streaming ``repartition(n)``
-    between the map-side combine and the partition exchange. The sort
-    exchange costs O(map_blocks × reduce_blocks) object transfers, which
-    on ONE raylet dominates once read parallelism is high while the
-    post-compaction stream is small (profiled on an 80M-event log:
-    256-block exchange 34 s of sort wall against ~1 s of reduce CPU;
-    coalescing to 64 nearly halved the replay). Default None =
-    AUTO-ROUTED by ``_auto_coalesce_target``: multi-node clusters never
-    coalesce (the exchange spreads across raylets and data-sized blocks
-    are correct); a single node coalesces to ``max(64, 2×cpus)`` once
-    read parallelism reaches the profiled one-raylet breakpoint (96
-    blocks). Pass an explicit block count to override, or ``0`` to
-    disable coalescing entirely (``replay_late`` bounds exchange bytes
-    instead).
-
     Plan (``partition_apply``): an epoch that processes less than one
     read block (``ops._util.BLOCK_BYTES``) — change files plus the
     committed state of the units they touch — commits in-process
-    (``local``) and ignores ``override_num_blocks`` and
-    ``coalesce_shuffle_blocks``; those two shape only the Ray Data
-    exchange that runs above that size. ``counters`` holds ``rows_in``,
+    (``local``) and ignores ``override_num_blocks``, which shapes only
+    the Ray Data exchange that runs above that size; ``_apply_changes``
+    picks that exchange's shape. ``counters`` holds ``rows_in``,
     ``tombstones`` and the ``plan`` that ran.
     """
-    return _replay_epoch(
-        changes, lake_dir, num_partitions, resume, only_parts,
-        partial(_apply_changes, excluded_doc_ids=excluded_doc_ids,
-                override_num_blocks=override_num_blocks,
-                coalesce_shuffle_blocks=coalesce_shuffle_blocks))
-
-
-def _replay_epoch(changes: str | list[str], lake_dir: str, num_partitions: int,
-                  resume: bool, only_parts: frozenset[int] | None, apply,
-                  **meta) -> ReplayResult:
-    """The epoch body of ``replay`` and ``replay_late``: pin the head,
-    run phase 1 — ``apply(files, lake_dir, txn, layout,
-    skip_parts=..., only_parts=...)`` returning the written manifests by
-    first bucket, the state schema and the plan that ran — then publish
-    (or, with ``only_parts``, only build) the commit with ``meta``."""
     from .._pickle import ensure_portable
 
     ensure_portable()
@@ -591,14 +562,15 @@ def _replay_epoch(changes: str | list[str], lake_dir: str, num_partitions: int,
         # always hashes to the same bucket, so it already holds every
         # row of this log routed to its buckets
         committed = _staged_units(lake_dir, txn.epoch, layout) if resume else []
-        manifests, state_schema, counters = apply(
+        manifests, state_schema, meta = _apply_changes(
             files, lake_dir, txn, layout,
             skip_parts=frozenset(b for m in committed for b in range(m["part"], m["hi"])),
-            only_parts=None if only_parts is None else layout.expand(only_parts))
+            only_parts=None if only_parts is None else layout.expand(only_parts),
+            excluded_doc_ids=excluded_doc_ids, override_num_blocks=override_num_blocks)
         manifests.update((m["part"], m) for m in committed)
 
-        meta.update(num_partitions=num_partitions, plan=counters["plan"],
-                    inputs=[os.path.basename(f) for f in files])
+        meta = {"num_partitions": num_partitions, **meta,
+                "inputs": [os.path.basename(f) for f in files]}
         published = only_parts is None
         commit = (txn.publish(manifests, state_schema, **meta) if published
                   else txn.build(manifests, **meta))
@@ -611,7 +583,7 @@ def _replay_epoch(changes: str | list[str], lake_dir: str, num_partitions: int,
             max_lsn=commit["max_lsn"],
             partitions_written=txn.partitions_written,
             partitions_inherited=txn.partitions_inherited,
-            counters=epoch_counters(manifests, **counters),
+            counters=epoch_counters(manifests, meta["plan"]),
         )
 
 
@@ -629,13 +601,13 @@ def _staged_units(lake_dir: str, epoch: int, layout: Layout) -> list[dict]:
     return out
 
 
-def epoch_counters(manifests: dict[int, dict], **extra) -> dict:
+def epoch_counters(manifests: dict[int, dict], plan: str) -> dict:
     """The counters every change-applying epoch reports: change rows
     that reached a partition merge (``rows_in``), tombstones among them,
-    then ``extra`` (``plan``; late adds ``winning_keys``)."""
+    and the ``plan`` that ran."""
     return {"rows_in": sum(m["rows_in"] for m in manifests.values()),
             "tombstones": sum(m["tombstones"] for m in manifests.values()),
-            **extra}
+            "plan": plan}
 
 
 def _apply_changes(
@@ -648,20 +620,164 @@ def _apply_changes(
     only_parts: frozenset[int] | None = None,
     excluded_doc_ids: frozenset[str] | None = None,
     override_num_blocks: int | None = None,
-    coalesce_shuffle_blocks: int | None = None,
 ) -> tuple[dict[int, dict], pa.Schema, dict]:
     """Phase 1 of a change-applying epoch: ``Normalize`` the change
     files and ``commit_partition`` every unit of ``layout`` they touch,
     onto ``txn``'s committed head. ``skip_parts`` and ``only_parts``
     hold whole units. Returns the written manifests by first bucket,
-    the state schema and ``{"plan": ...}``."""
+    the state schema and the commit keys of what ran: ``plan``, and
+    ``strategy: "late_materialization"`` after the narrow exchange.
+
+    Change files above one read block pick the exchange's shape: the
+    narrow one (``_apply_late``) when the sampled payload shuffle
+    (``_estimate_shuffle_bytes``) exceeds half the session's object
+    store — past that the payload exchange spills and, at 10^9 events,
+    runs out of disk — and the payload one otherwise, which is faster
+    while it fits (no second read of the log)."""
     unified, state_schema = _change_schema(files, txn.prev_commit)
-    written, plan = partition_apply(
-        files, Normalize(unified, layout.P, skip_parts, only_parts, excluded_doc_ids),
-        partial(commit_partition, lake_dir, txn.epoch, layout.P, file_bytes()), layout,
-        num_blocks=override_num_blocks, coalesce_blocks=coalesce_shuffle_blocks,
-        absorb=not skip_parts and only_parts is None)
-    return {m["part"]: m for m in written}, state_schema, {"plan": plan}
+    absorb = not skip_parts and only_parts is None
+
+    def norm(schema: pa.Schema) -> Normalize:
+        return Normalize(schema, layout.P, skip_parts, only_parts, excluded_doc_ids)
+
+    reducer = partial(commit_partition, lake_dir, txn.epoch, layout.P, file_bytes())
+    total = sum(os.path.getsize(f) for f in files)
+    if not local_plan(total) and _estimate_shuffle_bytes(
+            files, override_num_blocks or read_blocks(total)) > _object_store_bytes() // 2:
+        written = _apply_late(files, norm, unified, reducer, layout, override_num_blocks, absorb)
+        meta = {"plan": "exchange", "strategy": "late_materialization"}
+    else:
+        written, plan = partition_apply(files, norm(unified), reducer, layout,
+                                        num_blocks=override_num_blocks, coalesce=True,
+                                        absorb=absorb)
+        meta = {"plan": plan}
+    return {m["part"]: m for m in written}, state_schema, meta
+
+
+def _object_store_bytes() -> int:
+    """The running session's object store capacity, 2 GiB without one."""
+    import ray
+
+    if ray.is_initialized():
+        return int(ray.cluster_resources().get("object_store_memory", 2 << 30))
+    return 2 << 30
+
+
+def _sample_row_groups(files: list[str], max_files: int = 8):
+    """First row group (doc_id column) of up to ``max_files`` evenly
+    spaced shards, skipping a shard without one. Yields
+    ``(ParquetFile, row_group_table)``."""
+    step = max(1, len(files) // max_files)
+    for f in files[::step][:max_files]:
+        pf = pq.ParquetFile(f)
+        if pf.num_row_groups:
+            yield pf, pf.read_row_group(0, columns=["doc_id"])
+
+
+def _estimate_shuffle_bytes(files: list[str], num_blocks: int) -> int:
+    """Predicted payload-exchange bytes: blocks × unique keys per block ×
+    bytes per row, extrapolated from sampled row groups. Measured
+    crossover (BASELINE.md): the payload exchange wins while this fits
+    the object store (8.9M ev/s at 2×10^8 events / 1M keys); past it
+    the shuffle spills and at 10^9 events / 5M keys dies with
+    OutOfDiskError, where the narrow exchange completes."""
+    sampled_rows = 0
+    sampled_bytes = 0
+    distinct_ratio = 0.0
+    n_samples = 0
+    for pf, rg in _sample_row_groups(files):
+        n = rg.num_rows
+        if n == 0:
+            continue
+        distinct_ratio += len(rg.column("doc_id").unique()) / n
+        sampled_bytes += pf.metadata.row_group(0).total_byte_size
+        sampled_rows += n
+        n_samples += 1
+    if not n_samples:
+        return 0
+    distinct_ratio /= n_samples
+    bytes_per_row = sampled_bytes / sampled_rows * 1.6  # arrow expansion fudge
+    total_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    rows_per_block = total_rows / max(1, num_blocks)
+    # the row-group-level distinct ratio is a LOWER bound for smaller
+    # blocks (distinct fraction grows as n shrinks), and the sort holds
+    # map outputs + reduce inputs concurrently — apply a 2x safety
+    # factor, calibrated against the empirical 10^9-event run (est
+    # 13 GiB raw vs ~37 GB actual spill)
+    return int(2.0 * num_blocks * distinct_ratio * rows_per_block * bytes_per_row)
+
+
+#: the narrow exchange's decide phase reads only these columns
+NARROW = ["doc_id", "lsn", "op"]
+
+#: winning keys past which the narrow exchange filters the fetch by a
+#: Bloom filter (~2 GB per 10^9 keys, fp ~4e-4) instead of the exact
+#: sorted lsn array (8 GB per 10^9)
+BLOOM_WINNERS = 50_000_000
+
+
+def _apply_late(files: list[str], norm: Callable[[pa.Schema], Normalize],
+                unified: pa.Schema, reducer, layout: Layout,
+                num_blocks: int | None, absorb: bool) -> list[dict]:
+    """The narrow exchange (late materialization), two
+    ``partition_apply`` exchanges over the same change files; returns
+    the written manifests.
+
+    Decide: read ONLY ``NARROW`` — parquet column pruning means token
+    payloads are never decoded — ``norm`` them (the per-block combine),
+    group ~30 B rows by unit, and keep each key's log winner only if it
+    beats the lsn of the key's committed row (``_decide``). The winning
+    lsns come back to the driver as packed int64 bytes.
+
+    Fetch: read the shards with payloads, keep only winning lsns (lsn
+    is globally unique → a sorted int64 array + searchsorted, or past
+    ``BLOOM_WINNERS`` a Bloom filter), ``norm`` what is left — exactly
+    ONE payload row per changed key — and ``reducer`` it onto the
+    unit's committed state. A unit with no winner is not rewritten.
+    The Bloom filter is safe because tombstone winners are always in
+    the fetch set: a false-positive stale row meets its key's true
+    winner (or its committed row) in the LWW merge and loses."""
+    wins, _ = partition_apply(files, norm(pa.schema([unified.field(c) for c in NARROW])),
+                              _decide, layout, columns=NARROW, num_blocks=num_blocks,
+                              absorb=absorb)
+    win = np.sort(np.frombuffer(b"".join(w["lsns"] for w in wins), np.int64))
+    if not len(win):
+        return []
+    if len(win) > BLOOM_WINNERS:
+        bf = BloomFilter(len(win))
+        bf.add(win)
+        hit = bf.contains
+    else:
+        hit = partial(_in_sorted, win)
+    full = norm(unified)
+
+    def fetch(batch: pa.Table) -> pa.Table:
+        return full(batch.filter(pa.array(hit(batch["lsn"].to_numpy(zero_copy_only=False)))))
+
+    written, _ = partition_apply(files, fetch, reducer, layout, num_blocks=num_blocks,
+                                 absorb=absorb)
+    return written
+
+
+def _decide(lo: int, hi: int, rows: pa.Table | None, state_paths: list[str]) -> list[dict]:
+    """The decide phase's reducer: the lsns of the units' log winners
+    (all ops: a tombstone winner must be fetched too) that beat the
+    committed row of their key, packed as int64 bytes; none for an
+    untouched run of a cut file (``rows`` None)."""
+    if rows is None:
+        return []
+    wins = M.combine(rows)
+    if state_paths:
+        st = pa.concat_tables([sink.read_file(f, ["doc_id", "lsn"]) for f in state_paths])
+        wins = wins.join(st.rename_columns(["doc_id", "state_lsn"]), "doc_id")
+        wins = wins.filter(pc.fill_null(pc.greater(wins["lsn"], wins["state_lsn"]), True))
+    return [{"lsns": wins["lsn"].to_numpy().astype(np.int64).tobytes()}]
+
+
+def _in_sorted(win: np.ndarray, lsn: np.ndarray) -> np.ndarray:
+    """Membership of ``lsn`` in the sorted, non-empty ``win``."""
+    idx = np.minimum(np.searchsorted(win, lsn), len(win) - 1)
+    return win[idx] == lsn
 
 
 def _schema_groups(files: list[str]) -> list[tuple[pa.Schema, list[str]]]:

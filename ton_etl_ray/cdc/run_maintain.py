@@ -55,6 +55,8 @@ def _atomic_feed_export(out_dir: str, emit) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from ._driver import default_cpus, init_driver
+
     ap = argparse.ArgumentParser()
     ap.add_argument("--lake", required=True)
     ap.add_argument("--compact", action="store_true",
@@ -79,8 +81,7 @@ def main(argv: list[str] | None = None) -> int:
                          "re-seeding the new head as a snapshot")
     ap.add_argument("--feed-root", default=None, metavar="DIR",
                     help="published feed chain directory for --prune-feeds")
-    ap.add_argument("--num-cpus", type=int,
-                    default=int(os.environ.get("RAY_GRAFT_CPUS", "8")))
+    ap.add_argument("--num-cpus", type=int, default=default_cpus())
     args = ap.parse_args(argv)
     if args.partitions is not None and not args.compact:
         ap.error("--partitions only applies together with --compact")
@@ -97,8 +98,6 @@ def main(argv: list[str] | None = None) -> int:
     if needs_ray:
         # gc/verify/stats are pure commit-manifest filesystem code — no
         # Ray session for metadata-only invocations
-        from ._driver import init_driver
-
         init_driver(args.num_cpus)
 
     import pyarrow.compute as pc

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 
 
 def main(argv: list[str] | None = None) -> int:
+    from ._driver import default_cpus, init_driver
+
     ap = argparse.ArgumentParser()
     ap.add_argument("--changes", required=True)
     ap.add_argument("--lake", required=True)
@@ -28,14 +29,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--gc-keep-epochs", type=int, default=0,
                     help=">0: GC superseded epochs after publish, keeping N")
     ap.add_argument("--stats", action="store_true", help="print lake_stats after run")
-    ap.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "8")))
-    ap.add_argument("--coalesce-shuffle-blocks", type=int, default=None,
-                    help="streaming repartition before the partition exchange; "
-                         "default auto-routes (single node + high block count "
-                         "coalesces to max(64, 2x cpus)); 0 disables")
+    ap.add_argument("--num-cpus", type=int, default=default_cpus())
     args = ap.parse_args(argv)
-
-    from ._driver import init_driver
 
     init_driver(args.num_cpus)
     import ray
@@ -53,7 +48,6 @@ def main(argv: list[str] | None = None) -> int:
         num_partitions=args.num_partitions,
         resume=args.resume,
         excluded_doc_ids=excluded,
-        coalesce_shuffle_blocks=args.coalesce_shuffle_blocks,
     )
     dt = time.perf_counter() - t0
     if args.gc_keep_epochs > 0:

@@ -18,11 +18,10 @@ deterministic content to the same path. Resume after a crash adopts
 every staged file that covers whole reducer units
 (``staged_manifests``) and skips its buckets.
 
-Every lake writer — ``replay``, ``replay_late``,
-``IncrementalIngestor.ingest`` and ``compact_lake`` — commits through
-ONE ``EpochTxn``, and this module is the only caller of the protocol's
-primitives (``acquire_epoch_lock``, ``clear_staging``,
-``publish_epoch``, ``release_epoch_lock``). The transaction owns:
+Every lake writer — ``replay``, ``IncrementalIngestor.ingest`` and
+``compact_lake`` — commits through ONE ``EpochTxn``, and this module
+is the only caller of the protocol's primitives (``acquire_epoch_lock``,
+``clear_staging``, ``publish_epoch``, ``release_epoch_lock``). The transaction owns:
 
 - pinning the committed head under the epoch lock, re-pinning when a
   concurrent publisher committed the target epoch first;
@@ -36,15 +35,16 @@ primitives (``acquire_epoch_lock``, ``clear_staging``,
 Phase 1 of every writer is one plan, ``replay.partition_apply`` (a
 per-block kernel, group by reducer unit, a per-unit reducer that calls
 ``write_range``; in-process below ``ops._util.BLOCK_BYTES``, a Ray Data
-exchange above it): ``replay`` and ``ingest`` run it once,
-``replay_late`` twice (narrow winner decision, then payload fetch +
-``replay.commit_partition``), ``compact_lake`` once over the committed
-files. The writer keeps what is specific to it: its kernel and
-reducer, the bucket count and whether untouched files are inherited
-(compaction re-shards and rewrites everything), extra commit keys
-(late's ``strategy``, ingest's ``derived``), ingest's re-shard guard
-and pre-publish ``derive`` hook, and whether to publish at all
-(``replay(only_parts=...)`` leaves staging for ``resume``).
+exchange above it): ``replay`` and ``ingest`` run it once, or twice
+when their exchange is the narrow one (winner decision, then payload
+fetch + ``replay.commit_partition``), ``compact_lake`` once over the
+committed files. The writer keeps what is specific to it: its kernel
+and reducer, the bucket count and whether untouched files are
+inherited (compaction re-shards and rewrites everything), extra commit
+keys (the narrow exchange's ``strategy``, ingest's ``derived``),
+ingest's re-shard guard and pre-publish ``derive`` hook, and whether
+to publish at all (``replay(only_parts=...)`` leaves staging for
+``resume``).
 
 Layout. ``num_partitions`` P is the logical hash width: a key lives in
 bucket ``hash64(doc_id) % P``. A file holds the full state of every key

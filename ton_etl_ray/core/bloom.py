@@ -1,11 +1,11 @@
 """Vectorized Bloom filter over int64 keys (numpy bit array).
 
-Used by the late-materialization replay when the winning-lsn set grows
-past what a sorted array can reasonably broadcast (10^9+ live keys →
-8+ GB exact vs ~2 GB bloom at 16 bits/key, fp ≈ 4e-4). False positives
-only cost extra fetched rows that lose the LWW merge — provided
-tombstone winners are ALSO in the set (see replay_late) — so the filter
-is correctness-neutral by construction.
+Used by replay's narrow exchange when the winning-lsn set grows past
+what a sorted array can reasonably broadcast (10^9+ live keys → 8+ GB
+exact vs ~2 GB bloom at 16 bits/key, fp ≈ 4e-4). False positives only
+cost extra fetched rows that lose the LWW merge — provided tombstone
+winners are ALSO in the set (see ``replay._apply_late``) — so the
+filter is correctness-neutral by construction.
 """
 
 from __future__ import annotations

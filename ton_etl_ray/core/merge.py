@@ -17,9 +17,9 @@ Two kernels pick the winners. ``compact`` sorts on ``SORT_KEYS`` and
 returns them in ascending doc_id order: it is the reduce under
 ``merge_state``, whose output is the partition file order. ``combine``
 is the map-side combiner (``replay.Normalize`` on every read block,
-``replay_late``'s winner decision): it groups by a hash of the key
-instead of sorting, O(n), and keeps the winners in input order — its
-callers group or sort the rows again anyway. Both pick the same row per
+the narrow exchange's winner decision ``replay._decide``): it groups by
+a hash of the key instead of sorting, O(n), and keeps the winners in
+input order — its callers group or sort the rows again anyway. Both pick the same row per
 key. A sort pays at a partition merge of a few hundred rows; hash
 grouping pays on a read block of tens of thousands where few rows win.
 

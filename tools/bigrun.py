@@ -1,12 +1,13 @@
 """10^9-event single-node demonstration of the CDC engine.
 
 Generates a 1B-event change log (5M keys, zipf-skewed, heavy-update
-profile) in parallel with Ray tasks, replays it with the
-late-materialization strategy (narrow shuffle fits the object store —
-the eager payload shuffle would spill ~30+ GB at this scale), and
-verifies a key sample against a DuckDB oracle over the narrow columns.
+profile) in parallel with Ray tasks, replays it with ``replay()`` —
+which picks the narrow exchange at this scale (the payload shuffle
+would spill ~30+ GB) — and verifies a key sample against a DuckDB
+oracle over the narrow columns. The printed ``strategy`` is the one the
+commit records.
 
-Usage: python tools/bigrun.py [num_events] [--eager]
+Usage: python tools/bigrun.py [num_events]
 Results are appended to BASELINE.md by hand (see round notes).
 """
 
@@ -22,7 +23,7 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
 
-NUM_EVENTS = int(float(sys.argv[1])) if len(sys.argv) > 1 and not sys.argv[1].startswith("-") else 1_000_000_000
+NUM_EVENTS = int(float(sys.argv[1])) if len(sys.argv) > 1 else 1_000_000_000
 NUM_KEYS = max(1_000_000, NUM_EVENTS // 200)
 NUM_SHARDS = 256
 MAX_TOK = 16
@@ -119,17 +120,12 @@ def main() -> int:
     size = sum(os.path.getsize(f) for f in glob.glob(os.path.join(CHG, "*.parquet")))
     print(f"generated: {gen_sec:.0f}s, {size / (1 << 30):.1f} GiB, {NUM_SHARDS} shards", flush=True)
 
+    from ton_etl_ray.cdc import sink
+    from ton_etl_ray.cdc.replay import read_lake, replay
+
     shutil.rmtree(LAKE, ignore_errors=True)
     t0 = time.time()
-    if "--eager" in sys.argv:
-        from ton_etl_ray.cdc.replay import replay
-
-        res = replay(CHG, LAKE, num_partitions=1024)
-    else:
-        from ton_etl_ray.cdc.replay_late import replay_late
-
-        res = replay_late(CHG, LAKE, num_partitions=1024,
-                          lsn_filter="bloom" if "--bloom" in sys.argv else "auto")
+    res = replay(CHG, LAKE, num_partitions=1024)
     dt = time.time() - t0
     out = {
         "events": NUM_EVENTS,
@@ -138,8 +134,7 @@ def main() -> int:
         "replay_sec": round(dt, 1),
         "events_per_sec": round(NUM_EVENTS / dt),
         "lake_rows": res.rows_total,
-        "strategy": "eager" if "--eager" in sys.argv else
-                    ("late+bloom" if "--bloom" in sys.argv else "late"),
+        "strategy": sink.read_commit(LAKE, res.epoch).get("strategy", "payload"),
         "loadavg_1m": os.getloadavg()[0],
     }
     print(json.dumps(out), flush=True)
@@ -160,8 +155,6 @@ def main() -> int:
         SELECT doc_id, lsn, op FROM last
         """
     ).df()
-    from ton_etl_ray.cdc.replay import read_lake
-
     lake_rows = {}
     ds = read_lake(LAKE).map_batches(
         lambda t: t.select(["doc_id", "lsn"]), batch_format="pyarrow"
