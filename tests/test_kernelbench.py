@@ -10,8 +10,8 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 STAGES = {"conform", "compact", "combine", "assign", "merge_state", "encode_policy",
-          "encode_default", "write", "read_policy", "read_default", "read_hit",
-          "view_delta", "view_full"}
+          "encode_plain", "encode_default", "write", "read_policy", "read_plain",
+          "read_default", "read_hit", "view_delta", "view_full"}
 
 
 def test_kernelbench_runs_tiny():
@@ -29,9 +29,15 @@ def test_kernelbench_runs_tiny():
         # lsn is unique in every partition, so the policy drops its
         # dictionary page and writes fewer bytes
         assert 0 < shape["bytes_policy"] < shape["bytes_default"]
+        assert shape["bytes_policy"] <= 1.005 * shape["bytes_plain"]
         for q in shape["cpu_ms"].values():
             assert q["q1"] <= q["p50"] <= q["q3"]
     assert set(res["large"]["300"]) == {"uniform", "zipf"}
+    # bit-packing is chosen only where it pays: never more than 0.5 %
+    # above the same file with every leaf zstd, whatever the token law
+    for point in res["large"]["300"].values():
+        assert 0 < point["bytes_policy"] <= 1.005 * point["bytes_plain"]
+        assert {f"encode_{m}" for m in ("policy", "plain", "default")} == set(point["cpu_ms"])
     # the files sweep: rows over 1, 2, …, 128 files, bytes and CPU each
     files = res["files"]
     points = [files["points"][k] for k in sorted(files["points"], key=int)]

@@ -532,7 +532,7 @@ def test_dense_tokens_keep_their_dictionary(tmp_path):
         "tokens": pa.array([[(i * 7 + j) % 100 for j in range(5)] for i in range(n)],
                            pa.list_(pa.int32())),
     })
-    assert sink.dictionary_columns(t) == ["tokens.list.element"]
+    assert sink.encode_options(t)["use_dictionary"] == ["tokens.list.element"]
     path = str(tmp_path / "dense.parquet")
     assert sink.atomic_write_table(path, t) == os.path.getsize(path)
     enc = _encodings(path)
@@ -576,12 +576,179 @@ def test_encoding_policy_round_trips_exactly(tmp_path):
         assert sink.atomic_write_table(path, t) == os.path.getsize(path)
         got = sink.read_file(path)
         assert got.schema == t.schema and got.equals(t), name
-    assert sink.dictionary_columns(cases["empty"]) is True
-    assert sink.dictionary_columns(cases["all_null"]) is True
-    assert sink.dictionary_columns(cases["nested"]) == ["st.b", "m.key_value.key"]
+    assert sink.encode_options(cases["empty"])["use_dictionary"] is True
+    assert sink.encode_options(cases["all_null"])["use_dictionary"] is True
+    assert sink.encode_options(cases["nested"])["use_dictionary"] == ["st.b", "m.key_value.key"]
     assert "RLE_DICTIONARY" not in _encodings(str(tmp_path / "int64_ends.parquet"))["a"]
     assert "RLE_DICTIONARY" not in _encodings(str(tmp_path / "uint64.parquet"))["u"]
     assert "RLE_DICTIONARY" not in _encodings(str(tmp_path / "large_list.parquet"))["t.list.element"]
+
+
+def _digest(con, source, params=()):
+    """DuckDB's ``count(*)`` and ``sum(hash(...))`` of every column of
+    ``source`` (a registered table or a ``read_parquet`` call)."""
+    cols = [d[0] for d in con.execute(f"DESCRIBE SELECT * FROM {source}", params).fetchall()]
+    return con.execute(f"SELECT count(*), sum(hash({', '.join(cols)})) FROM {source}",
+                       params).fetchone()
+
+
+def _packed(path):
+    """The leaves of a file written DELTA_BINARY_PACKED."""
+    return {c for c, enc in _encodings(path).items() if "DELTA_BINARY_PACKED" in enc}
+
+
+def test_duckdb_reads_the_packed_lake(tmp_path):
+    """A replayed lake whose ``lsn`` and token-id leaves come out
+    bit-packed (DELTA_BINARY_PACKED, no zstd) reads back through
+    DuckDB's ``read_parquet`` — the oracles' and lakebench's reader —
+    with the same row digest as ``final_state_table``."""
+    import pyarrow.parquet as pq
+
+    chg = str(tmp_path / "chg")
+    write_change_log(chg, num_events=6000, num_keys=1500, seed=47, num_shards=2, max_tok=16)
+    lake = str(tmp_path / "lake")
+    replay(chg, lake, num_partitions=2)
+    files = sink.lake_files(lake)
+    for f in files:
+        assert {"lsn", "tokens.list.element"} <= _packed(f), _encodings(f)
+        md = pq.ParquetFile(f).metadata.row_group(0)
+        codecs = {md.column(i).path_in_schema: md.column(i).compression for i in range(md.num_columns)}
+        assert codecs["lsn"] == codecs["tokens.list.element"] == "UNCOMPRESSED"
+        assert codecs["doc_id"] == codecs["source"] == "ZSTD"
+    con = duckdb.connect()
+    con.register("state", final_state_table(lake))
+    want = _digest(con, "state")
+    assert want[0] > 256
+    assert _digest(con, "read_parquet(?)", [files]) == want
+
+
+def _packable_tables():
+    """Edge shapes of at least 256 values per leaf whose integer leaves
+    the policy packs: int64 min and max together among random 40-bit
+    values (the deltas wrap), uint64 above 2^63, nulls, and struct, map
+    and large_list leaves."""
+    import numpy as np
+    import pyarrow as pa
+
+    rng = np.random.default_rng(5)
+    n = 4096
+    walk = np.cumsum(rng.integers(0, 1000, n))
+    ends = rng.integers(0, 2**40, n)
+    ends[:2] = [-2**63, 2**63 - 1]
+    return {
+        "int64_ends": pa.table({"a": pa.array(ends, pa.int64())}),
+        "uint64": pa.table({"u": pa.array(walk.astype(np.uint64) + np.uint64(2**63 + 5))}),
+        "nulls": pa.table({"a": pa.array(walk.astype(np.int32), mask=np.arange(n) % 7 == 0)}),
+        "large_list": pa.table({"t": pa.LargeListArray.from_arrays(
+            pa.array(np.r_[np.arange(0, n, 3), n], pa.int64()), pa.array(walk, pa.int64()))}),
+        "nested": pa.table({
+            "st": pa.StructArray.from_arrays([pa.array(walk, pa.int64()), pa.array(["x"] * n)],
+                                             ["a", "b"]),
+            "m": pa.MapArray.from_arrays(pa.array(np.arange(n + 1, dtype=np.int32)),
+                                         pa.array(["k"] * n), pa.array(walk.astype(np.int32))),
+        }),
+    }
+
+
+def test_packed_leaves_round_trip_exactly(tmp_path):
+    """Every packed edge leaf (``_packable_tables``) reads back exactly
+    through pyarrow, and DuckDB's digest of the file equals its digest
+    of the table."""
+    want = {"int64_ends": {"a"}, "uint64": {"u"}, "nulls": {"a"},
+            "large_list": {"t.list.element"}, "nested": {"st.a", "m.key_value.value"}}
+    con = duckdb.connect()
+    for name, t in _packable_tables().items():
+        path = str(tmp_path / f"{name}.parquet")
+        assert sink.atomic_write_table(path, t) == os.path.getsize(path)
+        assert _packed(path) == want[name], (name, _encodings(path))
+        got = sink.read_file(path)
+        assert got.schema == t.schema and got.equals(t), name
+        con.register("t", t)
+        assert _digest(con, "read_parquet(?)", [path]) == _digest(con, "t"), name
+        con.unregister("t")
+
+
+def test_dbp_sizing_matches_arrow():
+    """The chooser's DELTA_BINARY_PACKED size is Arrow's page to within
+    the page header: int32 and int64 blocks (128 and 256 deltas), a
+    short last block, wrapping deltas at the int64 ends, uint64 above
+    2^63 and an int8 leaf."""
+    import io
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(11)
+    ends = rng.integers(0, 2**40, 700)
+    ends[[3, 4]] = [-2**63, 2**63 - 1]
+    cases = [pa.array(rng.integers(0, 50257, n), pa.int32()) for n in (1, 2, 33, 129, 2049)]
+    cases += [pa.array(ends, pa.int64()), pa.array(rng.integers(0, 2**62, 600), pa.int64()),
+              pa.array(np.arange(600, dtype=np.uint64) * 977 + np.uint64(2**63)),
+              pa.array(rng.integers(-128, 128, 600), pa.int8())]
+    for a in cases:
+        t = pa.table({"a": a}, schema=pa.schema([pa.field("a", a.type, nullable=False)]))
+        buf = io.BytesIO()
+        pq.write_table(t, buf, use_dictionary=False, compression="none", write_statistics=False,
+                       column_encoding={"a": "DELTA_BINARY_PACKED"})
+        page = pq.ParquetFile(buf).metadata.row_group(0).column(0).total_compressed_size
+        v = a.to_numpy().astype(np.int64 if a.type.bit_width == 64 else np.int32)
+        assert 0 < page - sink._dbp_bytes(v) <= 32, (a.type, len(a), page, sink._dbp_bytes(v))
+
+
+def _zipf_ids(rng, size, vocab=50257, s=1.1):
+    """Token ids from a zipf(s) law over a seeded permutation of the
+    vocabulary: skewed as BPE output is, the hottest ids not the
+    smallest."""
+    import numpy as np
+
+    cdf = np.cumsum(1.0 / np.arange(1, vocab + 1) ** s)
+    ranks = np.minimum(np.searchsorted(cdf / cdf[-1], rng.random(size)), vocab - 1)
+    return np.random.default_rng(vocab).permutation(vocab)[ranks]
+
+
+def test_packing_follows_the_data(tmp_path):
+    """Bit-packing is chosen per leaf from the data. Zipf-skewed token
+    ids compress better under zstd: they stay plain, and the file is no
+    larger than with every leaf zstd. Uniform ids pack. A wide leaf of
+    255 values (one below the floor; 256 of the same ids pack), an
+    all-null leaf and a dictionary leaf never pack."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(20)
+    rows = 2000
+    offsets = pa.array(np.r_[0, np.cumsum(rng.integers(1, 33, rows))].astype(np.int32))
+    total = offsets[-1].as_py()
+
+    def tokens(ids):
+        return pa.table({"tokens": pa.ListArray.from_arrays(offsets, pa.array(ids.astype(np.int32)))})
+
+    def written(name, t):
+        path = str(tmp_path / f"{name}.parquet")
+        sink.atomic_write_table(path, t)
+        return path
+
+    zipf = tokens(_zipf_ids(rng, total))
+    path = written("zipf", zipf)
+    assert not _packed(path)
+    everything_zstd = pa.BufferOutputStream()
+    pq.write_table(zipf, everything_zstd, compression=sink.COMPRESSION,
+                   use_dictionary=sink.encode_options(zipf)["use_dictionary"])
+    assert os.path.getsize(path) <= everything_zstd.getvalue().size
+    assert _packed(written("uniform", tokens(rng.integers(0, 50257, total)))) == {"tokens.list.element"}
+
+    ids = pa.array(rng.integers(0, 50257, 256), pa.int32())
+    assert not _packed(written("below_floor", pa.table({"a": ids.slice(0, 255)})))
+    assert _packed(written("at_floor", pa.table({"a": ids}))) == {"a"}
+    assert not _packed(written("all_null", pa.table({"a": pa.array([None] * 1000, pa.int64())})))
+    dense = pa.table({"tokens": pa.ListArray.from_arrays(offsets, pa.array(
+        rng.integers(0, total // 16, total).astype(np.int32)))})
+    assert sink.encode_options(dense)["use_dictionary"] is True
+    assert not _packed(written("dense", dense))
+    typed = pa.table({"d": pa.array(rng.integers(0, 50257, 1000)).dictionary_encode()})
+    assert not _packed(written("dictionary_typed", typed))
 
 
 def _disk(path, columns=None):

@@ -70,19 +70,33 @@ and ``BLOCK_BYTES = 0`` gives one file per bucket::
         part-00007.parquet         # buckets [7, hi); footer: lineage
 
 Every durable Parquet file — partition files, changefeed shards,
-converted Debezium shards — is encoded by ``_encode``: zstd, with the
-dictionary encoding chosen per leaf column from the data
-(``dictionary_columns``). An integer leaf whose value range
-``max − min + 1`` exceeds 1/8 of its value count is written plain;
-every other leaf keeps pyarrow's dictionary. The lake's big columns
-are lsns (unique) and token ids (vocabulary codes, up to ~50k distinct
-values): in a partition of a few thousand rows the dictionary page
-nearly copies the values and pyarrow's 1 MiB fallback never trips, so
-it was about a third of every file and of its encode CPU. A partition
-whose token count is 8× the vocabulary keeps the token dictionary,
-where it pays; a narrow int (``n_tok``) and strings keep theirs, except
-a partition file's ``doc_id`` (``partition_dictionary``): state holds
-each key once, so its dictionary page copied every key.
+converted Debezium shards — is encoded by ``_encode``, each leaf column
+as ``encode_options`` decides from the data in one pass:
+
+- an integer leaf whose value range ``max − min + 1`` exceeds 1/8 of
+  its value count (``_wide_int``) carries no dictionary; every other
+  leaf keeps pyarrow's. The lake's big columns are lsns (unique) and
+  token ids (vocabulary codes, up to ~50k distinct values): in a
+  partition of a few thousand rows the dictionary page nearly copies
+  the values and pyarrow's 1 MiB fallback never trips, so it was
+  about a third of every file and of its encode CPU. A partition whose
+  token count is 8× the vocabulary keeps the token dictionary, where
+  it pays; a narrow int (``n_tok``) and strings keep theirs, except a
+  partition file's ``doc_id``: state holds each key once, so its
+  dictionary page copied every key;
+- such a wide leaf is bit-packed (DELTA_BINARY_PACKED, uncompressed)
+  when its first 8 KiB of non-null values (2,048 token ids) pack
+  smaller than zstd packs their plain bytes (``_packs``, from 256
+  values up), and written plain + zstd otherwise. Uniform token ids
+  (about 15.6 bits of information in 4 bytes) pack to 2.34 B an id,
+  list levels included, against zstd's 2.58, and a partition's lsns
+  pack too; zipf-skewed ids, what BPE output looks like, zstd better
+  than a bit width per 32 ids, so they stay plain (packing them would
+  grow the file about 10 %). On lakebench's lakes this writes about
+  9 % fewer bytes on all three workloads, for no more encode CPU, the
+  chooser included: Arrow's DBP encoder costs about what skipping zstd
+  saves;
+- every other leaf is zstd.
 
 The process that writes a partition reads it back soon after: the next
 commit merges onto it, the watcher's changefeed and the views' pair
@@ -231,42 +245,123 @@ def _wide_int(values) -> bool:
     return span * 8 > len(values) - values.null_count
 
 
-def dictionary_columns(table: pa.Table) -> bool | list[str]:
-    """``pq.write_table``'s ``use_dictionary`` for ``table``: True (every
-    leaf dictionary-encoded, pyarrow's default) unless some integer leaf
-    has a wide range (``_wide_int``), else the leaf paths that keep the
-    dictionary. One ``pc.min_max`` per integer leaf decides."""
-    keep, plain = [], False
+# the packing chooser's sample: a leaf's first 8 KiB of non-null values
+# (2,048 int32 token ids, 1,024 int64 lsns). Packing a ~10k-row file
+# saves only ~0.3 ms of its encode CPU and zstd's cost grows with the
+# sample's bytes: at 8 KiB the encode, chooser included, stays below
+# the plain + zstd encode's on kernelbench's upsert and backfill runs,
+# at 16 KiB it was up to 2 % above on upsert. Over 64 generated
+# partitions (300–10k rows; uniform, zipf s 0.6–1.3 and half-and-half
+# token ids) the 8 KiB sample's decisions wrote 0.15 % more bytes than
+# the best choice per leaf (16 KiB: 0.02 %, 4 KiB: 0.52 %)
+_PACK_SAMPLE_BYTES = 8 << 10
+# a leaf with fewer non-null values is never packed: packing 256
+# uniform token ids or random lsns saves about 100 B a file, not worth
+# the chooser's ~60 µs, and below ~32 values the page header and list
+# levels outweigh what the sample compares (it misjudged 3 of 20
+# leaves of 32 ids)
+_PACK_FLOOR = 256
+_BIT = np.array([1 << k for k in range(64)], np.uint64)  # bit length = count ≤ x
+_VARINT = np.array([1 << (7 * k) for k in range(1, 10)], np.uint64)  # varint length − 1 = count ≤ x
+
+
+def _uleb_bytes(x: int) -> int:
+    """Bytes of the ULEB128 varint of ``x`` ≥ 0."""
+    return max(1, -(-x.bit_length() // 7))
+
+
+def _dbp_bytes(v: np.ndarray) -> int:
+    """The exact DELTA_BINARY_PACKED size of the values ``v`` (int32 or
+    int64, the leaf's physical type) as Arrow writes them: a header
+    (block size, 4 miniblocks, the count, the first value), then per
+    block of deltas (128 for int32, 256 for int64) its minimum delta and
+    4 bit widths, each miniblock packed at the bit length of its
+    largest ``delta − block minimum``. Deltas wrap in the physical
+    width, as the encoder's do; the last block writes only the
+    miniblocks it fills."""
+    block = 32 * v.dtype.itemsize  # 128 deltas of int32, 256 of int64
+    mini = block // 4
+    n = len(v) - 1  # deltas
+    first = int(v[0])
+    head = 2 + 1 + _uleb_bytes(len(v)) + _uleb_bytes(2 * first if first >= 0 else -2 * first - 1)
+    if not n:
+        return head
+    blocks = -(-n // block)
+    d = np.empty(blocks * block, v.dtype)
+    np.subtract(v[1:], v[:-1], out=d[:n])
+    d[n:] = d[n - 1]  # pads the last block without moving a minimum or maximum
+    d = d.reshape(blocks, 4, mini)
+    lo = d.min(axis=(1, 2))
+    # max − min of a miniblock's deltas is below 2^width, so its wrapped
+    # difference read unsigned is exact
+    span = (d.max(axis=2) - lo[:, None]).view(np.dtype(f"u{v.dtype.itemsize}"))
+    width = np.searchsorted(_BIT, span.ravel()[:-(-n // mini)], "right")
+    z = lo.astype(np.int64)
+    z = ((z << 1) ^ (z >> 63)).view(np.uint64)  # ZigZag
+    return (head + 5 * blocks + int(np.searchsorted(_VARINT, z, "right").sum())
+            + mini // 8 * int(width.sum()))
+
+
+def _packs(values) -> bool:
+    """Whether an integer leaf is smaller bit-packed (DELTA_BINARY_PACKED,
+    uncompressed) than plain + zstd: the exact DBP size of its first
+    ``_PACK_SAMPLE_BYTES`` of non-null values, in its physical type,
+    against zstd of the same values' plain bytes. Below ``_PACK_FLOOR``
+    non-null values, never."""
+    nulls = values.null_count
+    if len(values) - nulls < _PACK_FLOOR:
+        return False
+    physical = np.int64 if values.type.bit_width == 64 else np.int32
+    count = _PACK_SAMPLE_BYTES // np.dtype(physical).itemsize
+    sample = values.slice(0, count + nulls)
+    if nulls:
+        sample = sample.drop_null().slice(0, count)
+    v = sample.to_numpy().astype(physical, copy=False)
+    return _dbp_bytes(v) < pa.compress(v, COMPRESSION).size
+
+
+def encode_options(table: pa.Table, *, partition: bool = False) -> dict:
+    """``pq.write_table``'s per-leaf arguments for ``table``, decided in
+    one pass over its leaves (one ``pc.min_max`` per integer leaf, a
+    sample of the wide ones):
+
+    - ``use_dictionary``: True (pyarrow's default) unless some integer
+      leaf has a wide range (``_wide_int``), else the leaf paths that
+      keep the dictionary; a partition file (``partition``) also drops
+      ``doc_id``'s: it holds each key once, so its dictionary page would
+      copy every value;
+    - ``column_encoding``: ``DELTA_BINARY_PACKED`` for each wide integer
+      leaf that bit-packs smaller than plain + zstd (``_packs``), None
+      when there is none;
+    - ``compression``: zstd, except ``"none"`` for the packed leaves:
+      bit-packing already is their compression."""
+    paths, keep, packed = [], [], []
     for name, col in zip(table.column_names, table.columns):
         for path, values in _leaves(name, col):
-            if _wide_int(values):
-                plain = True
-            else:
+            paths.append(path)
+            if not _wide_int(values):
                 keep.append(path)
-    return keep if plain else True
+            elif _packs(values):
+                packed.append(path)
+    if partition:
+        keep = [p for p in keep if p != "doc_id"]
+    return {"use_dictionary": True if len(keep) == len(paths) else keep,
+            "column_encoding": dict.fromkeys(packed, "DELTA_BINARY_PACKED") or None,
+            "compression": ({p: "none" if p in packed else COMPRESSION for p in paths}
+                            if packed else COMPRESSION)}
 
 
-def partition_dictionary(table: pa.Table) -> list[str]:
-    """``use_dictionary`` of a partition file: ``dictionary_columns``
-    less ``doc_id``. A partition holds each key once, so a ``doc_id``
-    dictionary page would copy every value."""
-    keep = dictionary_columns(table)
-    if keep is True:
-        keep = [p for n, c in zip(table.column_names, table.columns) for p, _ in _leaves(n, c)]
-    return [p for p in keep if p != "doc_id"]
-
-
-def _encode(table: pa.Table, use_dictionary: bool | list[str]) -> pa.Buffer:
-    """``table`` as a Parquet file in memory: zstd, the dictionary per
-    leaf column by ``use_dictionary``."""
+def _encode(table: pa.Table, *, partition: bool = False) -> pa.Buffer:
+    """``table`` as a Parquet file in memory, each leaf encoded by
+    ``encode_options``."""
     out = pa.BufferOutputStream()
-    pq.write_table(table, out, compression=COMPRESSION, use_dictionary=use_dictionary)
+    pq.write_table(table, out, **encode_options(table, partition=partition))
     return out.getvalue()
 
 
 def atomic_write_table(path: str, table: pa.Table) -> int:
     """Write a parquet file atomically; returns file size in bytes."""
-    buf = _encode(table, dictionary_columns(table))
+    buf = _encode(table)
     atomic_write_bytes(path, buf)
     return buf.size
 
@@ -282,7 +377,7 @@ def _with_lineage(table: pa.Table, lineage: dict) -> tuple[pa.Table, pa.Buffer]:
     table = table.replace_schema_metadata({
         **(table.schema.metadata or {}),
         LINEAGE_KEY: json.dumps(lineage, separators=(",", ":"))})
-    return table, _encode(table, partition_dictionary(table))
+    return table, _encode(table, partition=True)
 
 
 def _write_encoded(lake_dir: str, epoch: int, fname: str, table: pa.Table,

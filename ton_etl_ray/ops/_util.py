@@ -87,9 +87,11 @@ def local_plan(total_bytes: int) -> bool:
     then runs its per-block kernel in-process. At that size a Ray Data
     plan is mostly exchange, scheduling and IO, not work.
     ``BLOCK_BYTES = 0`` forces the Ray plan. Callers count on-disk
-    (encoded) bytes, so the sink's encoding moves the line: without
-    dictionary pages on wide integer columns (``sink.dictionary_columns``)
-    about 1.45× more committed state fits the local plan."""
+    (encoded) bytes, so the sink's encoding moves the line: with no
+    dictionary pages on wide integer columns, bit-packed where that pays
+    (``sink.encode_options``), about 1.3× more committed state fits the
+    local plan than under pyarrow's default (``tools/kernelbench.py``:
+    1.33× on the upsert shape, 1.28× on backfill; packing alone 1.10×)."""
     return total_bytes < BLOCK_BYTES
 
 
@@ -97,10 +99,10 @@ def file_bytes() -> int:
     """The on-disk size the lake writers pack a file to (``cdc.sink``'s
     layout): 1/64 of ``BLOCK_BYTES``, read per call, so 1 MiB by
     default and 0 — one file per hash bucket — under ``BLOCK_BYTES = 0``.
-    A file write (encode, sha256, fsynced rename) costs about 1.5 ms
-    fixed plus 0.7 µs per row at about 52 B per row on disk
+    A file write (encode, sha256, fsynced rename) costs about 1.4 ms
+    fixed plus 0.7 µs per row at about 47 B per row on disk
     (``tools/kernelbench.py``'s ``files`` sweep, 4-CPU host), so at
-    1 MiB (~20k rows) the fixed part is about 9 % of a file's write,
+    1 MiB (~22k rows) the fixed part is about 8 % of a file's write,
     while a commit that touches a file still rewrites at most ~2 MiB."""
     return BLOCK_BYTES >> 6
 

@@ -18,10 +18,12 @@ tombstones kept, over the whole epoch: kept for comparison), ``combine``
 (the engine's map side, ``replay.Normalize``: the hash-grouping LWW
 combiner per conformed shard), ``assign`` (``assign_partitions`` of the
 combined rows), ``merge_state`` (one per run, onto the state files it
-replaces), ``encode`` (every run to zstd Parquet in memory: the sink's
-per-leaf dictionary policy for lake files,
-``sink.partition_dictionary``, against pyarrow's dictionary-everything
-default; CPU and bytes),
+replaces), ``encode`` (every run to Parquet in memory, CPU and bytes,
+three ways: ``policy``, the sink's per-leaf policy for lake files,
+``sink.encode_options(partition=True)``, its packing chooser included;
+``plain``, the same dictionary choice with no leaf bit-packed and every
+leaf zstd, the policy before it packed wide integer leaves; ``default``,
+pyarrow's dictionary-everything default with zstd),
 ``write`` (every run through ``sink.write_range`` into a scratch lake:
 encode, hash, one fsynced file per run unless it splits past twice the
 file size, the memo insert), ``read`` (``sink.read_file`` of every run's
@@ -47,7 +49,7 @@ per row: the fixed share of one file's write at ``file_bytes`` is what
 that size is chosen by.
 
 ``--large N [N ...]`` also encodes single partitions of N rows, with
-uniform and with zipf token ids, under both encodings.
+uniform and with zipf token ids, under the three encodings.
 
     python tools/kernelbench.py [--reps 15] [--scale 1.0] [--seed 7] [--large 80000 200000]
 
@@ -64,6 +66,7 @@ import shutil
 import sys
 import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 import pyarrow as pa
@@ -141,7 +144,7 @@ def change_log(seed: int, stream: int, num_keys: int, events: int, lsn0: int,
 
 
 def encoded_bytes(t: pa.Table) -> int:
-    return len(encode(t, True))
+    return len(encode(t, "policy"))
 
 
 def plan_runs(state: dict[int, tuple[int, pa.Table]], groups: dict[int, pa.Table],
@@ -204,14 +207,23 @@ def apply_log(state: dict[int, tuple[int, pa.Table]], shards: list[pa.Table],
     return timed("merge_state", merge_all)
 
 
-def encode(t: pa.Table, policy: bool) -> bytes:
+MODES = ("policy", "plain", "default")
+
+
+def encode(t: pa.Table, mode: str) -> bytes:
+    """``t`` as a Parquet file in memory, encoded as ``mode`` (``MODES``,
+    module docstring) says. ``plain`` runs the policy with its packing
+    chooser answering no, so its CPU is the policy's before packing."""
+    if mode == "default":
+        kw = {"compression": sink.COMPRESSION}
+    elif mode == "plain":
+        with mock.patch.object(sink, "_packs", lambda values: False):
+            kw = sink.encode_options(t, partition=True)
+    else:
+        kw = sink.encode_options(t, partition=True)
     buf = io.BytesIO()
-    kw = {"use_dictionary": sink.partition_dictionary(t)} if policy else {}
-    pq.write_table(t, buf, compression=sink.COMPRESSION, **kw)
+    pq.write_table(t, buf, **kw)
     return buf.getvalue()
-
-
-MODES = (("policy", True), ("default", False))
 
 
 def write_runs(runs: dict[int, tuple[int, pa.Table, list[int]]], lake: str, epoch: int) -> list[dict]:
@@ -240,9 +252,9 @@ def time_encodes(tables: list[pa.Table], times: dict, rep: int) -> dict[str, int
     """CPU ms of encoding every table once per mode, the modes in
     alternating order by ``rep``; returns bytes per mode."""
     sizes = {}
-    for mode, policy in MODES[::-1] if rep % 2 else MODES:
+    for mode in MODES[::-1] if rep % 2 else MODES:
         t0 = time.process_time()
-        sizes[mode] = sum(len(encode(t, policy)) for t in tables)
+        sizes[mode] = sum(len(encode(t, mode)) for t in tables)
         times.setdefault(f"encode_{mode}", []).append((time.process_time() - t0) * 1e3)
     return sizes
 
@@ -323,20 +335,20 @@ def bench_shape(name: str, seed: int, scale: float, reps: int, work: str) -> dic
         time_views(state, written, times)
     shutil.rmtree(os.path.join(work, name, "write"))
     paths: dict[str, dict[int, str]] = {}
-    for mode, policy in MODES:
+    for mode in MODES:
         d = os.path.join(work, name, mode)
         os.makedirs(d)
         paths[mode] = {}
         for p, t in tables.items():
             paths[mode][p] = os.path.join(d, sink.part_file(p))
             with open(paths[mode][p], "wb") as f:
-                f.write(encode(t, policy))
+                f.write(encode(t, mode))
     hit_lake = os.path.join(work, name, "hit")
     for p, t in tables.items():
         sink.write_partition(hit_lake, 0, sink.part_file(p), t, {})
     paths["hit"] = {p: os.path.join(sink.epoch_dir(hit_lake, 0), sink.part_file(p)) for p in tables}
     for rep in range(reps):
-        for mode in ("hit", *(m for m, _ in (MODES[::-1] if rep % 2 else MODES))):
+        for mode in ("hit", *(MODES[::-1] if rep % 2 else MODES)):
             t0 = time.process_time()
             back = {p: sink.read_file(path) for p, path in paths[mode].items()}
             times.setdefault(f"read_{mode}", []).append((time.process_time() - t0) * 1e3)
@@ -350,8 +362,7 @@ def bench_shape(name: str, seed: int, scale: float, reps: int, work: str) -> dic
         "events": sum(s.num_rows for s in epoch),
         "runs_written": len(tables),
         "rows_written": sum(t.num_rows for t in tables.values()),
-        "bytes_policy": sizes["policy"],
-        "bytes_default": sizes["default"],
+        **{f"bytes_{mode}": sizes[mode] for mode in MODES},
         "cpu_ms": {k: quartiles(v) for k, v in times.items()},
     }
 
@@ -427,8 +438,8 @@ def bench_large(rows: int, seed: int, reps: int) -> dict:
         times: dict[str, list[float]] = {}
         for rep in range(reps):
             sizes = time_encodes([t], times, rep)
-        out[dist] = {"token_values": int(lengths.sum()), "bytes_policy": sizes["policy"],
-                     "bytes_default": sizes["default"],
+        out[dist] = {"token_values": int(lengths.sum()),
+                     **{f"bytes_{mode}": sizes[mode] for mode in MODES},
                      "cpu_ms": {k: quartiles(v) for k, v in times.items()}}
     return out
 
@@ -452,7 +463,8 @@ def main() -> int:
         shutil.rmtree(work, ignore_errors=True)
     for s, r in result["shapes"].items():
         print(f"{s}: {r['events']} events -> {r['runs_written']} runs, "
-              f"{r['rows_written']} rows; bytes policy {r['bytes_policy']} / default {r['bytes_default']}")
+              f"{r['rows_written']} rows; bytes policy {r['bytes_policy']} / plain "
+              f"{r['bytes_plain']} / default {r['bytes_default']}")
         for stage, q in r["cpu_ms"].items():
             print(f"  {stage:<16} {q['p50']:>9.3f} ms  [q1 {q['q1']:.3f}, q3 {q['q3']:.3f}]")
     f = result["files"]
@@ -464,10 +476,11 @@ def main() -> int:
           f"({f['rows_at_file_bytes']} rows): {f['fixed_share_at_file_bytes']:.1%}")
     for rows, r in result["large"].items():
         for dist, x in r.items():
-            pol, dft = x["cpu_ms"]["encode_policy"], x["cpu_ms"]["encode_default"]
-            print(f"large {rows} rows, {dist} tokens: bytes policy {x['bytes_policy']} / default "
+            ms = " / ".join(f"{x['cpu_ms'][f'encode_{m}']['p50']:.1f}" for m in MODES)
+            print(f"large {rows} rows, {dist} tokens: bytes policy {x['bytes_policy']} / plain "
+                  f"{x['bytes_plain']} ({x['bytes_policy'] / x['bytes_plain'] - 1:+.1%}) / default "
                   f"{x['bytes_default']} ({x['bytes_policy'] / x['bytes_default'] - 1:+.1%}); encode "
-                  f"{pol['p50']:.1f} / {dft['p50']:.1f} ms")
+                  f"{ms} ms")
     print(json.dumps(result, sort_keys=True))
     return 0
 
