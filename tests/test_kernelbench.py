@@ -9,9 +9,9 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-STAGES = {"conform", "compact", "combine", "assign", "merge_state", "encode_policy",
-          "encode_plain", "encode_default", "write", "read_policy", "read_plain",
-          "read_default", "read_hit", "view_delta", "view_full"}
+STAGES = {"read_log", "conform", "compact", "combine", "assign", "combine_epoch",
+          "merge_state", "encode_policy", "encode_plain", "encode_default", "write",
+          "read_policy", "read_plain", "read_default", "read_hit", "view_delta", "view_full"}
 
 
 def test_kernelbench_runs_tiny():

@@ -187,9 +187,10 @@ def test_cdc_runs_no_shuffle_join():
 
 def test_in_process_reads_go_through_read_file():
     """Every in-process read of a partition file or change shard in
-    the lake writers and the token views is one ``sink.read_file``: no
-    other function of ``ton_etl_ray/cdc/*.py`` or ``ops/tokens.py``
-    calls ``read_table``."""
+    the lake writers and the token views is one ``sink.read_file`` (a
+    change shard on the local plan: ``sink.read_changes``): no other
+    function of ``ton_etl_ray/cdc/*.py`` or ``ops/tokens.py`` calls
+    ``read_table``."""
     root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "ton_etl_ray")
     paths = sorted(glob.glob(os.path.join(root, "cdc", "*.py")))

@@ -4,8 +4,9 @@
 lake epoch through the commit path of ``replay()``
 (``replay._apply_changes`` → ``replay.partition_apply``): below one read
 block of input plus touched state (``ops._util.BLOCK_BYTES``) the epoch
-runs in-process — ``Normalize`` per shard, group by reducer unit on the
-driver, ``commit_partition`` per run of adjacent touched units — and
+runs in-process — ``Normalize`` per shard, one combine across the
+shards and a group by reducer unit on the driver, ``commit_partition``
+per run of adjacent touched units — and
 above it through the Ray Data exchange ``replay()`` would pick.
 
 No state is kept between epochs: each epoch merges onto the committed

@@ -7,19 +7,25 @@ or an empty bucket), and a reducer commits each unit. Its size rule
 (``ops._util.local_plan``: the files plus the touched units' committed
 state smaller than one ``BLOCK_BYTES`` read block) picks how::
 
-    Normalize (conform to the unified schema, validate ops, per-block
-               LWW combine (``merge.combine``), hash bucket)
+    Normalize (validate ops, per-block LWW combine (``merge.combine``),
+               conform the survivors to the unified schema, hash bucket)
       → group by unit
       → commit_partition (merge prior state (LWW) → sort → 2PC write of
                           the range, split past twice the file size)
       → publish epoch (_COMMIT + _LATEST pointer flip)
 
-- ``local``: the kernel per file, group by unit on the driver, then
-  adjacent touched units packed into runs of up to one file size
-  (``ops._util.file_bytes``) and the reducer once per run — one merge
-  and one file where the exchange plan writes one per unit. No Ray
-  Data plan: at micro-batch sizes its exchange, scheduling and IO cost
-  more than the merge and write themselves;
+- ``local``: the kernel per file, each change file decoded without the
+  envelope-only ``ts_ms`` and with its low-cardinality strings as
+  dictionaries (``sink.read_changes``), so only the combine's
+  survivors are decoded to plain strings and cast; then on the
+  driver one keys-only LWW combine across the files' rows
+  (``merge.winners``) and a group by unit that gathers only its
+  winners, once (late materialization: a change row that cannot win
+  is never gathered); then adjacent touched units packed into runs of
+  up to one file size (``ops._util.file_bytes``) and the reducer once
+  per run — one merge and one file where the exchange plan writes one
+  per unit. No Ray Data plan: at micro-batch sizes its exchange,
+  scheduling and IO cost more than the merge and write themselves;
 - ``exchange``: ``read_parquet`` (grouped by on-disk schema) →
   ``map_batches(kernel)`` → ``groupby(unit).map_groups(reducer)`` —
   the one all-to-all shuffle, one reducer per unit, a head file of
@@ -121,13 +127,19 @@ def _discover(changes: str | list[str]) -> list[str]:
 
 
 class Normalize:
-    """Stage 1 (stateless map_batches): conform → validate → combine →
-    partition assignment. The envelope-normalization analogue of the
-    reference's converters (datalake/converters/converter.py) plus the
-    map-side LWW combiner (``merge.combine``, winners in input order:
-    ``by_part`` and the reducer's ``merge_state`` order them) that bounds
-    shuffle volume per key: each call emits at most one row per key,
-    which is also the engine's skew bound (see the module docstring)."""
+    """Stage 1 (stateless map_batches): validate → exclude → combine →
+    conform → partition assignment. The map-side LWW combiner
+    (``merge.combine``, winners in input order: ``by_part`` and the
+    reducer's ``merge_state`` order them) bounds shuffle volume per key:
+    each call emits at most one row per key, which is also the engine's
+    skew bound (see the module docstring). Then the envelope
+    normalization, the analogue of the reference's converters
+    (datalake/converters/converter.py): the survivors are conformed to
+    the unified schema without the envelope-only ``ts_ms``. The combine
+    reads only the key columns and runs on the rows as read, so only
+    its survivors are cast, and a string column read as a dictionary
+    (``sink.read_changes``) is decoded to plain strings for them alone.
+    """
 
     def __init__(
         self,
@@ -137,26 +149,22 @@ class Normalize:
         only_parts: frozenset[int] | None,
         excluded_doc_ids: frozenset[str] | None = None,
     ):
-        self.schema = schema
+        self.schema = pa.schema([f for f in schema if f.name != sink.ENVELOPE])
         self.P = num_partitions
         self.skip = skip_parts
         self.only = only_parts
         self.excluded = excluded_doc_ids
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        t = conform(batch, self.schema)
+        validate_changes(batch)
+        t = batch
         if self.excluded:
             # data-corrections anti-join (reference excluded_rows,
-            # datalake_daily_sync.py:318-334): drop known-bad keys at
-            # the earliest stage, before any shuffle
+            # datalake_daily_sync.py:318-334): drop known-bad keys
+            # before the combine and any shuffle
             keep = pc.invert(pc.is_in(t["doc_id"], value_set=pa.array(sorted(self.excluded))))
             t = t.filter(keep)
-        validate_changes(t)
-        t = M.combine(t)
-        if "ts_ms" in t.column_names:
-            # envelope-only column: never part of persisted state — drop
-            # before the shuffle so it doesn't ride the all-to-all
-            t = t.drop_columns(["ts_ms"])
+        t = conform(M.combine(t), self.schema)
         part = P.assign_partitions(t["doc_id"], self.P)
         t = t.append_column("part", pa.array(part, pa.int64()))
         keep = np.ones(len(part), dtype=bool)
@@ -170,20 +178,33 @@ class Normalize:
 
 
 def validate_changes(t: pa.Table) -> None:
-    """Reject a change batch with an op outside ``VALID_OPS`` or a null
-    lsn. A 0-row batch is valid."""
-    bad = t.filter(pc.invert(pc.is_in(t["op"], value_set=pa.array(VALID_OPS))))
-    if bad.num_rows:
-        raise ValueError(f"invalid op values in change batch, e.g. {bad['op'][0]}")
+    """Reject a change batch without a ``doc_id``, ``lsn`` or ``op``
+    column, with a null lsn, or with an op outside ``VALID_OPS`` (a null
+    one included). The ops are checked on the distinct values of the
+    ``op`` column alone, read as a dictionary or not. A 0-row batch is
+    valid."""
+    if not t.num_rows:
+        return
+    for c in ("doc_id", "lsn", "op"):
+        if c not in t.column_names:
+            raise ValueError(f"change batch has no {c} column")
+    ops = pc.unique(t["op"]).cast(pa.string())  # a dictionary decoded, a null column typed
+    bad = ops.filter(pc.invert(pc.is_in(ops, value_set=pa.array(VALID_OPS))))
+    if len(bad):
+        raise ValueError(f"invalid op values in change batch, e.g. {bad[0]}")
     if t["lsn"].null_count:
         raise ValueError("null lsn in change batch")
 
 
-def by_part(t: pa.Table, col: str = "part"):
-    """Yield ``(part, rows)`` per distinct ``col`` value of ``t``, with
-    ``col`` dropped: one stable argsort, then slices at the run bounds."""
+def by_part(t: pa.Table, col: str = "part", rows: np.ndarray | None = None):
+    """Yield ``(part, rows)`` per distinct ``col`` value of ``t`` — of
+    its rows ``rows`` only (ascending indices), if given — with ``col``
+    dropped: one stable argsort, one gather of the rows in ``col``
+    order, then slices at the run bounds."""
     parts = t[col].to_numpy()
-    order = np.argsort(parts, kind="stable")
+    order = np.argsort(parts if rows is None else parts[rows], kind="stable")
+    if rows is not None:
+        order = rows[order]
     t = t.drop_columns([col]).take(pa.array(order))
     bounds = (np.flatnonzero(np.diff(parts[order])) + 1).tolist()
     for lo, hi in zip([0, *bounds], [*bounds, len(order)]):
@@ -373,6 +394,7 @@ def partition_apply(
     layout: Layout,
     *,
     columns: list[str] | None = None,
+    footers: dict[str, pq.FileMetaData] | None = None,
     num_blocks: int | None = None,
     coalesce: bool = False,
     absorb: bool = True,
@@ -382,12 +404,20 @@ def partition_apply(
     column, their hash bucket; the rows group by ``layout`` unit, and
     ``reducer(lo, hi, rows, state)`` runs once per unit or run of units
     ``[lo, hi)``, where ``state`` lists the committed files it rewrites.
-    Returns the reducer outputs (lists of dicts of scalars, flattened)
-    and the plan that ran:
+    ``footers`` (``_footers``) marks ``files`` as change files: a
+    change-applying writer parses them once per epoch, and neither plan
+    parses one again. Returns the reducer outputs (lists of dicts of
+    scalars, flattened) and the plan that ran:
 
     - ``local`` when the files plus the touched units' state fit in one
       read block (``ops._util.local_plan``): the kernel per file (each
-      file is one block), ``by_part`` on the driver, then one reducer
+      file is one block; a change file read by ``sink.read_changes``:
+      no ``ts_ms``, low-cardinality strings as dictionaries), then on
+      the driver, for change files of more than one block, one
+      keys-only LWW combine across the blocks (``merge.winners``;
+      ``compact_lake``'s committed rows have unique keys and no
+      ``op``), ``by_part`` gathering only its winners, in unit order
+      (so ``rows_in`` counts the rows left after it), and one reducer
       call per run of adjacent units (``Layout.runs``, packed to
       ``ops._util.file_bytes``; ``absorb`` as there). No Ray Data
       execution starts;
@@ -412,11 +442,15 @@ def partition_apply(
     if local_plan(total):
         blocks, rows_read = [], 0
         for f in files:  # one read block at a time: only the kernel's output is kept
-            t = sink.read_file(f, columns)
+            t = (sink.read_file(f, columns) if footers is None
+                 else sink.read_changes(f, footers[f], columns))
             rows_read += t.num_rows
             blocks.append(_tagged(kernel, layout, t))
             del t
-        units = [(lo, layout.unit_hi(lo), g) for lo, g in by_part(pa.concat_tables(blocks))]
+        rows = pa.concat_tables(blocks)
+        # change rows of several blocks: one keys-only combine across them
+        win = M.winners(rows) if footers is not None and len(files) > 1 else None
+        units = [(lo, layout.unit_hi(lo), g) for lo, g in by_part(rows, rows=win)]
         states = [layout.state(lo, hi) for lo, hi, _ in units]
         sizes = [sum(os.path.getsize(f) for f in st) for st in states]
         if local_plan(total + sum(sizes)):
@@ -428,7 +462,7 @@ def partition_apply(
     if num_blocks is None:
         num_blocks = read_blocks(total)
     ds, read_total = None, 0
-    for schema, fl in _schema_groups(files):
+    for schema, fl in _schema_groups(footers or _footers(files)):
         blocks = max(1, int(num_blocks * len(fl) / len(files)))
         read_total += blocks
         if columns is not None:  # the read schema names exactly the columns read
@@ -634,7 +668,8 @@ def _apply_changes(
     store — past that the payload exchange spills and, at 10^9 events,
     runs out of disk — and the payload one otherwise, which is faster
     while it fits (no second read of the log)."""
-    unified, state_schema = _change_schema(files, txn.prev_commit)
+    footers = _footers(files)
+    unified, state_schema = _change_schema(footers, txn.prev_commit)
     absorb = not skip_parts and only_parts is None
 
     def norm(schema: pa.Schema) -> Normalize:
@@ -644,10 +679,10 @@ def _apply_changes(
     total = sum(os.path.getsize(f) for f in files)
     if not local_plan(total) and _estimate_shuffle_bytes(
             files, override_num_blocks or read_blocks(total)) > _object_store_bytes() // 2:
-        written = _apply_late(files, norm, unified, reducer, layout, override_num_blocks, absorb)
+        written = _apply_late(footers, norm, unified, reducer, layout, override_num_blocks, absorb)
         meta = {"plan": "exchange", "strategy": "late_materialization"}
     else:
-        written, plan = partition_apply(files, norm(unified), reducer, layout,
+        written, plan = partition_apply(files, norm(unified), reducer, layout, footers=footers,
                                         num_blocks=override_num_blocks, coalesce=True,
                                         absorb=absorb)
         meta = {"plan": plan}
@@ -716,12 +751,12 @@ NARROW = ["doc_id", "lsn", "op"]
 BLOOM_WINNERS = 50_000_000
 
 
-def _apply_late(files: list[str], norm: Callable[[pa.Schema], Normalize],
+def _apply_late(footers: dict[str, pq.FileMetaData], norm: Callable[[pa.Schema], Normalize],
                 unified: pa.Schema, reducer, layout: Layout,
                 num_blocks: int | None, absorb: bool) -> list[dict]:
     """The narrow exchange (late materialization), two
-    ``partition_apply`` exchanges over the same change files; returns
-    the written manifests.
+    ``partition_apply`` exchanges over the same change files (``footers``
+    by path); returns the written manifests.
 
     Decide: read ONLY ``NARROW`` — parquet column pruning means token
     payloads are never decoded — ``norm`` them (the per-block combine),
@@ -737,9 +772,10 @@ def _apply_late(files: list[str], norm: Callable[[pa.Schema], Normalize],
     The Bloom filter is safe because tombstone winners are always in
     the fetch set: a false-positive stale row meets its key's true
     winner (or its committed row) in the LWW merge and loses."""
+    files = list(footers)
     wins, _ = partition_apply(files, norm(pa.schema([unified.field(c) for c in NARROW])),
-                              _decide, layout, columns=NARROW, num_blocks=num_blocks,
-                              absorb=absorb)
+                              _decide, layout, columns=NARROW, footers=footers,
+                              num_blocks=num_blocks, absorb=absorb)
     win = np.sort(np.frombuffer(b"".join(w["lsns"] for w in wins), np.int64))
     if not len(win):
         return []
@@ -754,8 +790,8 @@ def _apply_late(files: list[str], norm: Callable[[pa.Schema], Normalize],
     def fetch(batch: pa.Table) -> pa.Table:
         return full(batch.filter(pa.array(hit(batch["lsn"].to_numpy(zero_copy_only=False)))))
 
-    written, _ = partition_apply(files, fetch, reducer, layout, num_blocks=num_blocks,
-                                 absorb=absorb)
+    written, _ = partition_apply(files, fetch, reducer, layout, footers=footers,
+                                 num_blocks=num_blocks, absorb=absorb)
     return written
 
 
@@ -780,30 +816,36 @@ def _in_sorted(win: np.ndarray, lsn: np.ndarray) -> np.ndarray:
     return win[idx] == lsn
 
 
-def _schema_groups(files: list[str]) -> list[tuple[pa.Schema, list[str]]]:
-    """``files`` grouped by on-disk schema: ``(schema, files)`` pairs.
-    Schema metadata is dropped: every partition file's footer holds its
-    own lineage, and a Ray Data read of blocks whose metadata differ
-    cannot deduplicate their schemas."""
+def _footers(files: list[str]) -> dict[str, pq.FileMetaData]:
+    """Each file's parsed Parquet footer, by path, in ``files`` order."""
+    return {f: pq.read_metadata(f) for f in files}
+
+
+def _schema_groups(footers: dict[str, pq.FileMetaData]) -> list[tuple[pa.Schema, list[str]]]:
+    """The files of ``footers`` grouped by on-disk schema: ``(schema,
+    files)`` pairs. Schema metadata is dropped: every partition file's
+    footer holds its own lineage, and a Ray Data read of blocks whose
+    metadata differ cannot deduplicate their schemas."""
     groups: dict[bytes, tuple[pa.Schema, list[str]]] = {}
-    for f in files:
-        s = pq.read_schema(f).remove_metadata()
+    for f, footer in footers.items():
+        s = footer.schema.to_arrow_schema().remove_metadata()
         groups.setdefault(s.serialize().to_pybytes(), (s, []))[1].append(f)
     return list(groups.values())
 
 
-def _change_schema(files: list[str], prev_commit: dict | None) -> tuple[pa.Schema, pa.Schema]:
+def _change_schema(footers: dict[str, pq.FileMetaData],
+                   prev_commit: dict | None) -> tuple[pa.Schema, pa.Schema]:
     """The change schema every writer conforms to: the unified schema
-    of ``files`` (the schema of ``prev_commit``, the pinned head,
-    included, so state columns survive even if this epoch's shards
-    dropped one) and the state schema it persists (no
+    of the change files (``footers``; the schema of ``prev_commit``,
+    the pinned head, included, so state columns survive even if this
+    epoch's shards dropped one) and the state schema it persists (no
     ``op``/``ts_ms``)."""
-    schemas = [s for s, _ in _schema_groups(files)]
+    schemas = [s for s, _ in _schema_groups(footers)]
     if prev_commit is not None:
         prev = sink.commit_schema(prev_commit)
         schemas.append(pa.schema([f for f in prev if f.name != "lsn"]))
     unified = unify_schemas(schemas)
-    state_schema = pa.schema([f for f in unified if f.name not in ("op", "ts_ms")])
+    state_schema = pa.schema([f for f in unified if f.name not in ("op", sink.ENVELOPE)])
     return unified, state_schema
 
 

@@ -19,11 +19,14 @@ returns them in ascending doc_id order: it is the reduce under
 is the map-side combiner (``replay.Normalize`` on every read block,
 the narrow exchange's winner decision ``replay._decide``): it groups by
 a hash of the key instead of sorting, O(n), and keeps the winners in
-input order — its callers group or sort the rows again anyway. Both pick the same row per
-key. A sort pays at a partition merge of a few hundred rows; hash
-grouping pays on a read block of tens of thousands where few rows win.
+input order — its callers group or sort the rows again anyway. Both
+pick the same row per key. A sort pays at a partition merge of a few
+hundred rows; hash grouping pays on a read block of tens of thousands
+where few rows win. ``winners`` is ``combine`` on the key columns
+alone, as row indices: the local plan's combine across an epoch's
+blocks (``replay.partition_apply``), whose gather groups the rows too.
 
-All kernels are pure functions pa.Table -> pa.Table (no Ray), so they
+All kernels are pure functions over Arrow tables (no Ray), so they
 unit-test without a cluster — mirroring the reference's host-agnostic
 parser contract (parser/backfill.py DBMock harness).
 """
@@ -80,22 +83,31 @@ def compact(changes: pa.Table, *, keep_tombstones: bool = True) -> pa.Table:
 def combine(changes: pa.Table) -> pa.Table:
     """One winning row per doc_id, tombstones kept, in input order: the
     row ``compact`` picks (max ``lsn``, then max ``op``, then the first
-    in input order), found without a sort.
+    in input order), found without a sort — ``changes.take(winners(
+    changes))``."""
+    return changes.take(winners(changes))
+
+
+def winners(changes: pa.Table) -> np.ndarray:
+    """The ascending row indices of ``combine``'s winners: only
+    ``doc_id``, ``lsn`` and ``op`` are read, so a caller gathers each
+    payload row once, where it needs it.
 
     ``doc_id`` is dictionary-encoded into codes (one dictionary over the
     whole column: per-chunk dictionaries disagree) and each code's max
     ``lsn`` taken with ``np.maximum.at``. Only keys whose max lsn occurs
     more than once — duplicate deliveries — go through a tie pass over
-    those rows alone. A null ``doc_id`` or ``lsn`` raises ``ValueError``.
+    those rows alone. Either string column may arrive
+    dictionary-encoded (``sink.read_changes``). A null ``doc_id`` or
+    ``lsn`` raises ``ValueError``.
     """
     if changes.num_rows == 0:
-        return changes
+        return np.zeros(0, np.int64)
     if changes["doc_id"].null_count:
         raise ValueError("null doc_id in change batch")
     if changes["lsn"].null_count:
         raise ValueError("null lsn in change batch")
-    keys = changes["doc_id"]
-    keys = keys.chunk(0) if keys.num_chunks == 1 else keys.combine_chunks()
+    keys = _plain(changes["doc_id"])
     enc = pc.dictionary_encode(keys)
     codes = enc.indices.to_numpy()
     lsn = changes["lsn"].to_numpy()
@@ -106,13 +118,22 @@ def combine(changes: pa.Table) -> pa.Table:
         # some key's max lsn repeats: among its rows, max op, then first
         tied = np.bincount(codes[win], minlength=len(best))[codes[win]] > 1
         ti = win[tied]
-        op = pc.rank(changes["op"].take(ti).combine_chunks(), sort_keys="ascending",
+        op = pc.rank(_plain(changes["op"].take(ti)), sort_keys="ascending",
                      null_placement="at_start", tiebreaker="dense").to_numpy()
         order = ti[np.lexsort((ti, -op.astype(np.int64), codes[ti]))]
         first = np.ones(len(order), dtype=bool)
         first[1:] = codes[order[1:]] != codes[order[:-1]]
         win = np.sort(np.concatenate([win[~tied], order[first]]))
-    return changes.take(win)
+    return win
+
+
+def _plain(col: pa.ChunkedArray) -> pa.Array:
+    """``col`` as one array of its value type (a dictionary decoded: its
+    codes need not be one per value)."""
+    arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    if pa.types.is_dictionary(arr.type):
+        arr = arr.cast(arr.type.value_type)
+    return arr
 
 
 def merge_state(state: pa.Table | None, changes: pa.Table) -> pa.Table:

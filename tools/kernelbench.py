@@ -10,14 +10,22 @@ seeded lake shapes of 16 hash buckets:
 - ``backfill``: a 300k-event zipf-key log over 30k keys into a fresh
   lake (lakebench's ``backfill`` round).
 
-The touched buckets pack into runs as the engine's local plan packs
-them (``replay.Layout.runs``, up to ``ops._util.file_bytes``; untimed).
-Stages: ``conform`` (the epoch's shards to their unified schema, half
-of a base log's shards evolved), ``compact`` (the sorting LWW kernel,
-tombstones kept, over the whole epoch: kept for comparison), ``combine``
-(the engine's map side, ``replay.Normalize``: the hash-grouping LWW
-combiner per conformed shard), ``assign`` (``assign_partitions`` of the
-combined rows), ``merge_state`` (one per run, onto the state files it
+Each epoch's shards are written as change files (pyarrow's default
+encoding, as lakebench writes them). The touched buckets pack into runs
+as the engine's local plan packs them (``replay.Layout.runs``, up to
+``ops._util.file_bytes``; untimed). Stages, in the local plan's order:
+``read_log`` (the change files decoded as the local plan reads them:
+footers parsed once, then ``sink.read_changes``, without ``ts_ms`` and
+with low-cardinality strings as dictionaries; CPU per shard),
+``combine`` (the engine's map side, ``replay.Normalize``: the
+hash-grouping LWW combiner per decoded shard), ``conform`` (its
+survivors to the unified schema, half of a base log's shards evolved),
+``assign`` (``assign_partitions`` of the conformed survivors),
+``combine_epoch`` (the keys-only combine across the epoch's shards,
+``merge.winners``; the engine skips it on a one-file epoch, whose
+shard combine already left one row per key), ``compact`` (the sorting
+LWW kernel, tombstones kept, over the whole conformed epoch: kept for
+comparison), ``merge_state`` (one per run, onto the state files it
 replaces), ``encode`` (every run to Parquet in memory, CPU and bytes,
 three ways: ``policy``, the sink's per-leaf policy for lake files,
 ``sink.encode_options(partition=True)``, its packing chooser included;
@@ -37,10 +45,10 @@ component, as the pair stage runs it — then the signed budget partials
 of the changed rows) and ``view_full`` (the budget partial over every
 file after the epoch). Times are CPU milliseconds of this process per
 stage and rep; the report gives the median and quartiles over
-``--reps``. The combined shards, reduced by ``compact``, must give the
-epoch's ``compact`` winners. The decoded and the served files are
-checked equal to the written ones, and both view plans to the same
-budget.
+``--reps``. The epoch's ``combine_epoch`` winners, reduced by
+``compact``, must give the whole epoch's ``compact`` winners. The
+decoded and the served files are checked equal to the written ones,
+and both view plans to the same budget.
 
 The ``files`` sweep writes the backfill state as files of N rows
 through ``sink.write_partition`` (encode, sha256, fsynced write) for N
@@ -78,8 +86,9 @@ sys.path.insert(0, REPO)
 from ton_etl_ray.cdc import delta, sink  # noqa: E402
 from ton_etl_ray.core import merge as M  # noqa: E402
 from ton_etl_ray.core import partition as P  # noqa: E402
+from ton_etl_ray.cdc import replay as R  # noqa: E402
 from ton_etl_ray.cdc.replay import Layout  # noqa: E402
-from ton_etl_ray.core.schema_evolution import conform, unify_schemas  # noqa: E402
+from ton_etl_ray.core.schema_evolution import conform  # noqa: E402
 from ton_etl_ray.ops._util import file_bytes  # noqa: E402
 from ton_etl_ray.ops.tokens import _DELTA_SCHEMA, _budget_partials, _finish_budget, _fold  # noqa: E402
 
@@ -147,6 +156,29 @@ def encoded_bytes(t: pa.Table) -> int:
     return len(encode(t, "policy"))
 
 
+def write_log(shards: list[pa.Table], d: str) -> tuple[list[str], float]:
+    """The shards as change files in ``d`` (pyarrow's default encoding,
+    as lakebench writes them) and the local plan's estimate of a change
+    row's bytes (``partition_apply``: change file bytes over rows)."""
+    os.makedirs(d)
+    paths = [os.path.join(d, f"shard-{k:03d}.parquet") for k in range(len(shards))]
+    for path, t in zip(paths, shards):
+        pq.write_table(t, path)
+    return paths, sum(os.path.getsize(f) for f in paths) / sum(s.num_rows for s in shards)
+
+
+def read_log(paths: list[str]) -> tuple[pa.Schema, list[pa.Table]]:
+    """The change files as the local plan decodes them: every footer
+    parsed once (``replay._footers``), then each file through
+    ``sink.read_changes`` (no ``ts_ms``, low-cardinality strings as
+    dictionaries). Returns the schema ``replay.Normalize`` conforms to
+    and the tables."""
+    footers = R._footers(paths)
+    unified, _ = R._change_schema(footers, None)
+    schema = pa.schema([f for f in unified if f.name != sink.ENVELOPE])
+    return schema, [sink.read_changes(f, footers[f]) for f in paths]
+
+
 def plan_runs(state: dict[int, tuple[int, pa.Table]], groups: dict[int, pa.Table],
               per_row: float) -> list[tuple[int, int, pa.Table, list[int]]]:
     """The engine's local-plan packing (``replay.Layout.runs``) of the
@@ -166,19 +198,17 @@ def plan_runs(state: dict[int, tuple[int, pa.Table]], groups: dict[int, pa.Table
             layout.runs(touched, states, sizes, per_row, file_bytes(), True)]
 
 
-def row_bytes(shards: list[pa.Table]) -> float:
-    """Encoded bytes per change row, the local plan's estimate of a
-    run's size (``partition_apply``: change file bytes over rows)."""
-    return sum(encoded_bytes(s) for s in shards) / sum(s.num_rows for s in shards)
-
-
-def apply_log(state: dict[int, tuple[int, pa.Table]], shards: list[pa.Table],
+def apply_log(state: dict[int, tuple[int, pa.Table]], schema: pa.Schema, shards: list[pa.Table],
               times: dict | None, per_row: float) -> dict[int, tuple[int, pa.Table, list[int]]]:
-    """One commit through the kernels, one merge per run of touched
-    ranges as the local plan packs them (``plan_runs`` with ``per_row``
-    from ``row_bytes``, outside the timed stages); returns ``lo -> (hi,
-    merged state, state los)`` per run. ``times`` (if given) collects
-    the CPU ms of each stage."""
+    """One commit through the kernels in the local plan's order: per
+    shard as ``read_log`` decodes it the combine, the conform of its
+    survivors to ``schema`` and their buckets (``replay.Normalize``),
+    then one combine across the shards (``merge.winners``, stage
+    ``combine_epoch``), its winners grouped by bucket (``replay.by_part``,
+    untimed) and one merge per run of touched ranges as the local plan
+    packs them (``plan_runs`` with ``per_row``, untimed); returns ``lo
+    -> (hi, merged state, state los)`` per run. ``times`` (if given)
+    collects the CPU ms of each stage."""
     def timed(stage, fn, *a):
         t0 = time.process_time()
         out = fn(*a)
@@ -186,17 +216,17 @@ def apply_log(state: dict[int, tuple[int, pa.Table]], shards: list[pa.Table],
             times.setdefault(stage, []).append((time.process_time() - t0) * 1e3)
         return out
 
-    schema = unify_schemas([s.schema for s in shards])
-    shards = timed("conform", lambda: [conform(s, schema) for s in shards])
-    won = timed("compact", M.compact, pa.concat_tables(shards))
-    combined = timed("combine", lambda: pa.concat_tables([M.combine(s) for s in shards]))
-    if not M.compact(combined).equals(won):
+    won = timed("compact", M.compact, pa.concat_tables([conform(s, schema) for s in shards]))
+    combined = timed("combine", lambda: [M.combine(s) for s in shards])
+    conformed = timed("conform", lambda: [conform(s, schema) for s in combined])
+    parts = timed("assign", lambda: [P.assign_partitions(s["doc_id"], NUM_PARTITIONS)
+                                     for s in conformed])
+    rows = pa.concat_tables(conformed)
+    win = timed("combine_epoch", M.winners, rows)
+    if not M.compact(rows.take(win)).equals(won):
         raise AssertionError("combine and compact picked different winners")
-    combined = combined.drop_columns(["ts_ms"])
-    part = timed("assign", P.assign_partitions, combined["doc_id"], NUM_PARTITIONS)
-    order = np.argsort(part, kind="stable")
-    bounds = np.flatnonzero(np.diff(part[order])) + 1
-    groups = {int(part[idx[0]]): combined.take(pa.array(idx)) for idx in np.split(order, bounds) if len(idx)}
+    rows = rows.append_column("part", pa.array(np.concatenate(parts), pa.int64()))
+    groups = dict(R.by_part(rows, rows=win))
     runs = plan_runs(state, groups, per_row)
 
     def merge_all():
@@ -318,17 +348,21 @@ def bench_shape(name: str, seed: int, scale: float, reps: int, work: str) -> dic
         return max(16, int(x * scale))
 
     if name == "upsert":
-        base = change_log(seed, 0, n(10_000), n(100_000), 0, "zipf", 8, 4)
-        state = committed_state(apply_log({}, base, None, row_bytes(base)),
+        base, per_row = write_log(change_log(seed, 0, n(10_000), n(100_000), 0, "zipf", 8, 4),
+                                  os.path.join(work, name, "base_log"))
+        state = committed_state(apply_log({}, *read_log(base), None, per_row),
                                 os.path.join(work, name, "base"))
         epoch = change_log(seed, 1, n(10_000), n(5_000), n(100_000), "uniform", 1, 0)
     else:
         state = {}
         epoch = change_log(seed, 0, n(30_000), n(300_000), 0, "zipf", 8, 4)
     times: dict[str, list[float]] = {}
-    per_row = row_bytes(epoch)
+    paths, per_row = write_log(epoch, os.path.join(work, name, "log"))
     for rep in range(reps):
-        written = apply_log(state, epoch, times, per_row)
+        t0 = time.process_time()
+        schema, shards = read_log(paths)
+        times.setdefault("read_log", []).append((time.process_time() - t0) * 1e3 / len(paths))
+        written = apply_log(state, schema, shards, times, per_row)
         tables = {lo: t for lo, (_, t, _) in written.items()}
         sizes = time_encodes(list(tables.values()), times, rep)
         time_writes(written, os.path.join(work, name, "write"), rep, times)
@@ -392,8 +426,9 @@ def bench_files(seed: int, scale: float, reps: int, work: str) -> dict:
     def n(x):
         return max(16, int(x * scale))
 
-    log = change_log(seed, 0, n(30_000), n(300_000), 0, "zipf", 8, 4)
-    runs = apply_log({}, log, None, row_bytes(log))
+    paths, per_row = write_log(change_log(seed, 0, n(30_000), n(300_000), 0, "zipf", 8, 4),
+                               os.path.join(work, "files", "log"))
+    runs = apply_log({}, *read_log(paths), None, per_row)
     state = pa.concat_tables([t for _, t, _ in runs.values()], promote_options="permissive")
     rows = state.num_rows
     points = {}
